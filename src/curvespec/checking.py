@@ -32,7 +32,7 @@ from .regularity import RegularityProfile, db_profile, dc_probe
 from .spectral import (
     MatrixClass,
     _batch_greedy_match_max,
-    _eigs_match,
+    _matchable,
     as_matrix,
     default_window,
     matrix_from_json,
@@ -141,8 +141,9 @@ class BlackBoxMap:
 class ExternalProgramMap:
     """A map implemented by a subprocess speaking matrix JSON line protocol.
 
-    One matrix JSON object per input line, one per output line; a nonzero
-    exit or malformed reply is a protocol error.
+    One matrix JSON object per input line, one per output line.  A program
+    that cannot start is a config error; a nonzero exit or a malformed reply
+    is a protocol error.
     """
 
     def __init__(self, argv):
@@ -156,7 +157,7 @@ class ExternalProgramMap:
                 text=True,
             )
         except OSError as exc:
-            raise MapProtocolError(f"cannot start {self.argv}: {exc}") from None
+            raise ConfigError(f"cannot start {self.argv}: {exc}") from None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         if self.proc.poll() is not None:
@@ -271,7 +272,7 @@ def check_cs(
             D = np.abs(wx[:, :, None] - wy[:, None, :])
             suspect = _batch_greedy_match_max(D) > tols
             for i in np.flatnonzero(suspect):
-                if not _eigs_match(wx[i], wy[i], tols[i]):
+                if not _matchable(D[i], tols[i]):
                     spectrum_bad = (
                         done + int(i),
                         Xs[i],

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .maps import OrderMap
 from .spectral import (
+    BASIS_COND_LIMIT,
     MatrixClass,
     _curve_order,
     eigenflag,
@@ -232,7 +233,10 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     d_anti = line_distance(w, T @ (eye[:, 0] - 1j * eye[:, 1]))
     antilinear = d_anti < d_lin
 
-    T /= _largest_entry(T)
+    T /= T.ravel()[int(np.argmax(np.abs(T)))]
+    # probes of a non-preserver can land on repeated output lines
+    if not np.linalg.cond(T) <= BASIS_COND_LIMIT:
+        raise ReconstructionError("reconstructed conjugator is near singular")
     Tinv = np.linalg.inv(T)
     residual = 0.0
     Xs = bb.domain.sample_batch(rng, _VALIDATION_SAMPLES)
@@ -246,11 +250,6 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
             f"conjugator validation residual {residual:.3e} exceeds {_VALIDATION_TOL:g}"
         )
     return T, antilinear, float(residual)
-
-
-def _largest_entry(T: np.ndarray) -> complex:
-    flat = np.abs(T).ravel()
-    return T.ravel()[int(np.argmax(flat))]
 
 
 @dataclass

@@ -55,24 +55,29 @@ def parse_curve(text: str):
     if name == "unit-circle":
         return UnitCircleClosed()
     if name == "circle-arc":
-        return unit_circle_arc(float(arg) if arg else 0.0)
+        return unit_circle_arc(_floats(arg, "circle-arc angle", 1)[0] if arg else 0.0)
     if name == "corner-graph":
-        if arg:
-            a, b = (float(x) for x in arg.split(","))
-        else:
-            a, b = -1.0, 1.0
+        a, b = _floats(arg, "corner-graph slopes", 2) if arg else (-1.0, 1.0)
         return CornerGraph(a, b)
     raise ConfigError(f"unknown curve {text!r}")
+
+
+def _floats(text: str, what: str, count: int | None = None) -> list:
+    """Comma-separated numbers (exactly count of them, if given)."""
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if not vals or len(vals) != (count or len(vals)):
+        raise ConfigError(f"{what}: expected {count or 'one or more'} "
+                          f"comma-separated number(s), got {text!r}")
+    return vals
 
 
 def _parse_window(text: str | None) -> Interval | None:
     if text is None:
         return None
-    try:
-        lo, hi = (float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"window must be 'lo,hi', got {text!r}") from None
-    return Interval(lo, hi)
+    return Interval(*_floats(text, "window", 2))
 
 
 def _parse_matrix_arg(text: str) -> np.ndarray:
@@ -247,7 +252,7 @@ def _cmd_regularity(args) -> int:
     kwargs = {"samples_per_scale": args.samples,
               "rng": np.random.default_rng(args.seed)}
     if args.scales:
-        kwargs["scales"] = tuple(float(s) for s in args.scales.split(","))
+        kwargs["scales"] = tuple(_floats(args.scales, "scales"))
     profile = probe(curve, np.conj, args.order, center, **kwargs)
     if args.output is None or args.output == "-":
         write_profile_csv(profile, sys.stdout)
@@ -265,8 +270,8 @@ def _cmd_rho_continuity(args) -> int:
 
 
 def _cmd_demo_circle(args) -> int:
-    spectrum = [np.exp(1j * float(a)) for a in args.spectrum.split(",")]
-    cuts = [np.exp(1j * float(a)) for a in args.cuts.split(",")]
+    spectrum = [np.exp(1j * a) for a in _floats(args.spectrum, "spectrum")]
+    cuts = [np.exp(1j * a) for a in _floats(args.cuts, "cuts")]
     report = circle_obstruction_demo(args.n, spectrum, cuts)
     _emit_json(report.to_json(), args.output)
     return 0
@@ -289,7 +294,7 @@ def run(argv) -> int:
         if args.cmd == "selftest":
             return _selftest(quick=args.quick)
         return _COMMANDS[args.cmd](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return 2
@@ -297,10 +302,6 @@ def run(argv) -> int:
         print(json.dumps({"error": "numerical-domain", "message": str(exc)}),
               file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
     except CurvespecError as exc:
         print(json.dumps({"error": "internal", "message": str(exc)}),
               file=sys.stderr)

@@ -19,8 +19,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.optimize
 
 from .curves import Curve, Interval, TAU
 from .errors import (
@@ -223,7 +221,8 @@ def _core_decompose(X: np.ndarray, cluster_tol=None) -> _CoreDecomp:
 
 
 def _schur_core(X: np.ndarray, tol: float, norm_x: float):
-    T, Z = sla.schur(X, output="complex")
+    import scipy.linalg  # deferred, so that importing the package stays scipy-free
+    T, Z = scipy.linalg.schur(X, output="complex")
     d = np.diag(T)
     clusters = _cluster_components(d, tol)
     perm = np.concatenate(clusters)
@@ -687,66 +686,62 @@ def eigenflag(dec: SpectralDecomposition, curve: Curve) -> LineTuple:
 # spectrum comparison
 
 
-def _greedy_match_max(D: np.ndarray) -> float:
-    n = D.shape[0]
-    used = np.zeros(n, dtype=bool)
-    worst = 0.0
-    for i in range(n):
-        row = np.where(used, np.inf, D[i])
-        j = int(np.argmin(row))
-        worst = max(worst, row[j])
-        used[j] = True
-    return worst
+def _matchable(D: np.ndarray, t: float) -> bool:
+    """Whether some perfect matching of rows to columns uses only D <= t.
+
+    Kuhn's augmenting paths (see Hopcroft & Karp, SIAM J. Comput. 2(4),
+    1973): O(n^3) at worst, which is ample for n <= 12.
+    """
+    nbrs = [[j for j, ok in enumerate(row) if ok] for row in (D <= t).tolist()]
+    owner = [-1] * D.shape[1]
+
+    def augment(i: int, seen: list) -> bool:
+        for j in nbrs[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * len(owner)) for i in range(len(nbrs)))
 
 
-def _bottleneck_from_matrix(D: np.ndarray) -> float:
-    """Smallest achievable maximum matched distance (optimal assignment)."""
-    worst = _greedy_match_max(D)
-    levels = np.unique(D[D <= worst])
+def _eig_distances(X, Y):
+    """|eigvals(X)[i] - eigvals(Y)[j]| as a matrix, or None for unequal shapes."""
+    X = as_matrix(X, name="X")
+    Y = as_matrix(Y, name="Y")
+    if X.shape != Y.shape:
+        return None
+    wx, wy = np.linalg.eigvals(X), np.linalg.eigvals(Y)
+    return np.abs(wx[:, None] - wy[None, :])
+
+
+def spectral_bottleneck_distance(X, Y) -> float:
+    """Optimal-matching distance between the two eigenvalue multisets."""
+    D = _eig_distances(X, Y)
+    if D is None:
+        return np.inf
+    # the optimum is one of the entries: binary search the sorted levels
+    levels = np.unique(D)
     lo, hi = 0, levels.size - 1
-    # binary search the threshold at which a perfect matching exists
     while lo < hi:
         mid = (lo + hi) // 2
-        cost = (D > levels[mid]).astype(float)
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        if cost[rows, cols].sum() == 0.0:
+        if _matchable(D, levels[mid]):
             hi = mid
         else:
             lo = mid + 1
     return float(levels[lo])
 
 
-def spectral_bottleneck_distance(X, Y) -> float:
-    """Optimal-matching distance between the two eigenvalue multisets."""
-    X = as_matrix(X, name="X")
-    Y = as_matrix(Y, name="Y")
-    if X.shape != Y.shape:
-        return np.inf
-    wx = np.linalg.eigvals(X)
-    wy = np.linalg.eigvals(Y)
-    return _bottleneck_from_matrix(np.abs(wx[:, None] - wy[None, :]))
-
-
-def _eigs_match(wx: np.ndarray, wy: np.ndarray, tol: float) -> bool:
-    D = np.abs(wx[:, None] - wy[None, :])
-    if _greedy_match_max(D) <= tol:
-        return True
-    cost = (D > tol).astype(float)
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return cost[rows, cols].sum() == 0.0
-
-
 def spectra_equal(X, Y, tol: float = 1e-9) -> bool:
     """Whether the eigenvalue multisets match within tol under optimal pairing."""
-    X = as_matrix(X, name="X")
-    Y = as_matrix(Y, name="Y")
-    if X.shape != Y.shape:
-        return False
-    return _eigs_match(np.linalg.eigvals(X), np.linalg.eigvals(Y), tol)
+    D = _eig_distances(X, Y)
+    return D is not None and _matchable(D, tol)
 
 
 def _batch_greedy_match_max(D: np.ndarray) -> np.ndarray:
-    """Greedy matching maxima for a (N, n, n) distance stack."""
+    """Greedy matching maxima for a (N, n, n) distance stack (upper bounds)."""
     N, n, _ = D.shape
     work = D.copy()
     worst = np.zeros(N)

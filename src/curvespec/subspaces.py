@@ -9,7 +9,6 @@ comparisons used by the classifier.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "orthonormal_columns",
@@ -38,7 +37,8 @@ def principal_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Principal angles between two subspaces given by orthonormal columns."""
     if U.shape[1] == 0 or V.shape[1] == 0:
         return np.zeros(0)
-    return sla.subspace_angles(U, V)
+    import scipy.linalg  # deferred, so that importing the package stays scipy-free
+    return scipy.linalg.subspace_angles(U, V)
 
 
 def max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
@@ -65,8 +65,9 @@ def subspace_intersection(
     """
     if U.shape[1] == 0 or V.shape[1] == 0:
         return np.zeros((U.shape[0], 0), dtype=complex)
+    import scipy.linalg  # deferred, so that importing the package stays scipy-free
     stacked = np.hstack([U, -V])
-    ns = sla.null_space(stacked, rcond=rcond)
+    ns = scipy.linalg.null_space(stacked, rcond=rcond)
     if ns.shape[1] == 0:
         return np.zeros((U.shape[0], 0), dtype=complex)
     return orthonormal_columns(U @ ns[: U.shape[1], :])

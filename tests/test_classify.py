@@ -174,6 +174,21 @@ class TestClassifyPreserver:
         assert pt.kind == "unknown"
         assert pt.reason is not None
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_doubling_is_unknown(self, n, seed):
+        # at n >= 4 the probes of 2X land on repeated output lines and the
+        # reconstructed conjugator is singular
+        pt = classify_preserver(BlackBoxMap(lambda X: 2 * X, _dom(n)),
+                                np.random.default_rng(seed))
+        assert pt.kind == "unknown" and pt.T is None
+        assert pt.reason is not None
+
+    def test_singular_conjugator_raises_reconstruction_error(self):
+        with pytest.raises(ReconstructionError, match="near singular"):
+            reconstruct_conjugator(BlackBoxMap(lambda X: 2 * X, _dom(4)),
+                                   np.random.default_rng(0))
+
     def test_preconditions(self):
         with pytest.raises(ConfigError):
             classify_preserver(BlackBoxMap(lambda X: X, _dom(2)))

@@ -45,6 +45,23 @@ class TestParseCurve:
         assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--curve", "circle-arc:abc", "--n", "3", "--seed", "1"],
+    ["sample", "--curve", "corner-graph:1", "--n", "3", "--seed", "1"],
+    ["demo-circle", "--n", "3", "--spectrum", "0,x,2", "--cuts", "0.5,1"],
+    ["regularity", "--curve", "real-line", "--center", "0", "--order", "2",
+     "--seed", "1", "--scales", "0.1,abc"],
+    ["check", "--curve", "real-line", "--n", "3", "--trials", "5",
+     "--seed", "1", "--map-cmd", "curvespec-test-no-such-program"],
+])
+def test_malformed_arguments_exit_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
 class TestSample:
     def test_real_window_sample(self, capsys, tmp_path):
         out = tmp_path / "m.json"

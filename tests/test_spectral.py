@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from curvespec.errors import (
 )
 from curvespec.spectral import (
     LineTuple,
+    _matchable,
     MatrixClass,
     classify_matrix,
     decomposition_from_json,
@@ -354,6 +357,50 @@ def test_spectra_equal_needs_optimal_matching():
 def test_bottleneck_distance_dimension_mismatch():
     assert spectral_bottleneck_distance(np.eye(2), np.eye(3)) == np.inf
     assert not spectra_equal(np.eye(2), np.eye(3))
+
+
+def _brute_bottleneck(D):
+    """min over permutations p of max_i D[i, p(i)]."""
+    n = D.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    return D[np.arange(n), perms].max(axis=1).min()
+
+
+# eigenvalues on a coarse lattice: repeated values and exactly tied
+# distances are the common case, not the exception
+_lattice = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 7),
+)
+@settings(max_examples=150, deadline=None)
+def test_matchable_agrees_with_brute_force(data, n):
+    D = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                             max_size=n),
+                                    min_size=n, max_size=n)), dtype=float)
+    t = data.draw(st.integers(0, 3)) + data.draw(st.sampled_from([0.0, 0.5]))
+    assert _matchable(D, t) == (_brute_bottleneck(D) <= t)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(2, 7),
+)
+@settings(max_examples=150, deadline=None)
+def test_spectrum_matching_agrees_with_brute_force(data, n):
+    wx = np.array(data.draw(st.lists(_lattice, min_size=n, max_size=n)))
+    wy = np.array(data.draw(st.lists(_lattice, min_size=n, max_size=n)))
+    X, Y = np.diag(wx), np.diag(wy)
+    ex, ey = np.linalg.eigvals(X), np.linalg.eigvals(Y)
+    D = np.abs(ex[:, None] - ey[None, :])
+    best = _brute_bottleneck(D)
+    assert spectral_bottleneck_distance(X, Y) == best
+    # tolerances sitting exactly on a distance, and just either side of it
+    tol = float(data.draw(st.sampled_from(sorted(set(D.ravel())))))
+    for t in (tol, np.nextafter(tol, -np.inf), np.nextafter(tol, np.inf)):
+        assert spectra_equal(X, Y, tol=t) == (best <= t)
 
 
 def test_matrix_json_roundtrip():
