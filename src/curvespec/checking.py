@@ -20,12 +20,14 @@ verdict of the difference-quotient probe on the same curve.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve, Interval, curve_from_json, curve_to_json
+from .curves import Curve, Interval, curve_to_json
 from .errors import ConfigError, MapProtocolError
 from .maps import rho
 from .regularity import RegularityProfile, db_profile, dc_probe
@@ -58,6 +60,12 @@ __all__ = [
 
 _CHUNK = 1024
 
+# an external map gets this long to exit after stdin closes, and again
+# after SIGTERM, before it is killed
+_CLOSE_GRACE_S = 2.0
+# characters of an external map's stderr kept for diagnostics
+_STDERR_TAIL_CHARS = 500
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -81,26 +89,6 @@ class DomainSpec:
         return sample_commuting_pair_batch(
             self.curve, self.n, self.matrix_class, rng, self.window, count
         )
-
-    def to_json(self) -> dict:
-        return {
-            "curve": curve_to_json(self.curve),
-            "n": self.n,
-            "class": self.matrix_class.value,
-            "window": self.window.to_json(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DomainSpec":
-        try:
-            return DomainSpec(
-                curve=curve_from_json(obj["curve"]),
-                n=int(obj["n"]),
-                matrix_class=MatrixClass(obj["class"]),
-                window=Interval.from_json(obj["window"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed domain JSON: {exc}") from None
 
 
 class BlackBoxMap:
@@ -143,7 +131,9 @@ class ExternalProgramMap:
 
     One matrix JSON object per input line, one per output line.  A program
     that cannot start is a config error; a nonzero exit or a malformed reply
-    is a protocol error.
+    is a protocol error.  The program's stderr is drained on a thread, so
+    that a chatty program cannot fill the pipe and stall; the last
+    characters are kept for diagnostics.
     """
 
     def __init__(self, argv):
@@ -158,6 +148,15 @@ class ExternalProgramMap:
             )
         except OSError as exc:
             raise ConfigError(f"cannot start {self.argv}: {exc}") from None
+        self._stderr_bytes = b""
+        self._drain = threading.Thread(target=self._drain_stderr, daemon=True)
+        self._drain.start()
+
+    def _drain_stderr(self) -> None:
+        fd = self.proc.stderr.fileno()
+        # keep up to 4 bytes per character: UTF-8's longest encoding
+        while chunk := os.read(fd, 65536):
+            self._stderr_bytes = (self._stderr_bytes + chunk)[-4 * _STDERR_TAIL_CHARS:]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         if self.proc.poll() is not None:
@@ -172,9 +171,11 @@ class ExternalProgramMap:
             raise MapProtocolError(f"external map pipe failed: {exc}") from None
         if not line:
             code = self.proc.wait()
-            err = self.proc.stderr.read()[-500:] if self.proc.stderr else ""
+            self._drain.join(timeout=_CLOSE_GRACE_S)
+            err = self._stderr_bytes.decode("utf-8", errors="replace")
             raise MapProtocolError(
-                f"external map closed its output (exit {code}): {err}"
+                f"external map closed its output (exit {code}): "
+                f"{err[-_STDERR_TAIL_CHARS:]}"
             )
         try:
             return matrix_from_json(json.loads(line))
@@ -182,9 +183,25 @@ class ExternalProgramMap:
             raise MapProtocolError(f"external map reply malformed: {exc}") from None
 
     def close(self) -> None:
-        if self.proc.poll() is None:
+        """End the program and never raise: stdin EOF, then SIGTERM, then
+        SIGKILL, each after a grace period in which it may exit."""
+        try:
             self.proc.stdin.close()
-            self.proc.wait(timeout=10)
+        except OSError:
+            pass  # the program is gone and the last flush found no reader
+        try:
+            self.proc.wait(timeout=_CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.terminate()
+            try:
+                self.proc.wait(timeout=_CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        self.proc.stdout.close()
+        self._drain.join(timeout=_CLOSE_GRACE_S)
+        if not self._drain.is_alive():
+            self.proc.stderr.close()
 
     def __enter__(self):
         return self

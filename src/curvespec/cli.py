@@ -11,6 +11,7 @@ exit code 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import sys
@@ -96,13 +97,16 @@ def _parse_map_arg(text: str):
         return map_from_json(json.load(fh))
 
 
-def _black_box(args, domain: DomainSpec) -> BlackBoxMap:
+@contextlib.contextmanager
+def _black_box(args, domain: DomainSpec):
+    """The map under test; an external program is closed on the way out."""
     if getattr(args, "map", None) is not None:
-        return BlackBoxMap(_parse_map_arg(args.map), domain, name="canonical")
-    if getattr(args, "map_cmd", None) is not None:
-        ext = ExternalProgramMap(shlex.split(args.map_cmd))
-        return BlackBoxMap(ext, domain, name="external")
-    raise ConfigError("one of --map or --map-cmd is required")
+        yield BlackBoxMap(_parse_map_arg(args.map), domain, name="canonical")
+    elif getattr(args, "map_cmd", None) is not None:
+        with ExternalProgramMap(shlex.split(args.map_cmd)) as ext:
+            yield BlackBoxMap(ext, domain, name="external")
+    else:
+        raise ConfigError("one of --map or --map-cmd is required")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -215,13 +219,9 @@ def _cmd_check(args) -> int:
     curve = parse_curve(args.curve)
     domain = DomainSpec(curve, args.n, MatrixClass(args.mclass),
                         _parse_window(args.window))
-    bb = _black_box(args, domain)
-    try:
+    with _black_box(args, domain) as bb:
         verdict = check_cs(bb, args.trials, args.tol,
                            np.random.default_rng(args.seed))
-    finally:
-        if isinstance(bb.func, ExternalProgramMap):
-            bb.func.close()
     _emit_json(verdict.to_json(), args.output)
     if args.expect_pass and not verdict.ok:
         return 1
@@ -232,13 +232,9 @@ def _cmd_classify(args) -> int:
     curve = parse_curve(args.curve)
     domain = DomainSpec(curve, args.n, MatrixClass.NORMAL,
                         _parse_window(args.window))
-    bb = _black_box(args, domain)
-    try:
+    with _black_box(args, domain) as bb:
         result = classify_preserver(bb, np.random.default_rng(args.seed),
                                     args.trials)
-    finally:
-        if isinstance(bb.func, ExternalProgramMap):
-            bb.func.close()
     _emit_json(result.to_json(), args.output)
     if args.expect_pass and result.kind == "unknown":
         return 1

@@ -1,15 +1,16 @@
 """Oriented simple curves in the complex plane.
 
 A curve carries an injective parametrization ``t -> point``, an orientation
-sign, and a membership tolerance ``tol``.  Inverting the parametrization at
-two points induces the order used everywhere else in the package: eigenvalue
-sorting, ordering maps, and the classifier all reduce to ``cmp`` on a curve.
+sign, and a membership tolerance ``tol``.  Inverting the parametrization
+induces the order used everywhere else in the package: eigenvalue sorting,
+ordering maps, and the classifier all sort points by
+``orientation * invert_array(points)``.
 
 The closed unit circle is special: it is the only kind without a global
 order, and order-dependent operations refuse it.
 
-All parameters are plain real numbers; angles are radians.  A single ``tol``
-governs both spatial membership and parameter comparisons.
+All parameters are plain real numbers; angles are radians.  ``tol`` governs
+spatial membership.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    ClosedCurveError,
     ConfigError,
     OffCurveError,
     ParameterDomainError,
@@ -33,7 +32,6 @@ from .errors import (
 __all__ = [
     "TAU",
     "DEFAULT_TOL",
-    "Ordering",
     "Interval",
     "Curve",
     "RealInterval",
@@ -52,14 +50,6 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 DEFAULT_TOL = 1e-9
-
-
-class Ordering(IntEnum):
-    """Outcome of comparing two points along an oriented curve."""
-
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -238,18 +228,6 @@ class Curve:
 
     def contains(self, z: complex) -> bool:
         return self.distance(z) <= self.tol
-
-    def cmp(self, z: complex, w: complex) -> Ordering:
-        """Order of two on-curve points; Equal within parameter tolerance."""
-        if self.closed:
-            raise ClosedCurveError("closed curves carry no global order")
-        tz = self.invert(z)
-        tw = self.invert(w)
-        if abs(tz - tw) <= self.tol:
-            return Ordering.EQUAL
-        if (tz < tw) == (self.orientation > 0):
-            return Ordering.LESS
-        return Ordering.GREATER
 
     def reversed(self) -> "Curve":
         """Same point set, opposite orientation."""

@@ -5,11 +5,11 @@ conjugation, the curve-ordering map that sorts the spectrum into a fixed
 eigenspace chain, and the involution that conjugates every eigenvalue
 against its own spectral idempotents.  Compositions apply left to right.
 
-Every map has a vectorized apply_batch over (count, n, n) stacks.  The
-batch paths take an eigvals-only shortcut when all eigenvalues in a row are
-pairwise separated (n distinct eigenvalues force semisimplicity, so the
-full decomposition guard is redundant there); rows with clustered or
-suspicious spectra fall back to the per-matrix route and its checks.
+Every map has a vectorized apply_batch over (count, n, n) stacks that
+returns what apply returns row by row, and raises where apply raises.  The
+spectral maps take a batched eig shortcut on the rows that
+spectral._shortcut_rows finds the per-matrix decomposition would accept;
+every other row takes the per-matrix route and its guards.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 from .curves import Curve, curve_from_json, curve_to_json
 from .errors import ClosedCurveError, ConfigError
 from .spectral import (
-    RECONSTRUCTION_RTOL,
     _core_decompose,
-    _resolve_cluster_tol,
+    _shortcut_rows,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -66,14 +65,6 @@ def eigen_conj(X, cluster_tol=None) -> np.ndarray:
     return (core.basis * d[None, :]) @ core.basis_inv
 
 
-def _min_row_gap(w: np.ndarray) -> np.ndarray:
-    """Per-row minimum pairwise eigenvalue distance for a (N, n) stack."""
-    D = np.abs(w[:, :, None] - w[:, None, :])
-    n = w.shape[1]
-    D[:, np.arange(n), np.arange(n)] = np.inf
-    return D.min(axis=(1, 2))
-
-
 def _frame_with_inverse(T) -> tuple[np.ndarray, np.ndarray]:
     T = as_matrix(T, name="frame")
     sv = np.linalg.svd(T, compute_uv=False)
@@ -90,10 +81,6 @@ class CanonicalMap:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def apply_batch(self, Xs: np.ndarray) -> np.ndarray:
-        Xs = np.asarray(Xs, dtype=complex)
-        return np.array([self.apply(X) for X in Xs])
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.apply(X)
@@ -186,9 +173,11 @@ class OrderMap(CanonicalMap):
         Xs = np.asarray(Xs, dtype=complex)
         _check_dim(Xs[0], self.T)
         w = np.linalg.eigvals(Xs)
-        norms = np.linalg.norm(Xs, axis=(1, 2))
-        tols = np.array([_resolve_cluster_tol(None, s) for s in norms])
-        fast = _min_row_gap(w) > tols
+        fast, _ = _shortcut_rows(Xs, w)
+        # rows that are not near normal may still pass the eigenvector guards
+        rest = np.flatnonzero(~fast)
+        w[rest], V = np.linalg.eig(Xs[rest])
+        fast[rest], _ = _shortcut_rows(Xs[rest], w[rest], V)
         out = np.empty_like(Xs)
         if fast.any():
             wf = w[fast]
@@ -203,33 +192,25 @@ class OrderMap(CanonicalMap):
 
 @dataclass(frozen=True)
 class Rho(CanonicalMap):
-    """The eigenvalue-conjugation involution; see rho()."""
+    """The eigenvalue-conjugation involution; see rho().
+
+    apply runs apply_batch on a one-matrix stack: on near-normal inputs
+    rho() takes the Schur route, whose result differs from the batch
+    eigenvector route's by the departure from normality, which may reach
+    the reconstruction tolerance.
+    """
 
     def apply(self, X):
-        return rho(X)
+        return self.apply_batch(as_matrix(X)[None])[0]
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
         w, V = np.linalg.eig(Xs)
-        norms = np.linalg.norm(Xs, axis=(1, 2))
-        tols = np.array([_resolve_cluster_tol(None, s) for s in norms])
-        fast = _min_row_gap(w) > tols
+        fast, Vinv = _shortcut_rows(Xs, w, V)
         out = np.empty_like(Xs)
-        if fast.any():
-            idx = np.flatnonzero(fast)
-            Vf = V[idx]
-            wf = w[idx]
-            Vinv = np.linalg.inv(Vf)
-            recon = (Vf * wf[:, None, :]) @ Vinv
-            err = np.linalg.norm(recon - Xs[idx], axis=(1, 2))
-            good = err <= RECONSTRUCTION_RTOL * np.maximum(norms[idx], 1e-300)
-            ok = idx[good]
-            sub = good.nonzero()[0]
-            out[ok] = (
-                Vinv[sub].conj().transpose(0, 2, 1) * wf[sub][:, None, :]
-            ) @ Vf[sub].conj().transpose(0, 2, 1)
-            fast = np.zeros_like(fast)
-            fast[ok] = True
+        out[fast] = (
+            Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
+        ) @ V[fast].conj().transpose(0, 2, 1)
         for i in np.flatnonzero(~fast):
             out[i] = rho(Xs[i])
         return out

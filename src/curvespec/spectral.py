@@ -16,7 +16,7 @@ single core.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     DefectiveMatrixError,
     NumericalDomainError,
 )
-from .subspaces import orthonormal_columns, projector_range
+from .subspaces import projector_range
 
 __all__ = [
     "MatrixClass",
@@ -37,17 +37,12 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "spectral_decompose",
-    "decomposition_to_json",
-    "decomposition_from_json",
-    "classify_matrix",
     "random_unitary",
     "default_window",
     "sample",
     "sample_batch",
     "sample_commuting_pair",
     "sample_commuting_pair_batch",
-    "k_subset",
-    "k_blocks",
     "eigenflag",
     "spectra_equal",
     "spectral_bottleneck_distance",
@@ -109,14 +104,6 @@ class MatrixClass(enum.Enum):
     GENERAL = "general"
     SEMISIMPLE = "semisimple"
     NORMAL = "normal"
-
-    @property
-    def _level(self) -> int:
-        return {"general": 0, "semisimple": 1, "normal": 2}[self.value]
-
-    def satisfies(self, requirement: "MatrixClass") -> bool:
-        """Whether membership in this class entails the required one."""
-        return self._level >= requirement._level
 
 
 def _is_normal(X: np.ndarray, norm_x: float) -> bool:
@@ -236,6 +223,46 @@ def _schur_core(X: np.ndarray, tol: float, norm_x: float):
     return core
 
 
+def _min_row_gap(w: np.ndarray) -> np.ndarray:
+    """Per-row minimum pairwise eigenvalue distance for a (N, n) stack."""
+    D = np.abs(w[:, :, None] - w[:, None, :])
+    n = w.shape[1]
+    D[:, np.arange(n), np.arange(n)] = np.inf
+    return D.min(axis=(1, 2))
+
+
+def _shortcut_rows(Xs: np.ndarray, w: np.ndarray, V=None):
+    """Rows of a (N, n, n) stack on which _core_decompose would succeed.
+
+    A row qualifies when its eigenvalues w are pairwise farther apart than
+    the default cluster tolerance and it passes the guard of a route of
+    _core_decompose: either ||X||_F^2 - sum |l_i|^2, which for a simple
+    spectrum is the squared residual of the Schur route, is within the
+    reconstruction tolerance, or, given the eigenvectors V, V passes the
+    basis-condition and reconstruction guards.  Other rows must take the
+    per-matrix route, which raises where its guards fail.
+
+    Returns the row mask and, given V, its inverses on the qualifying rows.
+    """
+    norms = np.linalg.norm(Xs, axis=(1, 2))
+    ok = _min_row_gap(w) > CLUSTER_RTOL * np.maximum(1.0, norms)
+    departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
+    near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
+    if V is None:
+        return ok & near_normal, None
+    guarded = np.flatnonzero(ok & ~near_normal)
+    sv = np.linalg.svd(V[guarded], compute_uv=False)
+    with np.errstate(divide="ignore"):
+        ok[guarded] = sv[:, 0] / sv[:, -1] <= BASIS_COND_LIMIT
+    Vinv = np.empty_like(V)
+    Vinv[ok] = np.linalg.inv(V[ok])
+    guarded = guarded[ok[guarded]]
+    recon = (V[guarded] * w[guarded][:, None, :]) @ Vinv[guarded]
+    err = np.linalg.norm(recon - Xs[guarded], axis=(1, 2))
+    ok[guarded] = err <= RECONSTRUCTION_RTOL * np.maximum(norms[guarded], 1e-300)
+    return ok, Vinv
+
+
 # ---------------------------------------------------------------------------
 # public decomposition
 
@@ -337,59 +364,6 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
         cluster_tol=core.cluster_tol,
         is_orthogonal=orthogonal,
     )
-
-
-def decomposition_to_json(dec: SpectralDecomposition) -> dict:
-    return {
-        "distinct_eigenvalues": [
-            [float(v.real), float(v.imag)] for v in dec.distinct_eigenvalues
-        ],
-        "multiplicities": [int(m) for m in dec.multiplicities],
-        "idempotents": [matrix_to_json(p) for p in dec.idempotents],
-        "cluster_tol": float(dec.cluster_tol),
-        "is_orthogonal": bool(dec.is_orthogonal),
-    }
-
-
-def decomposition_from_json(obj: dict) -> SpectralDecomposition:
-    try:
-        vals = np.array(
-            [complex(v[0], v[1]) for v in obj["distinct_eigenvalues"]], dtype=complex
-        )
-        mults = tuple(int(m) for m in obj["multiplicities"])
-        idem = np.array([matrix_from_json(p) for p in obj["idempotents"]])
-        return SpectralDecomposition(
-            distinct_eigenvalues=vals,
-            multiplicities=mults,
-            idempotents=idem,
-            cluster_tol=float(obj["cluster_tol"]),
-            is_orthogonal=bool(obj["is_orthogonal"]),
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed decomposition JSON: {exc}") from None
-
-
-def classify_matrix(X, curve: Curve | None = None):
-    """Finest matrix class, plus whether the whole spectrum sits on the curve.
-
-    Returns (MatrixClass, flag); the flag is None when no curve is given.
-    Never raises on defective input: General is the fallback.
-    """
-    X = as_matrix(X)
-    norm_x = np.linalg.norm(X)
-    if _is_normal(X, norm_x):
-        cls = MatrixClass.NORMAL
-    else:
-        try:
-            _core_decompose(X)
-            cls = MatrixClass.SEMISIMPLE
-        except DefectiveMatrixError:
-            cls = MatrixClass.GENERAL
-    if curve is None:
-        return cls, None
-    w = np.linalg.eigvals(X)
-    on_curve = all(curve.contains(complex(z)) for z in w)
-    return cls, on_curve
 
 
 # ---------------------------------------------------------------------------
@@ -564,72 +538,6 @@ def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _expanded_positions(dec: SpectralDecomposition, order: np.ndarray):
-    """Map each 1-based sorted position to its cluster index."""
-    pos_cluster = []
-    for c in order:
-        pos_cluster.extend([int(c)] * dec.multiplicities[int(c)])
-    return pos_cluster
-
-
-def k_subset(
-    dec: SpectralDecomposition, curve: Curve, indices
-) -> np.ndarray:
-    """Orthonormal basis of the sum of eigenspaces at sorted positions.
-
-    Positions are 1-based along the curve order with multiplicity expansion;
-    selecting any copy of a repeated eigenvalue selects its whole eigenspace.
-    """
-    order = _curve_order(dec, curve)
-    pos_cluster = _expanded_positions(dec, order)
-    n = dec.n
-    sel = sorted(set(int(i) for i in indices))
-    if not sel:
-        return np.zeros((n, 0), dtype=complex)
-    if sel[0] < 1 or sel[-1] > n:
-        raise ConfigError(f"index set {sel} outside 1..{n}")
-    touched = []
-    for c in order:
-        if any(pos_cluster[i - 1] == c for i in sel) and c not in touched:
-            touched.append(int(c))
-    blocks = [
-        projector_range(dec.idempotents[c], dec.multiplicities[c]) for c in touched
-    ]
-    basis = orthonormal_columns(np.hstack(blocks))
-    expect = sum(dec.multiplicities[c] for c in touched)
-    if basis.shape[1] != expect:
-        raise NumericalDomainError(
-            f"eigenspace sum has rank {basis.shape[1]}, expected {expect}"
-        )
-    return basis
-
-
-def k_blocks(dec: SpectralDecomposition, curve: Curve, mu) -> tuple:
-    """Eigenspace sums for the contiguous row filling of a partition of n."""
-    mu = [int(m) for m in mu]
-    if any(m <= 0 for m in mu) or sum(mu) != dec.n:
-        raise ConfigError(f"{mu} is not a partition of {dec.n}")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ConfigError(f"partition {mu} must be non-increasing")
-    order = _curve_order(dec, curve)
-    pos_cluster = _expanded_positions(dec, order)
-    # row boundaries must not split a cluster, else blocks would overlap
-    start = 0
-    for m in mu[:-1]:
-        start += m
-        if pos_cluster[start - 1] == pos_cluster[start]:
-            raise ConfigError(
-                f"partition {mu} splits an eigenvalue cluster of multiplicity "
-                f"{dec.multiplicities[pos_cluster[start]]}"
-            )
-    out = []
-    start = 0
-    for m in mu:
-        out.append(k_subset(dec, curve, range(start + 1, start + m + 1)))
-        start += m
-    return tuple(out)
-
-
 @dataclass(eq=False)
 class LineTuple:
     """Tuple of n independent lines in C^n, one unit vector per column."""
@@ -656,9 +564,6 @@ class LineTuple:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    def line(self, i: int) -> np.ndarray:
-        return self.vectors[:, i]
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

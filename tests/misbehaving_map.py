@@ -1,0 +1,25 @@
+"""External map programs, X -> X^t, that misbehave at the process boundary.
+
+    python misbehaving_map.py chatty   # also writes 4 KiB to stderr per reply
+    python misbehaving_map.py linger   # ignores SIGTERM, stays alive after stdin closes
+
+Used by the CLI tests of `check --map-cmd`; imports nothing heavier than json.
+"""
+
+import json
+import signal
+import sys
+import time
+
+mode = sys.argv[1]
+if mode == "linger":
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+for line in sys.stdin:
+    m = json.loads(line)
+    m["entries"] = [list(col) for col in zip(*m["entries"])]
+    print(json.dumps(m), flush=True)
+    if mode == "chatty":
+        sys.stderr.write("x" * 4095 + "\n")
+        sys.stderr.flush()
+if mode == "linger":
+    time.sleep(600)

@@ -25,8 +25,8 @@ from curvespec.regularity import divided_difference
 from curvespec.spectral import MatrixClass, random_unitary
 
 
-def _domain(n=4, curve=None, cls=MatrixClass.NORMAL):
-    return DomainSpec(curve if curve is not None else real_line(), n, cls)
+def _domain(n=4, curve=None):
+    return DomainSpec(curve if curve is not None else real_line(), n, MatrixClass.NORMAL)
 
 
 def _frame(n, seed):
@@ -166,16 +166,6 @@ class TestDomainSpec:
     def test_default_window_filled(self):
         dom = DomainSpec(unit_circle_arc(0.5), 3, MatrixClass.NORMAL)
         assert dom.window is not None
-
-    def test_json_roundtrip(self):
-        dom = _domain(4, CornerGraph(-1.0, 1.0), MatrixClass.SEMISIMPLE)
-        back = DomainSpec.from_json(dom.to_json())
-        assert back.n == 4 and back.matrix_class is MatrixClass.SEMISIMPLE
-        assert back.to_json() == dom.to_json()
-
-    def test_malformed_json(self):
-        with pytest.raises(ConfigError):
-            DomainSpec.from_json({"n": 3})
 
 
 class TestContinuityProbe:

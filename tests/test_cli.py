@@ -2,7 +2,9 @@
 
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ def _run(capsys, *args):
 
 
 RHO_JSON = '{"variant": "rho"}'
+MISBEHAVING_MAP = Path(__file__).with_name("misbehaving_map.py")
 
 
 class TestParseCurve:
@@ -145,6 +148,18 @@ class TestCheck:
         code, _, err = _run(capsys, "check", "--curve", "real-line", "--n", "3",
                             "--trials", "5", "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["chatty", "linger"])
+    def test_misbehaving_map_program_costs_bounded_time(self, run_in_group, mode):
+        # chatty: 4 KiB of stderr per reply would fill an undrained pipe;
+        # linger: closing must escalate to a kill instead of raising
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), mode])
+        code, out, _, elapsed, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "3",
+             "--trials", "50", "--seed", "1", "--map-cmd", cmd], timeout=20.0)
+        assert code == 0 and elapsed < 20.0
+        assert json.loads(out)["spectrum_ok"] is True
+        assert not lingered, "a process of the run outlived it"
 
 
 class TestClassify:

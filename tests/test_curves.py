@@ -12,7 +12,6 @@ from curvespec.curves import (
     CornerGraph,
     Interval,
     Line,
-    Ordering,
     Polyline,
     RealInterval,
     Segment,
@@ -29,6 +28,12 @@ from curvespec.errors import (
     OffCurveError,
     ParameterDomainError,
 )
+from curvespec.spectral import eigenflag, spectral_decompose
+
+
+def _position(curve, zs):
+    """Position along the oriented curve: the key OrderMap and eigenflag sort by."""
+    return curve.orientation * curve.invert_array(np.asarray(zs, dtype=complex))
 
 
 # -- interval ---------------------------------------------------------------
@@ -75,19 +80,22 @@ def test_corner_graph_eval_and_invert():
     assert c.eval(-2.0) == -2 + 2j
     assert c.eval(2.0) == 2 + 2j
     assert c.invert(2 + 2j) == pytest.approx(2.0)
-    assert c.cmp(-2 + 2j, 2 + 2j) is Ordering.LESS
+    early, late = _position(c, [-2 + 2j, 2 + 2j])
+    assert early < late
 
 
 def test_real_line_cmp_and_reversal():
     c = real_line()
-    assert c.cmp(-1.0, 3.0) is Ordering.LESS
-    assert c.reversed().cmp(-1.0, 3.0) is Ordering.GREATER
-    assert c.cmp(2.0, 2.0) is Ordering.EQUAL
+    lo, hi = _position(c, [-1.0, 3.0])
+    assert lo < hi
+    lo, hi = _position(c.reversed(), [-1.0, 3.0])
+    assert lo > hi
 
 
 def test_closed_circle_refuses_cmp():
+    dec = spectral_decompose(np.diag([1.0, 1j]))
     with pytest.raises(ClosedCurveError):
-        UnitCircleClosed().cmp(1 + 0j, 1j)
+        eigenflag(dec, UnitCircleClosed())
 
 
 def test_polyline_elbow_inversion():
@@ -101,7 +109,7 @@ def test_punctured_circle_orders_from_the_cut():
     # Just past the cut comes first, just before it comes last.
     early = np.exp(1j * (math.pi / 4 + 0.1))
     late = np.exp(1j * (math.pi / 4 - 0.1))
-    assert pc.cmp(early, late) is Ordering.LESS
+    assert np.diff(_position(pc, [early, late]))[0] > 0
     assert pc.invert(late) > pc.invert(early)
 
 
@@ -240,18 +248,17 @@ def test_cmp_is_a_total_order(curve, us):
     if curve.closed:
         return
     ts = sorted(_bounded_param(curve, u) for u in us)
-    # Separate the parameters so Equal cannot blur the order.
+    # Separate the parameters so that rounding cannot blur the order.
     if ts[1] - ts[0] < 1e-6 or ts[2] - ts[1] < 1e-6:
         return
-    za, zb, zc = (curve.eval(t) for t in ts)
-    sign = curve.orientation
-    expected = Ordering.LESS if sign > 0 else Ordering.GREATER
-    assert curve.cmp(za, zb) is expected
-    assert curve.cmp(zb, zc) is expected
-    assert curve.cmp(za, zc) is expected
-    # Antisymmetry and reversal.
-    assert curve.cmp(zb, za) is Ordering(-expected)
-    assert curve.reversed().cmp(za, zb) is Ordering(-expected)
+    zs = [curve.eval(t) for t in ts]
+    pos = _position(curve, zs)
+    # Points sort along the orientation, by the stable sort OrderMap uses.
+    forward = [0, 1, 2] if curve.orientation > 0 else [2, 1, 0]
+    assert list(np.argsort(pos, kind="stable")) == forward
+    # Reversal flips the order.
+    back = _position(curve.reversed(), zs)
+    assert list(np.argsort(back, kind="stable")) == forward[::-1]
 
 
 @settings(deadline=None, max_examples=100)
@@ -260,7 +267,9 @@ def test_cmp_equal_on_identical_points(curve, u):
     if curve.closed:
         return
     z = curve.eval(_bounded_param(curve, u))
-    assert curve.cmp(z, z) is Ordering.EQUAL
+    # A point and its round trip through invert and eval share a position.
+    p = _position(curve, [z, curve.eval(curve.invert(z))])
+    assert abs(p[0] - p[1]) <= curve.tol * max(1.0, abs(p[0]))
 
 
 def test_invert_array_matches_scalar():

@@ -1,16 +1,19 @@
-"""Import surface: the package and the check path load no scipy module."""
+"""Import surface: exported names resolve, the scripts run, and the package
+and the check path load no scipy module."""
 
+import importlib
 import json
-import os
+import pkgutil
 import shlex
-import signal
-import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import curvespec
 
 TRANSPOSE_MAP = Path(__file__).with_name("transpose_map.py")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 _CHILD = """
 import json, os, sys
@@ -29,31 +32,35 @@ print(json.dumps({"after_import": after_import, "exit": code,
 """
 
 
-def _run_child(*args):
-    """Run a fresh interpreter in its own process group; kill what is left."""
-    src = str(Path(curvespec.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, *args], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-            lingered = True
-        except ProcessLookupError:
-            lingered = False
-        proc.wait()
-    assert proc.returncode == 0, err
+def _run_child(run_in_group, *args):
+    code, out, err, _, lingered = run_in_group(args)
+    assert code == 0, err
     assert not lingered, "a child process outlived the run"
-    return json.loads(out.strip().splitlines()[-1])
+    return out
 
 
-def test_import_and_map_cmd_check_load_no_scipy():
-    got = _run_child(shlex.join([sys.executable, str(TRANSPOSE_MAP)]))
+def test_import_and_map_cmd_check_load_no_scipy(run_in_group):
+    out = _run_child(run_in_group, "-c", _CHILD,
+                     shlex.join([sys.executable, str(TRANSPOSE_MAP)]))
+    got = json.loads(out.strip().splitlines()[-1])
     assert got["exit"] == 0
     assert got["after_import"] == []
     assert got["after_check"] == []
+
+
+def test_every_exported_name_resolves():
+    modules = [curvespec] + [
+        importlib.import_module(f"curvespec.{m.name}")
+        for m in pkgutil.iter_modules(curvespec.__path__)
+    ]
+    for mod in modules:
+        missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+        assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
+
+
+@pytest.mark.parametrize("script", [
+    ["rho_continuity_sweep.py", "--n", "3"],
+    ["classifier_roundtrip.py", "--per-class", "1", "--orders", "3"],
+])
+def test_script_runs(run_in_group, script):
+    _run_child(run_in_group, str(SCRIPTS / script[0]), *script[1:])

@@ -244,8 +244,8 @@ def test_compose_helper_unwraps_singleton():
     assert isinstance(m, Rho)
 
 
-def _variant_pool(rng):
-    T = _random_frame(3, rng, 0.4)
+def _variant_pool(rng, n=3):
+    T = _random_frame(n, rng, 0.4)
     return [
         Conj(T),
         TransposeConj(T),
@@ -265,6 +265,46 @@ def test_apply_batch_matches_sequential(k):
     seq = np.array([m.apply(X) for X in Xs])
     bat = m.apply_batch(Xs)
     assert np.max(np.abs(seq - bat)) < 1e-9 * max(1.0, np.max(np.abs(seq)))
+
+
+def _outcome(f, X):
+    try:
+        return f(X)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(3, 6),
+    near_jordan=st.booleans(),
+    log_a=st.floats(-7.5, -3.0),
+    log_b=st.floats(-12.0, 0.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_apply_and_apply_batch_agree_or_raise_alike(seed, n, near_jordan, log_a, log_b):
+    rng = np.random.default_rng(seed)
+    if near_jordan:
+        # diagonal 1 + k*delta, log-uniform superdiagonal: near a Jordan block
+        X = np.diag(1.0 + 10**log_a * np.arange(n)) + np.diag(
+            np.full(n - 1, 10**log_b), 1
+        )
+    else:
+        # normal, plus a strictly upper perturbation in its eigenframe
+        lam = rng.uniform(-1.0, 1.0, n)
+        U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        U *= 10 ** (log_b - 2.0) * np.linalg.norm(lam) / np.linalg.norm(U)
+        Q = random_unitary(n, rng)
+        X = Q @ (np.diag(lam) + U) @ Q.conj().T
+    X = X.astype(complex)
+    for m in _variant_pool(rng, n):
+        one = _outcome(m.apply, X)
+        bat = _outcome(lambda Y: m.apply_batch(Y[None])[0], X)
+        if isinstance(one, type) or isinstance(bat, type):
+            assert one is bat, (type(m).__name__, one, bat)
+        else:
+            rel = np.linalg.norm(one - bat) / np.linalg.norm(one)
+            assert rel <= 1e-9, (type(m).__name__, rel)
 
 
 def test_apply_batch_handles_repeated_eigenvalues():
