@@ -170,7 +170,7 @@ class ExternalProgramMap:
         except (BrokenPipeError, OSError) as exc:
             raise MapProtocolError(f"external map pipe failed: {exc}") from None
         if not line:
-            code = self.proc.wait()
+            code = self._end()
             self._drain.join(timeout=_CLOSE_GRACE_S)
             err = self._stderr_bytes.decode("utf-8", errors="replace")
             raise MapProtocolError(
@@ -182,22 +182,24 @@ class ExternalProgramMap:
         except (json.JSONDecodeError, ConfigError) as exc:
             raise MapProtocolError(f"external map reply malformed: {exc}") from None
 
-    def close(self) -> None:
-        """End the program and never raise: stdin EOF, then SIGTERM, then
-        SIGKILL, each after a grace period in which it may exit."""
+    def _end(self) -> int:
+        """Stop the program and return its exit code, never raising: stdin
+        EOF, then SIGTERM, then SIGKILL, each after a grace period in which
+        it may exit."""
         try:
             self.proc.stdin.close()
         except OSError:
             pass  # the program is gone and the last flush found no reader
-        try:
-            self.proc.wait(timeout=_CLOSE_GRACE_S)
-        except subprocess.TimeoutExpired:
-            self.proc.terminate()
+        for escalate in (self.proc.terminate, self.proc.kill):
             try:
-                self.proc.wait(timeout=_CLOSE_GRACE_S)
+                return self.proc.wait(timeout=_CLOSE_GRACE_S)
             except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
+                escalate()
+        return self.proc.wait()
+
+    def close(self) -> None:
+        """End the program (see _end) and release its pipes; never raises."""
+        self._end()
         self.proc.stdout.close()
         self._drain.join(timeout=_CLOSE_GRACE_S)
         if not self._drain.is_alive():

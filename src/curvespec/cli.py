@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import shlex
 import sys
 
@@ -300,6 +301,14 @@ def run(argv) -> int:
         return 3
     except CurvespecError as exc:
         print(json.dumps({"error": "internal", "message": str(exc)}),
+              file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program, never of its input
+        import traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(json.dumps({"error": "internal",
+                          "message": f"{type(exc).__name__}: {exc}",
+                          "at": f"{os.path.basename(where.filename)}:{where.lineno}"}),
               file=sys.stderr)
         return 3
 

@@ -16,6 +16,7 @@ single core.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .errors import (
     DefectiveMatrixError,
     NumericalDomainError,
 )
-from .subspaces import projector_range
 
 __all__ = [
     "MatrixClass",
@@ -91,7 +91,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         A = np.array(
             [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed matrix JSON: {exc}") from None
     if A.shape != (n, n):
         raise ConfigError(f"matrix JSON claims n={n} but entries are {A.shape}")
@@ -118,8 +118,11 @@ def _is_normal(X: np.ndarray, norm_x: float) -> bool:
 def _cluster_components(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clusters at threshold tol, ordered by eigenvalue lex order."""
     m = values.size
-    dist = np.abs(values[:, None] - values[None, :])
-    adj = dist <= tol
+    adj = np.abs(values[:, None] - values[None, :]) <= tol
+    if np.count_nonzero(adj) == m and adj.diagonal().all():
+        # a simple spectrum: the graph is its diagonal (which only a NaN
+        # leaves out), so every value is a cluster of its own
+        return list(np.lexsort((values.imag, values.real))[:, None])
     seen = np.zeros(m, dtype=bool)
     clusters = []
     for start in range(m):
@@ -137,6 +140,18 @@ def _cluster_components(values: np.ndarray, tol: float) -> list[np.ndarray]:
     reps = [values[c].mean() for c in clusters]
     order = sorted(range(len(clusters)), key=lambda k: (reps[k].real, reps[k].imag))
     return [clusters[k] for k in order]
+
+
+def _cluster_means(values: np.ndarray, clusters) -> np.ndarray:
+    """Mean value of each cluster.
+
+    A singleton's mean is its value plus 0.0, bit for bit: the mean turns
+    a -0.0 real or imaginary part into 0.0 and leaves every other finite
+    value as it is.
+    """
+    return np.array(
+        [values[c[0]] + 0.0 if c.size == 1 else values[c].mean() for c in clusters]
+    )
 
 
 @dataclass(eq=False)
@@ -196,7 +211,7 @@ def _core_decompose(X: np.ndarray, cluster_tol=None) -> _CoreDecomp:
             f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
         )
     Binv = np.linalg.inv(B)
-    values = np.array([w[c].mean() for c in clusters])
+    values = _cluster_means(w, clusters)
     mults = tuple(int(c.size) for c in clusters)
     core = _CoreDecomp(values, mults, B, Binv, unitary=False, cluster_tol=tol)
     recon = (B * core.expanded()[None, :]) @ Binv
@@ -207,14 +222,39 @@ def _core_decompose(X: np.ndarray, cluster_tol=None) -> _CoreDecomp:
     return core
 
 
+def _no_sort(x):
+    """zgees's eigenvalue-selection callback; unused, as nothing is sorted."""
+    return None
+
+
+@functools.cache
+def _zgees_lwork(n: int) -> int:
+    """zgees's optimal workspace size, which depends on n alone."""
+    from scipy.linalg.lapack import zgees
+    return int(zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
+
+
+def _schur(X: np.ndarray):
+    """Complex Schur form (T, Z) of X, as scipy.linalg.schur(X, output="complex").
+
+    Calls LAPACK zgees once, with the workspace size queried once per n,
+    where scipy.linalg.schur queries it on every call.
+    """
+    # deferred, so that importing the package stays scipy-free
+    from scipy.linalg.lapack import zgees
+    T, _, _, Z, _, info = zgees(_no_sort, X, lwork=_zgees_lwork(X.shape[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z
+
+
 def _schur_core(X: np.ndarray, tol: float, norm_x: float):
-    import scipy.linalg  # deferred, so that importing the package stays scipy-free
-    T, Z = scipy.linalg.schur(X, output="complex")
+    T, Z = _schur(X)
     d = np.diag(T)
     clusters = _cluster_components(d, tol)
     perm = np.concatenate(clusters)
     B = Z[:, perm]
-    values = np.array([d[c].mean() for c in clusters])
+    values = _cluster_means(d, clusters)
     mults = tuple(int(c.size) for c in clusters)
     core = _CoreDecomp(values, mults, B, B.conj().T, unitary=True, cluster_tol=tol)
     recon = (B * core.expanded()[None, :]) @ B.conj().T
@@ -569,7 +609,7 @@ class LineTuple:
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     j = int(np.argmax(np.abs(v)))
     piv = v[j]
-    return v * (np.conj(piv) / abs(piv))
+    return v * (piv.conjugate() / abs(piv))
 
 
 def eigenflag(dec: SpectralDecomposition, curve: Curve) -> LineTuple:
@@ -579,11 +619,9 @@ def eigenflag(dec: SpectralDecomposition, curve: Curve) -> LineTuple:
             "eigenflag requires a simple spectrum; "
             f"multiplicities are {dec.multiplicities}"
         )
-    order = _curve_order(dec, curve)
-    cols = []
-    for c in order:
-        v = projector_range(dec.idempotents[int(c)], 1)[:, 0]
-        cols.append(_fix_phase(v))
+    # column 0 of U spans the range of each rank-one idempotent
+    U = np.linalg.svd(dec.idempotents[_curve_order(dec, curve)])[0]
+    cols = [_fix_phase(u) for u in U[:, :, 0]]
     return LineTuple(np.column_stack(cols), orthogonal=dec.is_orthogonal)
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "line_distance",
-    "projector_range",
 ]
 
 
@@ -83,9 +82,3 @@ def line_distance(u: np.ndarray, v: np.ndarray) -> float:
         return 1.0
     c = abs(np.vdot(u, v)) / (nu * nv)
     return float(np.sqrt(max(0.0, 1.0 - min(c, 1.0) ** 2)))
-
-
-def projector_range(P: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the range of an idempotent of known rank."""
-    u, _, _ = np.linalg.svd(P)
-    return u[:, :rank]

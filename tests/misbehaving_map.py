@@ -2,11 +2,13 @@
 
     python misbehaving_map.py chatty   # also writes 4 KiB to stderr per reply
     python misbehaving_map.py linger   # ignores SIGTERM, stays alive after stdin closes
+    python misbehaving_map.py mute     # replies once, closes its stdout, stays alive
 
 Used by the CLI tests of `check --map-cmd`; imports nothing heavier than json.
 """
 
 import json
+import os
 import signal
 import sys
 import time
@@ -21,5 +23,8 @@ for line in sys.stdin:
     if mode == "chatty":
         sys.stderr.write("x" * 4095 + "\n")
         sys.stderr.flush()
+    if mode == "mute":
+        os.close(1)
+        time.sleep(600)
 if mode == "linger":
     time.sleep(600)

@@ -56,6 +56,11 @@ class TestParseCurve:
      "--seed", "1", "--scales", "0.1,abc"],
     ["check", "--curve", "real-line", "--n", "3", "--trials", "5",
      "--seed", "1", "--map-cmd", "curvespec-test-no-such-program"],
+    # "n": 1e999 parses as infinity, which int() cannot convert
+    ["apply", "--map", '{"variant": "rho"}',
+     "--matrix", '{"n": 1e999, "entries": []}'],
+    ["check", "--curve", "real-line", "--n", "3", "--trials", "5", "--seed", "1",
+     "--map", '{"variant": "conj", "T": {"n": 1e999, "entries": []}}'],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -160,6 +165,37 @@ class TestCheck:
         assert code == 0 and elapsed < 20.0
         assert json.loads(out)["spectrum_ok"] is True
         assert not lingered, "a process of the run outlived it"
+
+    def test_mute_map_program_costs_bounded_time(self, run_in_group):
+        # the program closes its stdout after one reply but stays alive:
+        # the empty reply must end it, not wait for it forever
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), "mute"])
+        code, out, err, elapsed, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "3",
+             "--trials", "5", "--seed", "1", "--map-cmd", cmd], timeout=20.0)
+        assert code == 3 and elapsed < 10.0
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "closed its output" in json.loads(lines[0])["message"]
+        assert not lingered, "a process of the run outlived it"
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        import curvespec.cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(curvespec.cli, "check_cs", broken)
+        code, out, err = _run(capsys, "check", "--curve", "real-line", "--n", "3",
+                              "--trials", "5", "--seed", "1", "--map", RHO_JSON)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "internal"
+        assert report["message"] == "KeyError: 'boom'"
+        assert report["at"] == f"{Path(__file__).name}:{broken.__code__.co_firstlineno + 1}"
 
 
 class TestClassify:

@@ -20,7 +20,12 @@ from curvespec.errors import (
 )
 from curvespec.spectral import (
     LineTuple,
+    _cluster_components,
+    _cluster_means,
+    _curve_order,
+    _fix_phase,
     _matchable,
+    _schur,
     MatrixClass,
     default_window,
     eigenflag,
@@ -290,6 +295,8 @@ def test_matrix_json_malformed():
         matrix_from_json({"n": 2, "entries": [[[0.0, 0.0]]]})
     with pytest.raises(ConfigError):
         matrix_from_json({"entries": []})
+    with pytest.raises(ConfigError):  # json.loads reads "n": 1e999 as this
+        matrix_from_json({"n": float("inf"), "entries": []})
 
 
 _CURVES = [real_line(), UnitCircleClosed(), Segment(-1.0 + 0.0j, 1.0 + 1.0j), CornerGraph(-1.0, 1.0)]
@@ -324,3 +331,109 @@ def test_normal_samples_have_orthogonal_eigenspaces(seed):
         for j in range(i + 1, dec.num_clusters):
             prod = dec.idempotents[i].conj().T @ dec.idempotents[j]
             assert np.linalg.norm(prod) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix decomposition shortcuts reproduce the plain routes bit for bit
+
+
+def _bfs_clusters(values, tol):
+    """Single-linkage clusters by a sweep of the threshold graph, ordered by
+    the (real, imag) order of their means: _cluster_components without its
+    simple-spectrum shortcut."""
+    m = values.size
+    adj = np.abs(values[:, None] - values[None, :]) <= tol
+    seen = np.zeros(m, dtype=bool)
+    clusters = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        frontier = np.zeros(m, dtype=bool)
+        frontier[start] = True
+        comp = np.zeros(m, dtype=bool)
+        while frontier.any():
+            comp |= frontier
+            frontier = (adj[frontier].any(axis=0)) & ~comp
+        seen |= comp
+        clusters.append(np.flatnonzero(comp))
+    reps = [values[c].mean() for c in clusters]
+    order = sorted(range(len(clusters)), key=lambda k: (reps[k].real, reps[k].imag))
+    return [clusters[k] for k in order]
+
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _eigenvalue_sets(draw):
+    """Values with exact ties, signed zeros, gaps of tol * (1 +- 1e-12)
+    along a few directions, and random values; and the tolerance."""
+    tol = draw(st.sampled_from([1e-9, 1e-7, 1e-3, 0.5]))
+    vals = [complex(draw(_coord), draw(_coord))]
+    for _ in range(draw(st.integers(1, 11))):
+        base = vals[draw(st.integers(0, len(vals) - 1))]
+        kind = draw(st.sampled_from(["tie", "gap", "random"]))
+        if kind == "tie":
+            vals.append(base)
+        elif kind == "gap":
+            gap = tol * draw(st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]))
+            step = draw(st.sampled_from([1, -1, 1j, -1j, np.exp(0.7j)]))
+            vals.append(base + gap * step)
+        else:
+            vals.append(complex(draw(_coord), draw(_coord)))
+    return np.array(vals), tol
+
+
+@given(case=_eigenvalue_sets())
+@settings(max_examples=300, deadline=None)
+def test_cluster_components_match_the_graph_sweep(case):
+    values, tol = case
+    want = _bfs_clusters(values, tol)
+    got = _cluster_components(values, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    means = np.array([values[c].mean() for c in want])
+    assert _cluster_means(values, got).tobytes() == means.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["normal", "general", "triangular-ties"]),
+    fortran=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_schur_matches_scipy_bitwise(seed, n, kind, fortran):
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "normal":
+        U = random_unitary(n, rng)
+        X = (U * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ U.conj().T
+    elif kind == "general":
+        X = G
+    else:
+        X = np.diag(rng.integers(-2, 3, n).astype(complex)) + np.triu(G, 1)
+    if fortran:
+        X = np.asfortranarray(X)
+    T, Z = _schur(X)
+    T0, Z0 = scipy.linalg.schur(X, output="complex")
+    assert T.tobytes() == T0.tobytes() and Z.tobytes() == Z0.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 8),
+    cls=st.sampled_from([MatrixClass.NORMAL, MatrixClass.SEMISIMPLE]),
+)
+@settings(max_examples=80, deadline=None)
+def test_eigenflag_matches_one_svd_per_idempotent(seed, n, cls):
+    curve = real_line()
+    dec = spectral_decompose(sample(curve, n, cls, np.random.default_rng(seed)))
+    # the range of each rank-one idempotent, one full SVD at a time
+    cols = [_fix_phase(np.linalg.svd(dec.idempotents[int(c)])[0][:, :1][:, 0])
+            for c in _curve_order(dec, curve)]
+    assert eigenflag(dec, curve).vectors.tobytes() == np.column_stack(cols).tobytes()
