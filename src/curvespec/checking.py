@@ -275,6 +275,8 @@ def check_cs(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -15,6 +15,7 @@ spatial membership.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -91,21 +92,12 @@ class Interval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        """Membership test; with ``slack > 0`` the closure is widened and the
-        open/closed flags are ignored."""
-        if slack > 0.0:
-            return self.lower - slack <= t <= self.upper + slack
-        if t < self.lower or t > self.upper:
-            return False
-        if t == self.lower and not self.lower_closed:
-            return False
-        if t == self.upper and not self.upper_closed:
-            return False
-        return True
-
-    def clamp(self, t: float) -> float:
-        return min(max(t, self.lower), self.upper)
+    def contains(self, ts) -> np.ndarray:
+        """Elementwise membership mask of ``ts``; NaN lies in no interval."""
+        ts = np.asarray(ts, dtype=float)
+        above = ts >= self.lower if self.lower_closed else ts > self.lower
+        below = ts <= self.upper if self.upper_closed else ts < self.upper
+        return above & below
 
     def to_json(self) -> dict:
         def num(x: float):
@@ -120,6 +112,8 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"interval must be an object, got {obj!r}")
         lo = obj.get("lower")
         hi = obj.get("upper")
         return cls(
@@ -138,6 +132,46 @@ def _j2c(v) -> complex:
     return complex(float(v[0]), float(v[1]))
 
 
+def _finite(z, what: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{what} must be finite, got {z}")
+    return z
+
+
+# math.atan2 applied elementwise.  np.arctan2 differs from it in the last
+# bit on some points, and the parameter of a probe's center carries those
+# bits into seeded output.
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _ATAN2(y, x).astype(float)
+
+
+# Projections and distances are written in real arithmetic.  numpy's
+# complex product and modulus may round differently from Python's (SIMD
+# kernels with fused multiply-add), while np.hypot and plain float products
+# give the bits that Python's complex arithmetic gives.
+
+
+def _abs(zs: np.ndarray) -> np.ndarray:
+    return np.hypot(zs.real, zs.imag)
+
+
+def _line_params(zs: np.ndarray, a: complex, d: complex) -> np.ndarray:
+    """Parameters s of the points of the line ``a + s*d`` nearest to ``zs``."""
+    x = zs - a
+    return (x.real * d.real + x.imag * d.imag) / (d.real**2 + d.imag**2)
+
+
+def _segment_nearest(zs: np.ndarray, a: complex, d: complex):
+    """Parameters in [0, 1] of the points of the segment ``a + s*d`` nearest
+    to ``zs``, and the distances to them."""
+    s = np.clip(_line_params(zs, a, d), 0.0, 1.0)
+    return s, _abs(a + s * d - zs)
+
+
 @dataclass(frozen=True, kw_only=True)
 class Curve:
     """Base class: injective parametrized curve with orientation and tolerance."""
@@ -154,6 +188,8 @@ class Curve:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
     # -- per-kind geometry ------------------------------------------------
+    # A kind states its geometry once, on 1-d arrays; every scalar
+    # operation below runs it on a one-element array.
 
     @property
     def domain(self) -> Optional[Interval]:
@@ -164,58 +200,43 @@ class Curve:
     def closed(self) -> bool:
         return self.domain is None
 
-    def _point(self, t: float) -> complex:
-        raise NotImplementedError
-
-    def _project(self, z: complex) -> float:
-        """Parameter of the nearest curve point, clamped into the domain closure."""
-        raise NotImplementedError
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self._point(float(t)) for t in ts], dtype=complex)
+        """Curve points at parameters ``ts`` inside the domain."""
+        raise NotImplementedError
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
-        return np.array([self._project(complex(z)) for z in zs], dtype=float)
+        """Parameters of the nearest curve points, clamped into the domain closure."""
+        raise NotImplementedError
 
     # -- shared operations ------------------------------------------------
 
     def eval(self, t: float) -> complex:
-        t = float(t)
-        dom = self.domain
-        if dom is not None and not dom.contains(t):
-            raise ParameterDomainError(
-                f"parameter {t} outside the domain of {self.kind}"
-            )
-        return self._point(t)
+        return complex(self.eval_array(float(t))[0])
 
     def eval_array(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         dom = self.domain
         if dom is not None:
-            for t in np.atleast_1d(ts):
-                if not dom.contains(float(t)):
-                    raise ParameterDomainError(
-                        f"parameter {t} outside the domain of {self.kind}"
-                    )
-        return self._point_array(np.atleast_1d(ts))
+            outside = ts[~dom.contains(ts)]
+            if outside.size:
+                raise ParameterDomainError(
+                    f"parameter {outside[0]} outside the domain of {self.kind}"
+                )
+        return self._point_array(ts)
 
-    def invert(self, z: complex) -> float:
-        z = complex(z)
-        t = self._project(z)
-        d = abs(self._point(t) - z)
-        if d > self.tol:
-            raise OffCurveError(
-                f"point {z} is at distance {d:.3e} from the {self.kind} curve "
-                f"(tol {self.tol:.1e})"
-            )
-        return t
-
-    def invert_array(self, zs) -> np.ndarray:
+    def _nearest(self, zs):
+        """(points, parameters of their nearest curve points, distances)."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         ts = self._project_array(zs)
-        ds = np.abs(self._point_array(ts) - zs)
-        worst = int(np.argmax(ds))
-        if ds[worst] > self.tol:
+        return zs, ts, _abs(self._point_array(ts) - zs)
+
+    def invert(self, z: complex) -> float:
+        return float(self.invert_array(complex(z))[0])
+
+    def invert_array(self, zs) -> np.ndarray:
+        zs, ts, ds = self._nearest(zs)
+        worst = int(np.argmax(ds))  # a NaN distance is the worst
+        if not ds[worst] <= self.tol:
             raise OffCurveError(
                 f"point {zs[worst]} is at distance {ds[worst]:.3e} from the "
                 f"{self.kind} curve (tol {self.tol:.1e})"
@@ -223,8 +244,7 @@ class Curve:
         return ts
 
     def distance(self, z: complex) -> float:
-        z = complex(z)
-        return abs(self._point(self._project(z)) - z)
+        return float(self._nearest(complex(z))[2][0])
 
     def contains(self, z: complex) -> bool:
         return self.distance(z) <= self.tol
@@ -258,14 +278,8 @@ class RealInterval(Curve):
     def domain(self) -> Interval:
         return self.interval
 
-    def _point(self, t: float) -> complex:
-        return complex(t, 0.0)
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         return ts.astype(complex)
-
-    def _project(self, z: complex) -> float:
-        return self.interval.clamp(z.real)
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         return np.clip(zs.real, self.interval.lower, self.interval.upper)
@@ -285,8 +299,8 @@ class Segment(Curve):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "z0", complex(self.z0))
-        object.__setattr__(self, "z1", complex(self.z1))
+        object.__setattr__(self, "z0", _finite(self.z0, "segment endpoint"))
+        object.__setattr__(self, "z1", _finite(self.z1, "segment endpoint"))
         if self.z0 == self.z1:
             raise ConfigError("segment endpoints must be distinct")
 
@@ -294,16 +308,11 @@ class Segment(Curve):
     def domain(self) -> Interval:
         return Interval(0.0, 1.0)
 
-    def _point(self, t: float) -> complex:
-        return self.z0 + t * (self.z1 - self.z0)
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         return self.z0 + ts * (self.z1 - self.z0)
 
-    def _project(self, z: complex) -> float:
-        d = self.z1 - self.z0
-        t = ((z - self.z0) * d.conjugate()).real / (d.real**2 + d.imag**2)
-        return min(max(t, 0.0), 1.0)
+    def _project_array(self, zs: np.ndarray) -> np.ndarray:
+        return _segment_nearest(zs, self.z0, self.z1 - self.z0)[0]
 
     def _params_json(self) -> dict:
         return {"z0": _c2j(self.z0), "z1": _c2j(self.z1)}
@@ -320,8 +329,8 @@ class Line(Curve):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "point", complex(self.point))
-        object.__setattr__(self, "direction", complex(self.direction))
+        object.__setattr__(self, "point", _finite(self.point, "line point"))
+        object.__setattr__(self, "direction", _finite(self.direction, "line direction"))
         if self.direction == 0:
             raise ConfigError("line direction must be nonzero")
 
@@ -329,19 +338,11 @@ class Line(Curve):
     def domain(self) -> Interval:
         return Interval()
 
-    def _point(self, t: float) -> complex:
-        return self.point + t * self.direction
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         return self.point + ts * self.direction
 
-    def _project(self, z: complex) -> float:
-        d = self.direction
-        return ((z - self.point) * d.conjugate()).real / (d.real**2 + d.imag**2)
-
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
-        d = self.direction
-        return ((zs - self.point) * np.conj(d)).real / (d.real**2 + d.imag**2)
+        return _line_params(zs, self.point, self.direction)
 
     def _params_json(self) -> dict:
         return {"point": _c2j(self.point), "direction": _c2j(self.direction)}
@@ -363,7 +364,7 @@ class CircleArc(Curve):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "center", complex(self.center))
+        object.__setattr__(self, "center", _finite(self.center, "arc center"))
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ConfigError(f"radius must be positive, got {self.radius}")
@@ -379,27 +380,20 @@ class CircleArc(Curve):
     def domain(self) -> Interval:
         return self.angles
 
-    def _point(self, t: float) -> complex:
-        return self.center + self.radius * complex(math.cos(t), math.sin(t))
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         return self.center + self.radius * np.exp(1j * ts)
 
-    def _project(self, z: complex) -> float:
-        v = z - self.center
-        if v == 0:
-            # Center is equidistant from the whole arc; pick the lowest parameter.
-            return self.angles.lower
-        theta = math.atan2(v.imag, v.real)
+    def _project_array(self, zs: np.ndarray) -> np.ndarray:
+        v = zs - self.center
+        theta = _atan2(v.imag, v.real)
         lo, hi = self.angles.lower, self.angles.upper
         # Unique representative of theta in [lo, lo + tau).
-        t = theta + TAU * math.ceil((lo - theta) / TAU)
-        if t <= hi:
-            return t
+        t = theta + TAU * np.ceil((lo - theta) / TAU)
         # Off the angular window: closer endpoint wins, ties toward lo.
-        if abs(self._point(lo) - z) <= abs(self._point(hi) - z):
-            return lo
-        return hi
+        d_lo, d_hi = _abs(self._point_array(np.array([[lo], [hi]])) - zs)
+        t = np.where(t <= hi, t, np.where(d_lo <= d_hi, lo, hi))
+        # Center is equidistant from the whole arc; pick the lowest parameter.
+        return np.where(v == 0, lo, t)
 
     def _params_json(self) -> dict:
         return {
@@ -419,30 +413,18 @@ class UnitCircleClosed(Curve):
     def domain(self) -> None:
         return None
 
-    def _point(self, t: float) -> complex:
-        return complex(math.cos(t), math.sin(t))
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         return np.exp(1j * ts)
 
-    def _project(self, z: complex) -> float:
-        if z == 0:
-            return 0.0
-        return math.atan2(z.imag, z.real) % TAU
-
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
-        out = np.angle(zs) % TAU
-        return np.where(zs == 0, 0.0, out)
+        return np.where(zs == 0, 0.0, _atan2(zs.imag, zs.real) % TAU)
 
     def _params_json(self) -> dict:
         return {}
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    t = ((p - a) * d.conjugate()).real / (d.real**2 + d.imag**2)
-    t = min(max(t, 0.0), 1.0)
-    return abs(a + t * d - p)
+    return float(_segment_nearest(np.array([p]), a, b - a)[1][0])
 
 
 def _segments_intersect(a0: complex, a1: complex, b0: complex, b1: complex) -> bool:
@@ -481,7 +463,7 @@ class Polyline(Curve):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        vs = tuple(complex(v) for v in self.vertices)
+        vs = tuple(_finite(v, "polyline vertex") for v in self.vertices)
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 2:
             raise ConfigError("polyline needs at least two vertices")
@@ -510,26 +492,20 @@ class Polyline(Curve):
     def domain(self) -> Interval:
         return Interval(0.0, float(len(self.vertices) - 1))
 
-    def _point(self, t: float) -> complex:
-        m = len(self.vertices) - 1
-        i = min(int(math.floor(t)), m - 1)
-        i = max(i, 0)
-        frac = t - i
-        return self.vertices[i] + frac * (self.vertices[i + 1] - self.vertices[i])
+    def _point_array(self, ts: np.ndarray) -> np.ndarray:
+        vs = np.array(self.vertices)
+        i = np.clip(np.floor(ts), 0, len(vs) - 2).astype(int)
+        return vs[i] + (ts - i) * (vs[i + 1] - vs[i])
 
-    def _project(self, z: complex) -> float:
-        best_t = 0.0
-        best_d = math.inf
-        for i in range(len(self.vertices) - 1):
-            a, b = self.vertices[i], self.vertices[i + 1]
-            d = b - a
-            s = ((z - a) * d.conjugate()).real / (d.real**2 + d.imag**2)
-            s = min(max(s, 0.0), 1.0)
-            dist = abs(a + s * d - z)
+    def _project_array(self, zs: np.ndarray) -> np.ndarray:
+        best_t = np.zeros(zs.shape)
+        best_d = np.full(zs.shape, math.inf)
+        for i, (a, b) in enumerate(zip(self.vertices, self.vertices[1:])):
+            s, dist = _segment_nearest(zs, a, b - a)
             # Strict comparison keeps the smallest parameter on ties.
-            if dist < best_d:
-                best_d = dist
-                best_t = i + s
+            closer = dist < best_d
+            best_d = np.where(closer, dist, best_d)
+            best_t = np.where(closer, i + s, best_t)
         return best_t
 
     def _params_json(self) -> dict:
@@ -561,35 +537,22 @@ class CornerGraph(Curve):
     def domain(self) -> Interval:
         return Interval()
 
-    def _left_dir(self) -> complex:
-        return complex(1.0, self.a)
-
-    def _right_dir(self) -> complex:
-        return complex(1.0, self.b)
-
-    def _point(self, t: float) -> complex:
-        slope = self.a if t < 0.0 else self.b
-        return complex(t, slope * t)
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
-        slopes = np.where(ts < 0.0, self.a, self.b)
-        return ts + 1j * slopes * ts
-
-    def _project(self, z: complex) -> float:
-        dl, dr = self._left_dir(), self._right_dir()
-        tl = min(0.0, (z * dl.conjugate()).real / (dl.real**2 + dl.imag**2))
-        tr = max(0.0, (z * dr.conjugate()).real / (dr.real**2 + dr.imag**2))
-        dist_l = abs(tl * dl - z)
-        dist_r = abs(tr * dr - z)
-        # Ties go to the left branch (smaller parameter).
-        return tr if dist_r < dist_l else tl
+        # Built part by part: ts + 1j * slopes * ts would turn the -0.0
+        # imaginary part of a negative t at slope 0 into +0.0.
+        out = ts.astype(complex)
+        out.imag = np.where(ts < 0.0, self.a, self.b) * ts
+        return out
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
-        dl, dr = self._left_dir(), self._right_dir()
-        tl = np.minimum(0.0, (zs * np.conj(dl)).real / (dl.real**2 + dl.imag**2))
-        tr = np.maximum(0.0, (zs * np.conj(dr)).real / (dr.real**2 + dr.imag**2))
-        dist_l = np.abs(tl * dl - zs)
-        dist_r = np.abs(tr * dr - zs)
+        dl, dr = complex(1.0, self.a), complex(1.0, self.b)
+        tl = _line_params(zs, 0j, dl)
+        tl = np.where(tl < 0.0, tl, 0.0)
+        tr = _line_params(zs, 0j, dr)
+        tr = np.where(tr > 0.0, tr, 0.0)
+        dist_l = _abs(tl * dl - zs)
+        dist_r = _abs(tr * dr - zs)
+        # Ties go to the left branch (smaller parameter).
         return np.where(dist_r < dist_l, tr, tl)
 
     def _params_json(self) -> dict:
@@ -644,14 +607,14 @@ def curve_from_json(obj) -> Curve:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("curve descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
-    cls = _KINDS.get(kind)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown curve kind {kind!r}")
-    common = {
-        "orientation": int(obj.get("orientation", 1)),
-        "tol": float(obj.get("tol", DEFAULT_TOL)),
-    }
     try:
+        common = {
+            "orientation": int(obj.get("orientation", 1)),
+            "tol": float(obj.get("tol", DEFAULT_TOL)),
+        }
         if cls is RealInterval:
             iv = obj.get("interval")
             interval = Interval.from_json(iv) if iv is not None else Interval()
@@ -679,4 +642,8 @@ def curve_from_json(obj) -> Curve:
             return CornerGraph(float(obj["a"]), float(obj["b"]), **common)
     except KeyError as exc:
         raise ConfigError(f"curve descriptor for {kind!r} missing field {exc}") from exc
+    except ConfigError:  # a ValueError too, but already says what is wrong
+        raise
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed curve descriptor for {kind!r}: {exc}") from exc
     raise ConfigError(f"unhandled curve kind {kind!r}")

@@ -27,7 +27,6 @@ from .errors import (
     CoincidentPointsError,
     ConfigError,
     NumericalDomainError,
-    OffCurveError,
 )
 
 __all__ = [
@@ -76,11 +75,7 @@ class ConfigurationTuple:
                     "configuration tuple has coincident points"
                 )
         if self.curve is not None:
-            for p in pts:
-                if not self.curve.contains(p):
-                    raise OffCurveError(
-                        f"configuration point {p} not on the curve"
-                    )
+            self.curve.invert_array(arr)  # raises OffCurveError off the curve
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -105,19 +100,9 @@ def _call_f(f, pts: np.ndarray) -> np.ndarray:
     return np.array([complex(f(p)) for p in pts.ravel()]).reshape(pts.shape)
 
 
-def _quotient_table(fvals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized triangular recursion over rows of (m, k) stacks."""
-    table = fvals.copy()
-    k = pts.shape[1]
-    for level in range(1, k):
-        num = table[:, 1 : k - level + 1] - table[:, : k - level]
-        den = pts[:, level:] - pts[:, : k - level]
-        table = num / den
-    return table[:, 0]
-
-
 def _quotient_table_err(fvals: np.ndarray, pts: np.ndarray):
-    """Triangular recursion plus a per-row forward roundoff bound.
+    """Triangular recursion over rows of (m, k) stacks, plus a per-row
+    forward roundoff bound.
 
     Curve evaluation leaves each point with absolute uncertainty of a few
     ulps of its magnitude; that displacement moves f by about the local
@@ -129,7 +114,7 @@ def _quotient_table_err(fvals: np.ndarray, pts: np.ndarray):
     k = pts.shape[1]
     pt_err = 4.0 * em * np.abs(pts).max(axis=1, keepdims=True)
     first = (fvals[:, 1:] - fvals[:, :-1]) / (pts[:, 1:] - pts[:, :-1])
-    lip = np.abs(first).max(axis=1, keepdims=True)
+    lip = np.abs(first).max(axis=1, keepdims=True, initial=0.0)
     err = em * np.abs(fvals) + lip * pt_err
     table = fvals.copy()
     for level in range(1, k):
@@ -160,7 +145,7 @@ def divided_difference(f, points, curve: Curve | None = None) -> complex:
         cfg = ConfigurationTuple(tuple(points), curve)
     pts = np.array(cfg.sorted_points())[None, :]
     fv = _call_f(f, pts)
-    return complex(_quotient_table(fv, pts)[0])
+    return complex(_quotient_table_err(fv, pts)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,12 @@ class TestCheckCS:
         with pytest.raises(ConfigError):
             check_cs(BlackBoxMap(lambda X: X, _domain()), 0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # every comparison with a NaN tolerance is false, so 2X would pass
+        with pytest.raises(ConfigError):
+            check_cs(BlackBoxMap(lambda X: 2 * X, _domain()), 20, tol)
+
     def test_verdict_counterexample_consistency(self):
         with pytest.raises(ConfigError):
             PreserverVerdict(spectrum_ok=False, commutativity_ok=True,

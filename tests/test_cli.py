@@ -61,6 +61,22 @@ class TestParseCurve:
      "--matrix", '{"n": 1e999, "entries": []}'],
     ["check", "--curve", "real-line", "--n", "3", "--trials", "5", "--seed", "1",
      "--map", '{"variant": "conj", "T": {"n": 1e999, "entries": []}}'],
+    # a tolerance that is not finite and positive
+    *[["check", "--curve", "real-line", "--n", "3", "--trials", "5", "--seed", "1",
+       "--map", RHO_JSON, "--tol", tol] for tol in ("nan", "inf", "-1", "0")],
+    # malformed or non-finite curve descriptors
+    *[["sample", "--curve", desc, "--n", "3", "--seed", "1"] for desc in (
+        '{"kind": "segment", "z0": [0], "z1": [1, 1]}',
+        '{"kind": "segment", "z0": [0, 0], "z1": [1, 1], "orientation": "x"}',
+        '{"kind": "circle_arc", "radius": "x"}',
+        '{"kind": "segment", "z0": ["a", 0], "z1": [1, 1]}',
+        '{"kind": "polyline", "vertices": 5}',
+        '{"kind": "real_interval", "tol": null}',
+        '{"kind": "real_interval", "interval": {"lower": [1]}}',
+        '{"kind": "line", "point": [0, 0], "direction": [1, "nan"]}',
+        '{"kind": "circle_arc", "angles": 5}',
+        '{"kind": ["segment"]}',
+    )],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)

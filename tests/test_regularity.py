@@ -18,6 +18,8 @@ from curvespec.regularity import (
 
 def test_real_pair_is_identity_quotient():
     assert divided_difference(np.conj, (0.0, 1.0)) == 1.0 + 0.0j
+    # one point: the order-0 quotient is f itself
+    assert divided_difference(np.conj, (1 + 1j,)) == 1 - 1j
 
 
 def test_imaginary_pair_is_negated_identity_quotient():
