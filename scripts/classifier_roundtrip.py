@@ -3,7 +3,7 @@
 
 Plants random conjugations, transpose conjugations, and ordering maps
 behind the black-box interface, classifies each, and tallies label
-accuracy, parameter recovery error, and wall time per instance.
+accuracy, parameter recovery error, and CPU time per instance.
 """
 
 import argparse
@@ -48,12 +48,12 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     curve = real_line()
     kinds = ("conjugation", "transpose_conjugation", "ordering_map")
-    print(f"{'kind':24} {'n':>2} {'correct':>9} {'max recovery':>13} {'s/instance':>11}")
+    print(f"{'kind':24} {'n':>2} {'correct':>9} {'max recovery':>13} {'cpu s/instance':>15}")
     ok_all = True
     for kind in kinds:
         for n in (int(s) for s in args.orders.split(",")):
             dom = DomainSpec(curve, n, MatrixClass.NORMAL)
-            correct, worst, t0 = 0, 0.0, time.perf_counter()
+            correct, worst, t0 = 0, 0.0, time.process_time()
             for i in range(args.per_class):
                 T, m = plant(kind, curve, n, rng)
                 pt = classify_preserver(
@@ -62,9 +62,9 @@ def main(argv=None):
                 if pt.kind == kind:
                     correct += 1
                     worst = max(worst, recovery_error(kind, T, pt))
-            per = (time.perf_counter() - t0) / args.per_class
+            per = (time.process_time() - t0) / args.per_class
             print(f"{kind:24} {n:2d} {correct:4d}/{args.per_class:<4d} "
-                  f"{worst:13.2e} {per:11.3f}")
+                  f"{worst:13.2e} {per:15.3f}")
             ok_all &= correct == args.per_class
     return 0 if ok_all else 1
 

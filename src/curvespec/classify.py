@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     MixedWitnessError,
     NumericalDomainError,
+    OffCurveError,
     ReconstructionError,
 )
 from .maps import OrderMap
@@ -37,6 +38,7 @@ from .spectral import (
     BASIS_COND_LIMIT,
     MatrixClass,
     _curve_order,
+    _shortcut_rows,
     eigenflag,
     matrix_to_json,
     spectral_decompose,
@@ -96,32 +98,75 @@ def _adjacent_swap(X, dec, curve, j):
     return X + (vb - va) * Pa + (va - vb) * Pb
 
 
-def _witness(bb: BlackBoxMap, X, dec, j, tol):
-    """One equivariance witness: 'swap', 'fix', or None (ambiguous)."""
-    curve = bb.domain.curve
-    FX = bb.apply(X)
-    FtX = bb.apply(_adjacent_swap(X, dec, curve, j))
-    L = eigenflag(spectral_decompose(FX), curve).vectors
-    Lt = eigenflag(spectral_decompose(FtX), curve).vectors
-    n = L.shape[1]
-    others_fixed = all(
-        line_distance(L[:, i], Lt[:, i]) <= tol
-        for i in range(n)
-        if i not in (j, j + 1)
-    )
-    if not others_fixed:
-        return None
-    swapped = (
-        line_distance(L[:, j], Lt[:, j + 1]) <= tol
-        and line_distance(L[:, j + 1], Lt[:, j]) <= tol
-    )
-    fixed = (
-        line_distance(L[:, j], Lt[:, j]) <= tol
-        and line_distance(L[:, j + 1], Lt[:, j + 1]) <= tol
-    )
-    if swapped == fixed:
-        return None
-    return "swap" if swapped else "fix"
+def _apply_rows(bb: BlackBoxMap, Xs: np.ndarray):
+    """Outputs of the map on the leading rows of Xs, and the exception it
+    raised on the next row, or None when every row went through.
+
+    A map with its own apply_batch gets the whole stack in one call.  Such
+    a map is pure, so when that call raises, the rows are replayed one at
+    a time to find the row that fails.  Any other map, a plain callable or
+    an external program, is applied row by row in order and sees each row
+    once.
+    """
+    if getattr(bb.func, "apply_batch", None) is not None:
+        try:
+            return bb.apply_batch(Xs), None
+        except Exception:
+            pass  # the replay below finds the row and raises its own error
+    out = np.empty_like(Xs)
+    for i, X in enumerate(Xs):
+        try:
+            out[i] = bb.apply(X)
+        except Exception as exc:
+            return out[:i], exc
+    return out, None
+
+
+def _eigenlines(FXs: np.ndarray, curve: Curve):
+    """Unit eigenvectors in curve order of the leading rows of a (N, n, n)
+    stack, and the exception raised on the next row, or None.
+
+    One stacked eig serves the rows that _shortcut_rows finds the
+    per-matrix decomposition would accept.  Ties along the curve break in
+    eigenvalue lex order, as in _curve_order.  Every other row goes
+    through eigenflag(spectral_decompose(...)) and raises as it does.
+    """
+    w, V = np.linalg.eig(FXs)
+    fast, _ = _shortcut_rows(FXs, w, V)
+    lines = np.empty_like(FXs)
+    if fast.any():
+        wf = w[fast]
+        try:
+            params = curve.invert_array(wf.ravel()).reshape(wf.shape)
+        except OffCurveError:
+            # the per-matrix route reports the first row off the curve
+            fast[:] = False
+        else:
+            order = np.lexsort((wf.imag, wf.real, curve.orientation * params))
+            Vf = np.take_along_axis(V[fast], order[:, None, :], axis=2)
+            lines[fast] = Vf / np.linalg.norm(Vf, axis=1, keepdims=True)
+    for i in np.flatnonzero(~fast):
+        try:
+            lines[i] = eigenflag(spectral_decompose(FXs[i]), curve).vectors
+        except Exception as exc:
+            return lines[:i], exc
+    return lines, None
+
+
+def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray, tol: float):
+    """Per trial, whether the output eigenlines of X (L) and of X with its
+    eigenvalues j and j+1 swapped (Lt) show the swapped pattern and the
+    fixed pattern.  Every other line must stay in place for either."""
+    c = np.minimum(np.abs(L.conj().transpose(0, 2, 1) @ Lt), 1.0)
+    # close[t, a, b]: line a of L and line b of Lt agree within tol
+    close = np.sqrt(np.maximum(0.0, 1.0 - c**2)) <= tol
+    t = np.arange(js.size)
+    same = np.diagonal(close, axis1=1, axis2=2).copy()
+    fixed = same[t, js] & same[t, js + 1]
+    swapped = close[t, js, js + 1] & close[t, js + 1, js]
+    same[t, js] = same[t, js + 1] = True
+    others = same.all(axis=1)
+    return others & swapped, others & fixed
 
 
 def equivariance_test(
@@ -134,6 +179,13 @@ def equivariance_test(
     output eigenlines swap along or stay put.  The verdict must be
     unanimous; a trial matching neither pattern, or trials disagreeing,
     is a witness conflict.
+
+    All trials are drawn first.  Their 2 * trials inputs X_1, X'_1, X_2,
+    X'_2, ... go to the map in that order, through one apply_batch when it
+    has one, and one stacked eig decomposes the outputs (see _eigenlines).
+    Failures come out as they would one trial at a time: trials are judged
+    in order, and a failure to draw, to apply the map or to decompose an
+    output at trial k is raised only after trials 0..k-1 are judged.
     """
     n = bb.domain.n
     if n < 3:
@@ -142,21 +194,45 @@ def equivariance_test(
         raise ConfigError("trials must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    counts = {"swap": 0, "fix": 0}
+    curve = bb.domain.curve
+    # each stage works on the rows before the earliest failure so far, so
+    # a failure it meets comes first in trial order
+    Xs, js, failure = [], [], None
     for _ in range(trials):
-        X, dec = _simple_sample(bb, rng)
-        j = int(rng.integers(n - 1))
-        w = _witness(bb, X, dec, j, tol)
-        if w is None:
-            raise MixedWitnessError(
-                "witness matched neither the swapped nor the fixed line pattern"
-            )
-        counts[w] += 1
-    if counts["swap"] and counts["fix"]:
+        try:
+            X, dec = _simple_sample(bb, rng)
+            j = int(rng.integers(n - 1))
+            Xs.append(X)
+            Xs.append(_adjacent_swap(X, dec, curve, j))
+        except Exception as exc:
+            # held back until the trials before it are judged
+            failure = exc
+            break
+        js.append(j)
+    if not Xs:
+        raise failure
+    FXs, exc = _apply_rows(bb, np.array(Xs))
+    if exc is not None:
+        failure = exc
+    lines, exc = _eigenlines(FXs[: FXs.shape[0] // 2 * 2], curve)
+    if exc is not None:
+        failure = exc
+    m = lines.shape[0] // 2
+    swapped, fixed = _line_patterns(
+        lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], np.array(js[:m], dtype=int), tol
+    )
+    if not np.all(swapped != fixed):
         raise MixedWitnessError(
-            f"contradictory witnesses: {counts['swap']} swapped, {counts['fix']} fixed"
+            "witness matched neither the swapped nor the fixed line pattern"
         )
-    kind = EQUIVARIANT if counts["swap"] else FACTORS_THROUGH_QUOTIENT
+    if failure is not None:
+        raise failure
+    swaps = int(np.count_nonzero(swapped))
+    if swaps and swaps < trials:
+        raise MixedWitnessError(
+            f"contradictory witnesses: {swaps} swapped, {trials - swaps} fixed"
+        )
+    kind = EQUIVARIANT if swaps else FACTORS_THROUGH_QUOTIENT
     return EquivarianceVerdict(kind=kind, witnesses=trials)
 
 

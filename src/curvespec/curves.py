@@ -116,11 +116,14 @@ class Interval:
             raise ConfigError(f"interval must be an object, got {obj!r}")
         lo = obj.get("lower")
         hi = obj.get("upper")
+        flags = obj.get("lower_closed"), obj.get("upper_closed")
+        for f in flags:
+            if f is not None and not isinstance(f, bool):
+                raise ConfigError(f"closedness must be true, false or null, got {f!r}")
         return cls(
             -math.inf if lo is None else float(lo),
             math.inf if hi is None else float(hi),
-            obj.get("lower_closed"),
-            obj.get("upper_closed"),
+            *flags,
         )
 
 
@@ -610,9 +613,13 @@ def curve_from_json(obj) -> Curve:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown curve kind {kind!r}")
+    orientation = obj.get("orientation", 1)
+    # not bool or float, although True == 1 and -1.0 == -1
+    if type(orientation) is not int or orientation not in (-1, 1):
+        raise ConfigError(f"orientation must be the integer 1 or -1, got {orientation!r}")
     try:
         common = {
-            "orientation": int(obj.get("orientation", 1)),
+            "orientation": orientation,
             "tol": float(obj.get("tol", DEFAULT_TOL)),
         }
         if cls is RealInterval:

@@ -67,6 +67,8 @@ class ConfigurationTuple:
         if not pts:
             raise ConfigError("configuration tuple must be nonempty")
         arr = np.array(pts)
+        if not np.all(np.isfinite(arr)):
+            raise NumericalDomainError("configuration tuple has non-finite points")
         if len(pts) > 1:
             dist = np.abs(arr[:, None] - arr[None, :])
             np.fill_diagonal(dist, np.inf)

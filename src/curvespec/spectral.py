@@ -99,9 +99,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 class MatrixClass(enum.Enum):
-    """Nested matrix classes: normal implies semisimple implies general."""
+    """The sampled matrix classes: normal, and semisimple (diagonalizable);
+    normal implies semisimple."""
 
-    GENERAL = "general"
     SEMISIMPLE = "semisimple"
     NORMAL = "normal"
 
@@ -511,8 +511,6 @@ def sample_batch(
     N = _conjugate_diag(Q, lam)
     if matrix_class is MatrixClass.NORMAL:
         return N
-    # General requests get semisimple samples too: random Jordan structure
-    # is out of sampling scope.
     S, Sinv = _skew_frames(n, count, rng)
     return S @ N @ Sinv
 

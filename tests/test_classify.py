@@ -10,6 +10,8 @@ from curvespec.classify import (
     EQUIVARIANT,
     FACTORS_THROUGH_QUOTIENT,
     EquivarianceVerdict,
+    _adjacent_swap,
+    _simple_sample,
     circle_obstruction_demo,
     classify_preserver,
     equivariance_test,
@@ -21,12 +23,21 @@ from curvespec.errors import (
     ClosedCurveError,
     CoincidentPointsError,
     ConfigError,
+    DefectiveMatrixError,
+    MapProtocolError,
     MixedWitnessError,
+    NumericalDomainError,
+    OffCurveError,
     ReconstructionError,
 )
 from curvespec.curves import UnitCircleClosed
-from curvespec.maps import Conj, OrderMap, TransposeConj
-from curvespec.spectral import MatrixClass, random_unitary
+from curvespec.maps import Conj, OrderMap, TransposeConj, compose
+from curvespec.spectral import (
+    MatrixClass,
+    eigenflag,
+    random_unitary,
+    spectral_decompose,
+)
 from curvespec.subspaces import (
     line_distance,
     max_principal_angle,
@@ -86,6 +97,189 @@ class TestEquivariance:
             EquivarianceVerdict("sideways", 3)
         with pytest.raises(ConfigError):
             EquivarianceVerdict(EQUIVARIANT, 0)
+
+
+# the scalar reference: one witness at a time, each with two map calls and
+# two eigenflags; equivariance_test must give the same verdict, or raise the
+# same error with the same message, on the same seed
+
+
+def _reference_witness(bb, X, dec, j, tol):
+    curve = bb.domain.curve
+    FX = bb.apply(X)
+    FtX = bb.apply(_adjacent_swap(X, dec, curve, j))
+    L = eigenflag(spectral_decompose(FX), curve).vectors
+    Lt = eigenflag(spectral_decompose(FtX), curve).vectors
+    n = L.shape[1]
+    if not all(line_distance(L[:, i], Lt[:, i]) <= tol
+               for i in range(n) if i not in (j, j + 1)):
+        return None
+    swapped = (line_distance(L[:, j], Lt[:, j + 1]) <= tol
+               and line_distance(L[:, j + 1], Lt[:, j]) <= tol)
+    fixed = (line_distance(L[:, j], Lt[:, j]) <= tol
+             and line_distance(L[:, j + 1], Lt[:, j + 1]) <= tol)
+    if swapped == fixed:
+        return None
+    return "swap" if swapped else "fix"
+
+
+def _reference_equivariance(bb, trials, rng, tol=1e-6):
+    n = bb.domain.n
+    counts = {"swap": 0, "fix": 0}
+    for _ in range(trials):
+        X, dec = _simple_sample(bb, rng)
+        j = int(rng.integers(n - 1))
+        w = _reference_witness(bb, X, dec, j, tol)
+        if w is None:
+            raise MixedWitnessError(
+                "witness matched neither the swapped nor the fixed line pattern"
+            )
+        counts[w] += 1
+    if counts["swap"] and counts["fix"]:
+        raise MixedWitnessError(
+            f"contradictory witnesses: {counts['swap']} swapped, {counts['fix']} fixed"
+        )
+    return EQUIVARIANT if counts["swap"] else FACTORS_THROUGH_QUOTIENT
+
+
+def _outcome(run, case, seed, trials=20):
+    """(kind, witnesses) of a verdict, or (exception type, message)."""
+    n, make_func, *make_dom = case
+    bb = BlackBoxMap(make_func(), make_dom[0]() if make_dom else _dom(n))
+    try:
+        got = run(bb, trials, np.random.default_rng(seed))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return getattr(got, "kind", got), trials
+
+
+class _Scripted:
+    """A plain callable: X -> X, except that the calls numbered in `swap`
+    (counting from 0) conjugate by a fixed unitary, from call `order_from`
+    on an ordering map answers, call `fail` raises MapProtocolError and
+    `output` maps a call number to a fixed reply.  Records every input."""
+
+    def __init__(self, n, swap=(), fail=None, output=None, order_from=None):
+        self.U = _unitary(n, 99)
+        self.order = OrderMap(real_line(), _oblique(n, 98))
+        self.swap, self.fail, self.order_from = set(swap), fail, order_from
+        self.output = output or {}
+        self.inputs = []
+
+    def __call__(self, X):
+        k = len(self.inputs)
+        self.inputs.append(X.copy())
+        if k == self.fail:
+            raise MapProtocolError(f"scripted failure on call {k}")
+        if k in self.output:
+            return self.output[k]
+        if self.order_from is not None and k >= self.order_from:
+            return self.order.apply(X)
+        if k in self.swap:
+            return self.U @ X @ self.U.conj().T
+        return X
+
+
+class _DryingDomain:
+    """The normal domain of _dom, except that every sample from draw
+    `dry_from` on has one repeated eigenvalue."""
+
+    def __init__(self, n, dry_from):
+        self.inner, self.n, self.dry_from, self.drawn = _dom(n), n, dry_from, 0
+        self.curve = self.inner.curve
+
+    def sample_batch(self, rng, count):
+        Xs = self.inner.sample_batch(rng, count)
+        self.drawn += count
+        if self.drawn > self.dry_from:
+            Xs[:] = 0.5 * np.eye(self.n)
+        return Xs
+
+
+_JORDAN = np.diag([1.0, 2.0, 3.0]).astype(complex)
+_JORDAN[0, 1] = 1e3  # no decomposition: numerically defective
+_JORDAN[1, 1] = 1.0
+
+_ORACLE_CASES = {
+    **{
+        f"{kind}/{frame}/n={n}": (n, lambda kind=kind, frame=frame, n=n: {
+            "conj": Conj, "transpose": TransposeConj,
+            "order": lambda T: OrderMap(real_line(), T),
+        }[kind]((_unitary if frame == "unitary" else _oblique)(n, 40 + n)))
+        for kind in ("conj", "transpose", "order")
+        for frame in ("unitary", "oblique")
+        for n in (3, 4, 5)
+    },
+    "order/composed/n=4": (4, lambda: compose(
+        [Conj(_oblique(4, 50)), OrderMap(real_line(), _unitary(4, 51))])),
+    "planted X+I/n=3": (3, lambda: (lambda X: X + np.eye(3))),
+    "planted X+I/n=5": (5, lambda: (lambda X: X + np.eye(5))),
+    "planted 2X/n=3": (3, lambda: (lambda X: 2 * X)),
+    "planted 2X/n=4": (4, lambda: (lambda X: 2 * X)),
+    "two-faced/n=3": (3, lambda: _two_faced(3)),
+    "identity output/n=3": (3, lambda: (lambda X: np.eye(3, dtype=complex))),
+    "off the curve/n=3": (3, lambda: (lambda X: X + 1j * np.eye(3))),
+    "frame of wrong size/n=3": (3, lambda: Conj(_unitary(4, 7))),
+    "fails on call 0": (3, lambda: _Scripted(3, fail=0)),
+    "fails on call 5": (3, lambda: _Scripted(3, fail=5)),
+    "mixed at trial 1, fails on call 5": (3, lambda: _Scripted(3, (3,), 5)),
+    "mixed at trial 3, fails on call 5": (3, lambda: _Scripted(3, (7,), 5)),
+    "defective at call 3": (3, lambda: _Scripted(3, output={3: _JORDAN})),
+    "defective at call 4, mixed at trial 1": (
+        3, lambda: _Scripted(3, (3,), output={4: _JORDAN})),
+    "defective at call 6, mixed at trial 4": (
+        3, lambda: _Scripted(3, (9,), output={6: _JORDAN})),
+    "no simple sample from trial 3": (
+        3, lambda: _Scripted(3), lambda: _DryingDomain(3, 3)),
+    "no simple sample from trial 3, mixed at trial 1": (
+        3, lambda: _Scripted(3, (3,)), lambda: _DryingDomain(3, 3)),
+    "contradictory": (3, lambda: _Scripted(3, order_from=24)),
+    "contradictory, fails on call 37": (
+        3, lambda: _Scripted(3, fail=37, order_from=24)),
+}
+
+
+def _two_faced(n):
+    T = _unitary(n, 3)
+    conj, order = Conj(T), OrderMap(real_line(), T)
+    return lambda X: conj.apply(X) if X[0, 0].real > 0 else order.apply(X)
+
+
+class TestBatchedEquivarianceOracle:
+    @pytest.mark.parametrize("seed", [1, 6])
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_same_verdict_or_same_error_as_one_trial_at_a_time(self, case, seed):
+        want = _outcome(_reference_equivariance, _ORACLE_CASES[case], seed)
+        assert _outcome(equivariance_test, _ORACLE_CASES[case], seed) == want
+
+    def test_cases_cover_every_outcome(self):
+        got = {c: _outcome(_reference_equivariance, case, 1)
+               for c, case in _ORACLE_CASES.items()}
+        assert {kind for kind, _ in got.values()} == {
+            EQUIVARIANT, FACTORS_THROUGH_QUOTIENT, MixedWitnessError,
+            MapProtocolError, ConfigError, NumericalDomainError,
+            OffCurveError, DefectiveMatrixError}
+        assert got["contradictory"] == (
+            MixedWitnessError, "contradictory witnesses: 12 swapped, 8 fixed")
+        assert got["no simple sample from trial 3"] == (
+            NumericalDomainError, "could not draw a simple-spectrum sample")
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_map_sees_the_reference_inputs_in_order(self, n):
+        ref, new = _Scripted(n), _Scripted(n)
+        _reference_equivariance(BlackBoxMap(ref, _dom(n)), 20,
+                                np.random.default_rng(4))
+        equivariance_test(BlackBoxMap(new, _dom(n)), 20,
+                          np.random.default_rng(4))
+        assert len(new.inputs) == len(ref.inputs) == 40
+        assert all(np.array_equal(a, b) for a, b in zip(new.inputs, ref.inputs))
+
+    def test_rng_stream_is_unchanged(self):
+        bb = BlackBoxMap(Conj(_oblique(4, 8)), _dom(4))
+        ref, new = np.random.default_rng(2), np.random.default_rng(2)
+        _reference_equivariance(bb, 20, ref)
+        equivariance_test(bb, 20, new)
+        assert ref.bit_generator.state == new.bit_generator.state
 
 
 class TestReconstructConjugator:

@@ -76,7 +76,14 @@ class TestParseCurve:
         '{"kind": "line", "point": [0, 0], "direction": [1, "nan"]}',
         '{"kind": "circle_arc", "angles": 5}',
         '{"kind": ["segment"]}',
+        # no coercion: a string is not a closedness flag, -1.7 not an orientation
+        '{"kind": "real_interval", "interval": '
+        '{"lower": 0, "upper": 1, "lower_closed": "false"}}',
+        '{"kind": "real_interval", "orientation": -1.7}',
     )],
+    # the sampled classes are normal and semisimple
+    ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
+     "--class", "general"],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)

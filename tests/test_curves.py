@@ -190,6 +190,33 @@ def test_curve_from_json_rejects_garbage():
         curve_from_json({"kind": "segment", "z0": [1, 0], "z1": [1, 0]})
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, [], {}])
+def test_interval_closedness_must_be_a_json_boolean(flag):
+    with pytest.raises(ConfigError, match="closedness"):
+        Interval.from_json({"lower": 0, "upper": 1, "lower_closed": flag})
+    with pytest.raises(ConfigError, match="closedness"):
+        curve_from_json({"kind": "circle_arc",
+                         "angles": {"lower": 0, "upper": 1, "upper_closed": flag}})
+
+
+def test_interval_closedness_json_values():
+    iv = Interval.from_json({"lower": 0, "upper": 1, "lower_closed": False,
+                             "upper_closed": None})
+    assert iv.lower_closed is False and iv.upper_closed is True
+
+
+@pytest.mark.parametrize("orientation", [-1.7, 1.0, -1.0, True, "1", 2, 0, None])
+def test_orientation_must_be_the_integer_one_or_minus_one(orientation):
+    with pytest.raises(ConfigError, match="orientation"):
+        curve_from_json({"kind": "real_interval", "orientation": orientation})
+
+
+@pytest.mark.parametrize("orientation", [-1, 1])
+def test_orientation_json_values(orientation):
+    curve = curve_from_json({"kind": "real_interval", "orientation": orientation})
+    assert curve.orientation == orientation
+
+
 # -- parametrization properties ---------------------------------------------
 
 finite = {"allow_nan": False, "allow_infinity": False}

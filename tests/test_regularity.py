@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvespec.curves import CornerGraph, Interval, Line, RealInterval, unit_circle_arc
-from curvespec.errors import CoincidentPointsError, ConfigError, OffCurveError
+from curvespec.errors import (
+    CoincidentPointsError,
+    ConfigError,
+    NumericalDomainError,
+    OffCurveError,
+)
 from curvespec.regularity import (
     ConfigurationTuple,
     db_profile,
@@ -46,6 +51,16 @@ def test_configuration_tuple_checks_curve_membership():
         ConfigurationTuple((0.0, 1.0 + 0.5j), RealInterval())
     cfg = ConfigurationTuple((0.0, 1.0), RealInterval())
     assert len(cfg) == 2
+
+
+@pytest.mark.parametrize("points", [(np.nan, 1.0), (0.0, complex(1, np.inf)),
+                                    (np.nan, np.nan)])
+@pytest.mark.parametrize("curve", [None, RealInterval()])
+def test_configuration_tuple_rejects_non_finite_points(points, curve):
+    with pytest.raises(NumericalDomainError, match="non-finite"):
+        ConfigurationTuple(points, curve)
+    with pytest.raises(NumericalDomainError, match="non-finite"):
+        divided_difference(np.conj, points, curve)
 
 
 def test_configuration_tuple_nonempty():
