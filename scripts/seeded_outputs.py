@@ -31,6 +31,10 @@ POLYLINE = {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}
 FRAME = {"n": 3, "entries": [[[1, 0], [1, 0], [0, 0]],
                              [[0, 0], [1, 0], [0, 1]],
                              [[0.5, 0], [0, 0], [1, 0]]]}
+# upper triangular, not normal, with eigenvalues 2, 0.5 and 1
+MATRIX = {"n": 3, "entries": [[[2, 0], [1, 0], [0, 0]],
+                              [[0, 0], [0.5, 0], [1, 0]],
+                              [[0, 0], [0, 0], [1, 0]]]}
 
 
 def _order_map(curve: dict) -> str:
@@ -75,6 +79,16 @@ COMMANDS = [
      "--map", _order_map(POLYLINE)],
     ["classify", "--curve", "circle-arc:0", "--n", "3", "--seed", "{seed}",
      "--map", _order_map({"kind": "circle_arc"})],
+    # the batch and per-matrix routes of the ordering map
+    ["check", "--curve", "real-line", "--n", "3", "--class", "semisimple",
+     "--seed", "{seed}", "--map", _order_map({"kind": "real_interval"})],
+    ["apply", "--map", _order_map({"kind": "real_interval"}),
+     "--matrix", json.dumps(MATRIX)],
+    # failures: a frame of the wrong size, an ordering curve off the spectra
+    ["check", "--curve", "real-line", "--n", "4", "--trials", "5", "--seed", "1",
+     "--map", json.dumps({"variant": "conj", "T": FRAME})],
+    ["check", "--curve", "circle-arc:0.5", "--n", "3", "--seed", "{seed}",
+     "--map", _order_map({"kind": "real_interval"})],
 ]
 
 

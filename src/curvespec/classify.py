@@ -30,15 +30,14 @@ from .errors import (
     ConfigError,
     MixedWitnessError,
     NumericalDomainError,
-    OffCurveError,
     ReconstructionError,
 )
 from .maps import OrderMap
 from .spectral import (
     BASIS_COND_LIMIT,
     MatrixClass,
+    _batch_eig,
     _curve_order,
-    _shortcut_rows,
     eigenflag,
     matrix_to_json,
     spectral_decompose,
@@ -126,25 +125,14 @@ def _eigenlines(FXs: np.ndarray, curve: Curve):
     """Unit eigenvectors in curve order of the leading rows of a (N, n, n)
     stack, and the exception raised on the next row, or None.
 
-    One stacked eig serves the rows that _shortcut_rows finds the
-    per-matrix decomposition would accept.  Ties along the curve break in
-    eigenvalue lex order, as in _curve_order.  Every other row goes
-    through eigenflag(spectral_decompose(...)) and raises as it does.
+    The batch route (spectral._batch_eig) serves the rows that the
+    per-matrix decomposition would accept, with their eigenvectors in
+    curve order.  Every other row goes through
+    eigenflag(spectral_decompose(...)) and raises as it does.
     """
-    w, V = np.linalg.eig(FXs)
-    fast, _ = _shortcut_rows(FXs, w, V)
+    fast, _, V, _ = _batch_eig(FXs, curve)
     lines = np.empty_like(FXs)
-    if fast.any():
-        wf = w[fast]
-        try:
-            params = curve.invert_array(wf.ravel()).reshape(wf.shape)
-        except OffCurveError:
-            # the per-matrix route reports the first row off the curve
-            fast[:] = False
-        else:
-            order = np.lexsort((wf.imag, wf.real, curve.orientation * params))
-            Vf = np.take_along_axis(V[fast], order[:, None, :], axis=2)
-            lines[fast] = Vf / np.linalg.norm(Vf, axis=1, keepdims=True)
+    lines[fast] = V[fast] / np.linalg.norm(V[fast], axis=1, keepdims=True)
     for i in np.flatnonzero(~fast):
         try:
             lines[i] = eigenflag(spectral_decompose(FXs[i]), curve).vectors
@@ -444,18 +432,13 @@ def subspace_image(bb: BlackBoxMap, V: np.ndarray) -> np.ndarray:
     if not 1 <= d <= n:
         raise ConfigError("subspace dimension out of range")
     curve = bb.domain.curve
-    params = _probe_params(curve, bb.domain.window, n)
-    order = np.argsort(curve.orientation * params, kind="stable")
-    values = curve.eval_array(params)
+    values = curve.eval_array(_probe_params(curve, bb.domain.window, n))
 
     # complete V to a unitary: QR of [V | I] keeps V's span in the lead columns
     Q, _ = np.linalg.qr(np.column_stack([V, np.eye(n, dtype=complex)]))
     basis = np.column_stack([V, Q[:, d:]])
-    # attach the d curve-lowest values to V's basis vectors
-    diag = np.empty(n, dtype=complex)
-    diag[: d] = values[order[:d]]
-    diag[d:] = values[order[d:]]
-    X = (basis * diag) @ basis.conj().T
+    # the values in curve order: the d curve-lowest go to V's basis vectors
+    X = (basis * values[curve.order(values)]) @ basis.conj().T
 
     FX = bb.apply(X)
     dec = spectral_decompose(FX)

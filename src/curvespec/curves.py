@@ -2,9 +2,9 @@
 
 A curve carries an injective parametrization ``t -> point``, an orientation
 sign, and a membership tolerance ``tol``.  Inverting the parametrization
-induces the order used everywhere else in the package: eigenvalue sorting,
-ordering maps, and the classifier all sort points by
-``orientation * invert_array(points)``.
+induces the order used everywhere else in the package, and ``Curve.order``
+is its one definition: eigenvalue sorting, ordering maps, the classifier
+and configuration tuples all sort points with it.
 
 The closed unit circle is special: it is the only kind without a global
 order, and order-dependent operations refuse it.
@@ -245,6 +245,18 @@ class Curve:
                 f"{self.kind} curve (tol {self.tol:.1e})"
             )
         return ts
+
+    def order(self, zs) -> np.ndarray:
+        """Indices that sort points along the oriented curve, on the last axis.
+
+        The key is ``orientation * invert_array(zs)``; points at the same
+        position come out in (real, imag) order.  Raises OffCurveError when
+        any point is off the curve.  On the closed circle this is the order
+        of the parametrization, which callers needing a global order refuse.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        key = self.orientation * self.invert_array(zs.ravel()).reshape(zs.shape)
+        return np.lexsort((zs.imag, zs.real, key), axis=-1)
 
     def distance(self, z: complex) -> float:
         return float(self._nearest(complex(z))[2][0])

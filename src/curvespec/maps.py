@@ -6,10 +6,11 @@ eigenspace chain, and the involution that conjugates every eigenvalue
 against its own spectral idempotents.  Compositions apply left to right.
 
 Every map has a vectorized apply_batch over (count, n, n) stacks that
-returns what apply returns row by row, and raises where apply raises.  The
-spectral maps take a batched eig shortcut on the rows that
-spectral._shortcut_rows finds the per-matrix decomposition would accept;
-every other row takes the per-matrix route and its guards.
+returns what apply returns row by row, and raises what apply raises on the
+first row where it raises.  The spectral maps take the batch route of
+spectral._batch_eig, one stacked eigensolve, on the rows that the
+per-matrix decomposition would accept; every other row takes the
+per-matrix route and its guards.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import numpy as np
 from .curves import Curve, curve_from_json, curve_to_json
 from .errors import ClosedCurveError, ConfigError
 from .spectral import (
-    _core_decompose,
-    _shortcut_rows,
+    _batch_eig,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
+    spectral_decompose,
 )
 
 __all__ = [
@@ -52,17 +53,17 @@ def rho(X, cluster_tol=None) -> np.ndarray:
     returns R^{-1} N R; an involution on semisimple matrices.  Raises
     DefectiveMatrixError when X has no decomposition at tolerance.
     """
-    core = _core_decompose(X, cluster_tol)
-    d = core.expanded()
+    dec = spectral_decompose(X, cluster_tol)
+    d = dec.expanded()
     # (B diag(conj d) Binv)^* with the diagonal's adjoint undoing the conjugation
-    return (core.basis_inv.conj().T * d[None, :]) @ core.basis.conj().T
+    return (dec.basis_inv.conj().T * d[None, :]) @ dec.basis.conj().T
 
 
 def eigen_conj(X, cluster_tol=None) -> np.ndarray:
     """Conjugate every eigenvalue, keep every spectral idempotent."""
-    core = _core_decompose(X, cluster_tol)
-    d = np.conj(core.expanded())
-    return (core.basis * d[None, :]) @ core.basis_inv
+    dec = spectral_decompose(X, cluster_tol)
+    d = np.conj(dec.expanded())
+    return (dec.basis * d[None, :]) @ dec.basis_inv
 
 
 def _frame_with_inverse(T) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +88,10 @@ class CanonicalMap:
 
 
 def _check_dim(X: np.ndarray, T: np.ndarray) -> None:
-    if X.shape[0] != T.shape[0]:
+    """Raise unless a matrix, or each matrix of a stack, matches the frame."""
+    if X.shape[-1] != T.shape[0]:
         raise ConfigError(
-            f"input dimension {X.shape[0]} does not match frame dimension {T.shape[0]}"
+            f"input dimension {X.shape[-1]} does not match frame dimension {T.shape[0]}"
         )
 
 
@@ -110,7 +112,9 @@ class Conj(CanonicalMap):
         return self.T @ X @ self._Tinv
 
     def apply_batch(self, Xs):
-        return self.T @ np.asarray(Xs, dtype=complex) @ self._Tinv
+        Xs = np.asarray(Xs, dtype=complex)
+        _check_dim(Xs, self.T)
+        return self.T @ Xs @ self._Tinv
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,7 @@ class TransposeConj(CanonicalMap):
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
+        _check_dim(Xs, self.T)
         return self.T @ Xs.transpose(0, 2, 1) @ self._Tinv
 
 
@@ -155,36 +160,22 @@ class OrderMap(CanonicalMap):
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "_Tinv", Tinv)
 
-    def _sorted_values(self, X) -> np.ndarray:
-        core = _core_decompose(X)
-        params = self.curve.invert_array(core.values)
-        order = np.argsort(self.curve.orientation * params, kind="stable")
-        return np.repeat(
-            core.values[order], np.asarray(core.multiplicities)[order]
-        )
-
     def apply(self, X):
         X = as_matrix(X)
         _check_dim(X, self.T)
-        d = self._sorted_values(X)
+        dec = spectral_decompose(X)
+        order = self.curve.order(dec.distinct_eigenvalues)
+        d = np.repeat(
+            dec.distinct_eigenvalues[order], np.asarray(dec.multiplicities)[order]
+        )
         return (self.T * d[None, :]) @ self._Tinv
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
-        _check_dim(Xs[0], self.T)
-        w = np.linalg.eigvals(Xs)
-        fast, _ = _shortcut_rows(Xs, w)
-        # rows that are not near normal may still pass the eigenvector guards
-        rest = np.flatnonzero(~fast)
-        w[rest], V = np.linalg.eig(Xs[rest])
-        fast[rest], _ = _shortcut_rows(Xs[rest], w[rest], V)
+        _check_dim(Xs, self.T)
+        fast, w, _, _ = _batch_eig(Xs, self.curve, vectors=False)
         out = np.empty_like(Xs)
-        if fast.any():
-            wf = w[fast]
-            params = self.curve.invert_array(wf.ravel()).reshape(wf.shape)
-            order = np.argsort(self.curve.orientation * params, axis=1, kind="stable")
-            d = np.take_along_axis(wf, order, axis=1)
-            out[fast] = (self.T * d[:, None, :]) @ self._Tinv
+        out[fast] = (self.T * w[fast][:, None, :]) @ self._Tinv
         for i in np.flatnonzero(~fast):
             out[i] = self.apply(Xs[i])
         return out
@@ -205,8 +196,7 @@ class Rho(CanonicalMap):
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
-        w, V = np.linalg.eig(Xs)
-        fast, Vinv = _shortcut_rows(Xs, w, V)
+        fast, w, V, Vinv = _batch_eig(Xs)
         out = np.empty_like(Xs)
         out[fast] = (
             Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]

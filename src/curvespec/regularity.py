@@ -87,9 +87,7 @@ class ConfigurationTuple:
         """Points ordered by curve parameter when a curve is attached."""
         if self.curve is None:
             return self.points
-        params = self.curve.invert_array(np.array(self.points))
-        order = np.argsort(self.curve.orientation * params, kind="stable")
-        return tuple(self.points[i] for i in order)
+        return tuple(self.points[i] for i in self.curve.order(self.points))
 
 
 def _call_f(f, pts: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Matrix domain: spectral decompositions, class tests, and curve-spectrum sampling.
 
-The decomposition routine clusters eigenvalues by single linkage, builds one
-idempotent per cluster, and refuses inputs that are defective beyond
-tolerance.  Normal inputs take a Schur path so their idempotents come out
-exactly Hermitian; everything else goes through an eigenvector basis guarded
-by condition-number and reconstruction checks.
+The decomposition routine clusters eigenvalues by single linkage, returns a
+diagonalizing basis from which one idempotent per cluster is derived, and
+refuses inputs that are defective beyond tolerance.  Normal inputs take a
+Schur path so their idempotents come out exactly Hermitian; everything else
+goes through an eigenvector basis guarded by condition-number and
+reconstruction checks.  The batch route (_batch_eig) runs one stacked
+eigensolve and admits only the rows this routine would accept.
 
 Samplers draw spectra from a parameter window on a curve and conjugate a
 Haar-unitary frame (optionally skewed by a well-conditioned S) around the
-diagonal.  Batch variants operate on (count, n, n) stacks throughout; the
-stacked LAPACK calls are what keeps large randomized checks affordable on a
-single core.
+diagonal; single samples and commuting pairs share one body.  Batch
+variants operate on (count, n, n) stacks throughout; the stacked LAPACK
+calls are what keeps large randomized checks affordable on a single core.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     ConfigError,
     DefectiveMatrixError,
     NumericalDomainError,
+    OffCurveError,
 )
 
 __all__ = [
@@ -112,7 +115,7 @@ def _is_normal(X: np.ndarray, norm_x: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# clustering and the decomposition core
+# clustering and the decomposition
 
 
 def _cluster_components(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -155,172 +158,23 @@ def _cluster_means(values: np.ndarray, clusters) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _CoreDecomp:
-    """Similarity X = B diag(expanded values) B^{-1} with contiguous clusters."""
-
-    values: np.ndarray
-    multiplicities: tuple
-    basis: np.ndarray
-    basis_inv: np.ndarray
-    unitary: bool
-    cluster_tol: float = 0.0
-
-    def expanded(self) -> np.ndarray:
-        return np.repeat(self.values, self.multiplicities)
-
-
-def _resolve_cluster_tol(cluster_tol, norm_x: float) -> float:
-    if cluster_tol is None:
-        return CLUSTER_RTOL * max(1.0, norm_x)
-    tol = float(cluster_tol)
-    if tol <= 0.0 or not np.isfinite(tol):
-        raise ConfigError(f"cluster_tol must be positive and finite, got {tol}")
-    return tol
-
-
-def _core_decompose(X: np.ndarray, cluster_tol=None) -> _CoreDecomp:
-    X = as_matrix(X)
-    norm_x = np.linalg.norm(X)
-    tol = _resolve_cluster_tol(cluster_tol, norm_x)
-
-    if _is_normal(X, norm_x):
-        out = _schur_core(X, tol, norm_x)
-        if out is not None:
-            return out
-        # fall through: the Schur route can lose the reconstruction guard
-        # for inputs sitting right on the normality threshold
-
-    w, V = np.linalg.eig(X)
-    clusters = _cluster_components(w, tol)
-    blocks = []
-    for cols in clusters:
-        block = V[:, cols]
-        if cols.size > 1:
-            u, s, _ = np.linalg.svd(block, full_matrices=False)
-            if s[-1] < RANK_RTOL * s[0]:
-                raise DefectiveMatrixError(
-                    f"eigenspace for clustered value {w[cols].mean():.6g} has "
-                    f"numerical rank below multiplicity {cols.size}"
-                )
-            block = u
-        blocks.append(block)
-    B = np.hstack(blocks)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > BASIS_COND_LIMIT:
-        raise DefectiveMatrixError(
-            f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
-        )
-    Binv = np.linalg.inv(B)
-    values = _cluster_means(w, clusters)
-    mults = tuple(int(c.size) for c in clusters)
-    core = _CoreDecomp(values, mults, B, Binv, unitary=False, cluster_tol=tol)
-    recon = (B * core.expanded()[None, :]) @ Binv
-    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
-        raise DefectiveMatrixError(
-            "diagonalization fails to reconstruct the input at tolerance"
-        )
-    return core
-
-
-def _no_sort(x):
-    """zgees's eigenvalue-selection callback; unused, as nothing is sorted."""
-    return None
-
-
-@functools.cache
-def _zgees_lwork(n: int) -> int:
-    """zgees's optimal workspace size, which depends on n alone."""
-    from scipy.linalg.lapack import zgees
-    return int(zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
-
-
-def _schur(X: np.ndarray):
-    """Complex Schur form (T, Z) of X, as scipy.linalg.schur(X, output="complex").
-
-    Calls LAPACK zgees once, with the workspace size queried once per n,
-    where scipy.linalg.schur queries it on every call.
-    """
-    # deferred, so that importing the package stays scipy-free
-    from scipy.linalg.lapack import zgees
-    T, _, _, Z, _, info = zgees(_no_sort, X, lwork=_zgees_lwork(X.shape[0]))
-    if info != 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return T, Z
-
-
-def _schur_core(X: np.ndarray, tol: float, norm_x: float):
-    T, Z = _schur(X)
-    d = np.diag(T)
-    clusters = _cluster_components(d, tol)
-    perm = np.concatenate(clusters)
-    B = Z[:, perm]
-    values = _cluster_means(d, clusters)
-    mults = tuple(int(c.size) for c in clusters)
-    core = _CoreDecomp(values, mults, B, B.conj().T, unitary=True, cluster_tol=tol)
-    recon = (B * core.expanded()[None, :]) @ B.conj().T
-    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
-        return None
-    return core
-
-
-def _min_row_gap(w: np.ndarray) -> np.ndarray:
-    """Per-row minimum pairwise eigenvalue distance for a (N, n) stack."""
-    D = np.abs(w[:, :, None] - w[:, None, :])
-    n = w.shape[1]
-    D[:, np.arange(n), np.arange(n)] = np.inf
-    return D.min(axis=(1, 2))
-
-
-def _shortcut_rows(Xs: np.ndarray, w: np.ndarray, V=None):
-    """Rows of a (N, n, n) stack on which _core_decompose would succeed.
-
-    A row qualifies when its eigenvalues w are pairwise farther apart than
-    the default cluster tolerance and it passes the guard of a route of
-    _core_decompose: either ||X||_F^2 - sum |l_i|^2, which for a simple
-    spectrum is the squared residual of the Schur route, is within the
-    reconstruction tolerance, or, given the eigenvectors V, V passes the
-    basis-condition and reconstruction guards.  Other rows must take the
-    per-matrix route, which raises where its guards fail.
-
-    Returns the row mask and, given V, its inverses on the qualifying rows.
-    """
-    norms = np.linalg.norm(Xs, axis=(1, 2))
-    ok = _min_row_gap(w) > CLUSTER_RTOL * np.maximum(1.0, norms)
-    departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
-    near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
-    if V is None:
-        return ok & near_normal, None
-    guarded = np.flatnonzero(ok & ~near_normal)
-    sv = np.linalg.svd(V[guarded], compute_uv=False)
-    with np.errstate(divide="ignore"):
-        ok[guarded] = sv[:, 0] / sv[:, -1] <= BASIS_COND_LIMIT
-    Vinv = np.empty_like(V)
-    Vinv[ok] = np.linalg.inv(V[ok])
-    guarded = guarded[ok[guarded]]
-    recon = (V[guarded] * w[guarded][:, None, :]) @ Vinv[guarded]
-    err = np.linalg.norm(recon - Xs[guarded], axis=(1, 2))
-    ok[guarded] = err <= RECONSTRUCTION_RTOL * np.maximum(norms[guarded], 1e-300)
-    return ok, Vinv
-
-
-# ---------------------------------------------------------------------------
-# public decomposition
-
-
-@dataclass(eq=False)
 class SpectralDecomposition:
-    """Clustered eigenvalues with their spectral idempotents.
+    """Clustered eigenvalues of X and a basis that diagonalizes X.
 
-    The idempotents resolve the identity, annihilate each other pairwise,
-    and weighted by the eigenvalues reconstruct the decomposed matrix.
-    is_orthogonal marks the Hermitian-projector case of a normal input.
+    X = basis diag(expanded()) basis_inv, with each cluster's columns
+    contiguous; unitary marks the Schur route, whose basis_inv is the
+    adjoint of its basis.  The spectral idempotents are derived on first
+    use: they resolve the identity, annihilate each other pairwise, and
+    weighted by the eigenvalues reconstruct X.  is_orthogonal marks the
+    Hermitian-projector case of a normal input.
     """
 
     distinct_eigenvalues: np.ndarray
     multiplicities: tuple
-    idempotents: np.ndarray
+    basis: np.ndarray
+    basis_inv: np.ndarray
+    unitary: bool
     cluster_tol: float
-    is_orthogonal: bool
 
     @property
     def n(self) -> int:
@@ -329,6 +183,25 @@ class SpectralDecomposition:
     @property
     def num_clusters(self) -> int:
         return len(self.multiplicities)
+
+    def expanded(self) -> np.ndarray:
+        """Every eigenvalue, repeated by its multiplicity, in basis order."""
+        return np.repeat(self.distinct_eigenvalues, self.multiplicities)
+
+    @functools.cached_property
+    def idempotents(self) -> np.ndarray:
+        ends = np.cumsum(self.multiplicities)
+        return np.array([
+            self.basis[:, a:b] @ self.basis_inv[a:b, :]
+            for a, b in zip(ends - self.multiplicities, ends)
+        ])
+
+    @functools.cached_property
+    def is_orthogonal(self) -> bool:
+        return self.unitary or all(
+            np.linalg.norm(p - p.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(p))
+            for p in self.idempotents
+        )
 
     def reconstruct(self) -> np.ndarray:
         return np.tensordot(self.distinct_eigenvalues, self.idempotents, axes=1)
@@ -375,6 +248,15 @@ class SpectralDecomposition:
                 )
 
 
+def _resolve_cluster_tol(cluster_tol, norm_x: float) -> float:
+    if cluster_tol is None:
+        return CLUSTER_RTOL * max(1.0, norm_x)
+    tol = float(cluster_tol)
+    if tol <= 0.0 or not np.isfinite(tol):
+        raise ConfigError(f"cluster_tol must be positive and finite, got {tol}")
+    return tol
+
+
 def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     """Spectral decomposition of a semisimple-at-tolerance matrix.
 
@@ -383,27 +265,151 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     DefectiveMatrixError when no adequately conditioned diagonalization
     exists.
     """
-    core = _core_decompose(X, cluster_tol)
-    offsets = np.concatenate([[0], np.cumsum(core.multiplicities)])
-    idem = []
-    for k in range(len(core.multiplicities)):
-        sl = slice(offsets[k], offsets[k + 1])
-        idem.append(core.basis[:, sl] @ core.basis_inv[sl, :])
-    idem = np.array(idem)
-    if core.unitary:
-        orthogonal = True
-    else:
-        orthogonal = all(
-            np.linalg.norm(p - p.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(p))
-            for p in idem
+    X = as_matrix(X)
+    norm_x = np.linalg.norm(X)
+    tol = _resolve_cluster_tol(cluster_tol, norm_x)
+
+    if _is_normal(X, norm_x):
+        out = _schur_decompose(X, tol, norm_x)
+        if out is not None:
+            return out
+        # fall through: the Schur route can lose the reconstruction guard
+        # for inputs sitting right on the normality threshold
+
+    w, V = np.linalg.eig(X)
+    clusters = _cluster_components(w, tol)
+    blocks = []
+    for cols in clusters:
+        block = V[:, cols]
+        if cols.size > 1:
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            if s[-1] < RANK_RTOL * s[0]:
+                raise DefectiveMatrixError(
+                    f"eigenspace for clustered value {w[cols].mean():.6g} has "
+                    f"numerical rank below multiplicity {cols.size}"
+                )
+            block = u
+        blocks.append(block)
+    B = np.hstack(blocks)
+    sv = np.linalg.svd(B, compute_uv=False)
+    if sv[-1] == 0.0 or sv[0] / sv[-1] > BASIS_COND_LIMIT:
+        raise DefectiveMatrixError(
+            f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
         )
-    return SpectralDecomposition(
-        distinct_eigenvalues=core.values,
-        multiplicities=core.multiplicities,
-        idempotents=idem,
-        cluster_tol=core.cluster_tol,
-        is_orthogonal=orthogonal,
+    Binv = np.linalg.inv(B)
+    values = _cluster_means(w, clusters)
+    mults = tuple(int(c.size) for c in clusters)
+    dec = SpectralDecomposition(values, mults, B, Binv, unitary=False, cluster_tol=tol)
+    recon = (B * dec.expanded()[None, :]) @ Binv
+    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
+        raise DefectiveMatrixError(
+            "diagonalization fails to reconstruct the input at tolerance"
+        )
+    return dec
+
+
+def _no_sort(x):
+    """zgees's eigenvalue-selection callback; unused, as nothing is sorted."""
+    return None
+
+
+@functools.cache
+def _zgees_lwork(n: int) -> int:
+    """zgees's optimal workspace size, which depends on n alone."""
+    from scipy.linalg.lapack import zgees
+    return int(zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
+
+
+def _schur(X: np.ndarray):
+    """Complex Schur form (T, Z) of X, as scipy.linalg.schur(X, output="complex").
+
+    Calls LAPACK zgees once, with the workspace size queried once per n,
+    where scipy.linalg.schur queries it on every call.
+    """
+    # deferred, so that importing the package stays scipy-free
+    from scipy.linalg.lapack import zgees
+    T, _, _, Z, _, info = zgees(_no_sort, X, lwork=_zgees_lwork(X.shape[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z
+
+
+def _schur_decompose(X: np.ndarray, tol: float, norm_x: float):
+    T, Z = _schur(X)
+    d = np.diag(T)
+    clusters = _cluster_components(d, tol)
+    perm = np.concatenate(clusters)
+    B = Z[:, perm]
+    values = _cluster_means(d, clusters)
+    mults = tuple(int(c.size) for c in clusters)
+    dec = SpectralDecomposition(
+        values, mults, B, B.conj().T, unitary=True, cluster_tol=tol
     )
+    recon = (B * dec.expanded()[None, :]) @ B.conj().T
+    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
+        return None
+    return dec
+
+
+def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True):
+    """The batch route of the spectral maps: one stacked eigensolve over a
+    (N, n, n) stack, and the rows on which spectral_decompose would succeed.
+
+    A row is fast when its eigenvalues w are pairwise farther apart than
+    the default cluster tolerance and it passes the guard of a route of
+    spectral_decompose: either ||X||_F^2 - sum |l_i|^2, which for a simple
+    spectrum is the squared residual of the Schur route, is within the
+    reconstruction tolerance, or its eigenvectors V pass the
+    basis-condition and reconstruction guards.  Without vectors, eigvals
+    serves every row, and eig only the rows the first guard turns away.
+
+    Given a curve, the eigenvalues and eigenvectors of each fast row come
+    in curve order (Curve.order).  When any fast row is off the curve, no
+    row is fast.  The caller sends every other row to the per-matrix route,
+    which raises at the first row its guards fail.
+
+    Returns (fast, w, V, Vinv): the row mask and the eigenvalues, and with
+    vectors the eigenvectors and their inverses on the fast rows.
+    """
+    n = Xs.shape[-1]
+    norms = np.linalg.norm(Xs, axis=(1, 2))
+    if vectors:
+        w, V = np.linalg.eig(Xs)
+    else:
+        w, V = np.linalg.eigvals(Xs), None
+    D = np.abs(w[:, :, None] - w[:, None, :])
+    D[:, np.arange(n), np.arange(n)] = np.inf
+    fast = D.min(axis=(1, 2)) > CLUSTER_RTOL * np.maximum(1.0, norms)
+    departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
+    near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
+    Vinv = None
+    if V is None:
+        fast &= near_normal
+        # the other rows may still pass the eigenvector guards
+        rest = np.flatnonzero(~fast)
+        fast[rest], w[rest] = _batch_eig(Xs[rest])[:2]
+    else:
+        guarded = np.flatnonzero(fast & ~near_normal)
+        sv = np.linalg.svd(V[guarded], compute_uv=False)
+        with np.errstate(divide="ignore"):
+            fast[guarded] = sv[:, 0] / sv[:, -1] <= BASIS_COND_LIMIT
+        Vinv = np.empty_like(V)
+        Vinv[fast] = np.linalg.inv(V[fast])
+        guarded = guarded[fast[guarded]]
+        recon = (V[guarded] * w[guarded][:, None, :]) @ Vinv[guarded]
+        err = np.linalg.norm(recon - Xs[guarded], axis=(1, 2))
+        fast[guarded] = err <= RECONSTRUCTION_RTOL * np.maximum(norms[guarded], 1e-300)
+    if curve is not None and fast.any():
+        try:
+            order = curve.order(w[fast])
+        except OffCurveError:
+            fast[:] = False
+        else:
+            w[fast] = np.take_along_axis(w[fast], order, axis=1)
+            if V is not None:
+                V[fast] = np.take_along_axis(V[fast], order[:, None, :], axis=2)
+                Vinv[fast] = np.take_along_axis(Vinv[fast], order[:, :, None], axis=1)
+    return fast, w, V, Vinv
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +499,30 @@ def _skew_frames(
     return S, np.linalg.inv(S)
 
 
+def _sample_spectra(
+    curve: Curve,
+    n: int,
+    matrix_class: MatrixClass,
+    rng: np.random.Generator,
+    window: Interval | None,
+    count: int,
+    k: int,
+) -> list:
+    """k stacks of count samples with spectra on the curve, where the i-th
+    samples of all k stacks share one eigenframe (so they commute)."""
+    if not (MIN_DIM <= n <= MAX_DIM):
+        raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
+    window = _resolve_window(curve, window)
+    ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
+    lams = [curve.eval_array(t.ravel()).reshape(count, n) for t in ts]
+    Q = _random_unitaries(n, count, rng)
+    stacks = [_conjugate_diag(Q, lam) for lam in lams]
+    if matrix_class is MatrixClass.NORMAL:
+        return stacks
+    S, Sinv = _skew_frames(n, count, rng)
+    return [S @ N @ Sinv for N in stacks]
+
+
 def sample_batch(
     curve: Curve,
     n: int,
@@ -502,17 +532,7 @@ def sample_batch(
     count: int = 1,
 ) -> np.ndarray:
     """Stack of count independent samples with spectrum on the curve."""
-    if not (MIN_DIM <= n <= MAX_DIM):
-        raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
-    window = _resolve_window(curve, window)
-    t = _draw_params(window, (count, n), rng)
-    lam = curve.eval_array(t.ravel()).reshape(count, n)
-    Q = _random_unitaries(n, count, rng)
-    N = _conjugate_diag(Q, lam)
-    if matrix_class is MatrixClass.NORMAL:
-        return N
-    S, Sinv = _skew_frames(n, count, rng)
-    return S @ N @ Sinv
+    return _sample_spectra(curve, n, matrix_class, rng, window, count, 1)[0]
 
 
 def sample(
@@ -535,20 +555,7 @@ def sample_commuting_pair_batch(
     count: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
-    if not (MIN_DIM <= n <= MAX_DIM):
-        raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
-    window = _resolve_window(curve, window)
-    tx = _draw_params(window, (count, n), rng)
-    ty = _draw_params(window, (count, n), rng)
-    lam_x = curve.eval_array(tx.ravel()).reshape(count, n)
-    lam_y = curve.eval_array(ty.ravel()).reshape(count, n)
-    Q = _random_unitaries(n, count, rng)
-    X = _conjugate_diag(Q, lam_x)
-    Y = _conjugate_diag(Q, lam_y)
-    if matrix_class is MatrixClass.NORMAL:
-        return X, Y
-    S, Sinv = _skew_frames(n, count, rng)
-    return S @ X @ Sinv, S @ Y @ Sinv
+    return tuple(_sample_spectra(curve, n, matrix_class, rng, window, count, 2))
 
 
 def sample_commuting_pair(
@@ -570,10 +577,7 @@ def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     """Cluster indices sorted along the oriented curve."""
     if curve.domain is None:
         raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
-    params = curve.invert_array(dec.distinct_eigenvalues)
-    key = curve.orientation * params
-    # stable sort: curve position first, original cluster index breaks ties
-    return np.argsort(key, kind="stable")
+    return curve.order(dec.distinct_eigenvalues)
 
 
 @dataclass(eq=False)

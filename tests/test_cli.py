@@ -61,6 +61,12 @@ class TestParseCurve:
      "--matrix", '{"n": 1e999, "entries": []}'],
     ["check", "--curve", "real-line", "--n", "3", "--trials", "5", "--seed", "1",
      "--map", '{"variant": "conj", "T": {"n": 1e999, "entries": []}}'],
+    # a 3x3 frame for --n 4, in every framed map
+    *[["check", "--curve", "real-line", "--n", "4", "--trials", "5", "--seed", "1",
+       "--map", json.dumps({"variant": variant, "T": matrix_to_json(np.eye(3)),
+                            **extra})]
+      for variant, extra in (("conj", {}), ("transpose_conj", {}),
+                             ("order", {"curve": {"kind": "real_interval"}}))],
     # a tolerance that is not finite and positive
     *[["check", "--curve", "real-line", "--n", "3", "--trials", "5", "--seed", "1",
        "--map", RHO_JSON, "--tol", tol] for tol in ("nan", "inf", "-1", "0")],

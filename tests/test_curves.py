@@ -293,12 +293,12 @@ def test_cmp_is_a_total_order(curve, us):
         return
     zs = [curve.eval(t) for t in ts]
     pos = _position(curve, zs)
-    # Points sort along the orientation, by the stable sort OrderMap uses.
+    # Points sort along the orientation, by the order OrderMap uses.
     forward = [0, 1, 2] if curve.orientation > 0 else [2, 1, 0]
     assert list(np.argsort(pos, kind="stable")) == forward
+    assert list(curve.order(zs)) == forward
     # Reversal flips the order.
-    back = _position(curve.reversed(), zs)
-    assert list(np.argsort(back, kind="stable")) == forward[::-1]
+    assert list(curve.reversed().order(zs)) == forward[::-1]
 
 
 @settings(deadline=None, max_examples=100)
@@ -310,6 +310,64 @@ def test_cmp_equal_on_identical_points(curve, u):
     # A point and its round trip through invert and eval share a position.
     p = _position(curve, [z, curve.eval(curve.invert(z))])
     assert abs(p[0] - p[1]) <= curve.tol * max(1.0, abs(p[0]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    curve=CURVE_STRATEGY,
+    us=st.lists(st.floats(0, 1, **finite), min_size=1, max_size=6),
+    perm_seed=st.integers(0, 2**31 - 1),
+)
+def test_order_is_the_stable_sort_by_position(curve, us, perm_seed):
+    ts = np.array([_bounded_param(curve, u) for u in us])
+    # distinct parameters, separated so that rounding cannot blur the order
+    if ts.size > 1 and np.min(np.diff(np.sort(ts))) < 1e-6:
+        return
+    zs = curve.eval_array(ts)
+    expected = np.argsort(_position(curve, zs), kind="stable")
+    assert list(curve.order(zs)) == list(expected)
+    # a stack sorts row by row
+    stack = np.stack([zs, zs[np.random.default_rng(perm_seed).permutation(zs.size)]])
+    got = curve.order(stack)
+    assert got.shape == stack.shape
+    for row, idx in zip(stack, got):
+        assert list(idx) == list(curve.order(row))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    orientation=st.sampled_from([1, -1]),
+    tied=st.lists(
+        st.tuples(st.floats(-5e-3, 0, **finite), st.floats(-5e-3, 5e-3, **finite)),
+        min_size=2,
+        max_size=6,
+    ),
+    inside=st.lists(st.floats(0.01, 1, **finite), max_size=3),
+)
+def test_order_breaks_exact_ties_in_real_imag_order(orientation, tied, inside):
+    # every tied point projects onto the endpoint 0 of [0, 1], within tol
+    curve = RealInterval(Interval(0.0, 1.0), orientation=orientation, tol=1e-2)
+    zs = np.array([complex(x, y) for x, y in tied] + [complex(x) for x in inside])
+    params = [0.0] * len(tied) + inside
+    expected = sorted(
+        range(zs.size), key=lambda i: (orientation * params[i], zs[i].real, zs[i].imag)
+    )
+    assert list(curve.order(zs)) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    curve=CURVE_STRATEGY,
+    u=st.floats(0, 1, **finite),
+    off=st.complex_numbers(min_magnitude=0.5, max_magnitude=5, **finite),
+)
+def test_order_rejects_off_curve_points(curve, u, off):
+    z = curve.eval(_bounded_param(curve, u))
+    assume(curve.distance(z + off) > curve.tol)
+    with pytest.raises(OffCurveError):
+        curve.order([z, z + off])
+    with pytest.raises(OffCurveError):
+        curve.order([[z, z], [z + off, z]])
 
 
 def test_invert_array_matches_scalar():

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from curvespec.curves import Interval, UnitCircleClosed, real_line, unit_circle_arc
+from curvespec.curves import (
+    Interval,
+    RealInterval,
+    UnitCircleClosed,
+    real_line,
+    unit_circle_arc,
+)
 from curvespec.errors import (
     ClosedCurveError,
     ConfigError,
@@ -200,6 +206,14 @@ def test_dimension_mismatch_rejected():
         cj.apply(np.eye(3))
 
 
+@pytest.mark.parametrize("k", range(3))
+def test_batch_dimension_mismatch_rejected(k):
+    m = _variant_pool(np.random.default_rng(k), n=2)[k]
+    for Xs in (np.zeros((4, 3, 3)), np.zeros((0, 3, 3))):
+        with pytest.raises(ConfigError, match="frame dimension 2"):
+            m.apply_batch(Xs)
+
+
 def test_compose_left_to_right():
     rng = np.random.default_rng(3)
     T = _random_frame(3, rng, 0.5)
@@ -244,15 +258,23 @@ def test_compose_helper_unwraps_singleton():
     assert isinstance(m, Rho)
 
 
-def _variant_pool(rng, n=3):
+def _variant_pool(rng, n=3, curve=None):
+    curve = real_line() if curve is None else curve
     T = _random_frame(n, rng, 0.4)
     return [
         Conj(T),
         TransposeConj(T),
-        OrderMap(real_line(), T),
+        OrderMap(curve, T),
         Rho(),
-        Compose((OrderMap(real_line(), T), Rho(), Conj(T))),
+        Compose((OrderMap(curve, T), Rho(), Conj(T))),
     ]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_apply_batch_accepts_an_empty_stack(k):
+    m = _variant_pool(np.random.default_rng(300 + k))[k]
+    out = m.apply_batch(np.empty((0, 3, 3), dtype=complex))
+    assert out.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -305,6 +327,51 @@ def test_apply_and_apply_batch_agree_or_raise_alike(seed, n, near_jordan, log_a,
         else:
             rel = np.linalg.norm(one - bat) / np.linalg.norm(one)
             assert rel <= 1e-9, (type(m).__name__, rel)
+
+
+def _tied_stack(count=40):
+    """Normal matrices whose eigenvalues 0.5 + 1e-4i and 0.5 - 1e-4i sit at
+    one position on a real interval of tol 1e-3."""
+    rng = np.random.default_rng(0)
+    lam = np.diag([0.5 + 1e-4j, 0.5 - 1e-4j, 0.2])
+    return np.array([Q @ lam @ Q.conj().T
+                     for Q in (random_unitary(3, rng) for _ in range(count))])
+
+
+_OFF_CURVE = np.diag([0.3 + 0.5j, 0.1, 0.7])
+# (curve of the ordering maps, stack)
+_STACKS = {
+    "defective_then_off_curve": (real_line(), np.array([
+        [[0.2, 1.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.7]], _OFF_CURVE])),
+    "scaled_off_curve_rows": (real_line(), np.array([0.5 * _OFF_CURVE, _OFF_CURVE])),
+    "tied_positions": (RealInterval(tol=1e-3), _tied_stack()),
+}
+
+
+def _outcome_or_error(f, X):
+    try:
+        return f(X)
+    except Exception as exc:  # the error itself is the outcome compared
+        return exc
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS))
+def test_multi_row_apply_batch_agrees_or_raises_like_the_first_failing_row(name):
+    curve, Xs = _STACKS[name]
+    Xs = Xs.astype(complex)
+    for m in _variant_pool(np.random.default_rng(7), curve=curve):
+        bat = _outcome_or_error(m.apply_batch, Xs)
+        for X in Xs:
+            one = _outcome_or_error(m.apply, X)
+            if isinstance(one, Exception):
+                assert type(bat) is type(one), (type(m).__name__, bat, one)
+                assert str(bat) == str(one), type(m).__name__
+                break
+        else:
+            assert not isinstance(bat, Exception), (type(m).__name__, bat)
+            seq = np.array([m.apply(X) for X in Xs])
+            rel = np.linalg.norm(seq - bat, axis=(1, 2)) / np.linalg.norm(seq, axis=(1, 2))
+            assert rel.max() <= 1e-9, (type(m).__name__, rel.max())
 
 
 def test_apply_batch_handles_repeated_eigenvalues():

@@ -67,6 +67,21 @@ def test_diagonal_with_repeated_eigenvalue():
     assert_allclose(by_val[5], np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("cls", [MatrixClass.NORMAL, MatrixClass.SEMISIMPLE])
+def test_decomposition_carries_its_basis(cls):
+    X = sample(real_line(), 4, cls, np.random.default_rng(12))
+    dec = spectral_decompose(X)
+    B, Binv = dec.basis, dec.basis_inv
+    assert dec.unitary == (cls is MatrixClass.NORMAL)
+    assert_allclose((B * dec.expanded()) @ Binv, X, atol=1e-10)
+    # one idempotent per cluster from the basis columns, derived once
+    ends = np.cumsum(dec.multiplicities)
+    for P, a, b in zip(dec.idempotents, ends - dec.multiplicities, ends):
+        assert P.tobytes() == (B[:, a:b] @ Binv[a:b, :]).tobytes()
+    assert dec.idempotents is dec.idempotents
+    assert dec.is_orthogonal == (cls is MatrixClass.NORMAL)
+
+
 def test_nilpotent_jordan_block_is_defective():
     with pytest.raises(DefectiveMatrixError):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
