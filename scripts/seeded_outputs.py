@@ -12,7 +12,8 @@ the printed lines agree:
     PYTHONPATH=new/src python3 scripts/seeded_outputs.py > new.txt
     diff old.txt new.txt
 
-The external map program is this checkout's tests/transpose_map.py.
+The external map programs are this checkout's tests/transpose_map.py and
+tests/planted_map.py.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ SEEDS = (1, 2, 7)
 
 RHO = '{"variant": "rho"}'
 TRANSPOSE = shlex.join([sys.executable, "tests/transpose_map.py"])
+SHIFT, FLIP = (shlex.join([sys.executable, "tests/planted_map.py", mode])
+               for mode in ("shift", "flip"))
 POLYLINE = {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}
 FRAME = {"n": 3, "entries": [[[1, 0], [1, 0], [0, 0]],
                              [[0, 0], [1, 0], [0, 1]],
@@ -89,6 +92,10 @@ COMMANDS = [
      "--map", json.dumps({"variant": "conj", "T": FRAME})],
     ["check", "--curve", "circle-arc:0.5", "--n", "3", "--seed", "{seed}",
      "--map", _order_map({"kind": "real_interval"})],
+    # planted non-preservers: a spectrum and a commutativity counterexample,
+    # and the classifier's unknown from a failed holdout and from a witness
+    *[[cmd, "--curve", "real-line", "--n", "3", "--seed", "{seed}",
+       "--map-cmd", prog] for prog in (SHIFT, FLIP) for cmd in ("check", "classify")],
 ]
 
 

@@ -5,7 +5,8 @@ arbitrary matrix map and tests spectrum preservation and commutativity
 preservation at relative tolerances with absolute floors.  Maps that carry
 a vectorized apply_batch are driven in stacked chunks, which is what makes
 the large canonical-map sweeps affordable; opaque callables are applied one
-matrix at a time inside the same pipeline.
+matrix at a time inside the same pipeline.  Both properties share one
+chunk loop (_first_violation).
 
 continuity_probe estimates a modulus of continuity along a matrix path and
 raises a heuristic discontinuity flag when the output oscillation refuses
@@ -30,18 +31,17 @@ import numpy as np
 from .curves import Curve, Interval, curve_to_json
 from .errors import ConfigError, MapProtocolError
 from .maps import rho
-from .regularity import RegularityProfile, db_profile, dc_probe
+from .regularity import DB_SCALES, DC_SCALES, RegularityProfile, db_profile, dc_probe
 from .spectral import (
     MatrixClass,
     _batch_greedy_match_max,
-    _matchable,
+    _bottleneck,
     as_matrix,
     default_window,
     matrix_from_json,
     matrix_to_json,
     sample_batch,
     sample_commuting_pair_batch,
-    spectral_bottleneck_distance,
 )
 
 __all__ = [
@@ -262,6 +262,18 @@ class PreserverVerdict:
         }
 
 
+def _first_violation(trials: int, run) -> Counterexample | None:
+    """The first counterexample run(start, count, judge) returns over the
+    chunks of trials.  Every chunk is run, so that the draws and map calls
+    do not depend on the verdict; judge is False once one is found."""
+    found = None
+    for start in range(0, trials, _CHUNK):
+        bad = run(start, min(_CHUNK, trials - start), found is None)
+        if found is None:
+            found = bad
+    return found
+
+
 def check_cs(
     bb: BlackBoxMap, trials: int, tol: float = 1e-6, rng=None
 ) -> PreserverVerdict:
@@ -271,7 +283,8 @@ def check_cs(
     max(1e-12, tol * ||X||) on `trials` single samples.  Commutativity:
     images of exactly-commuting pairs must have commutator norm at most
     max(1e-12, tol * ||im X|| * ||im Y||) on `trials` constructed pairs.
-    The first violation in trial order is recorded.
+    The first violation in trial order is recorded, with its magnitude
+    computed from the eigenvalues or commutator that judged it.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -280,69 +293,48 @@ def check_cs(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    spectrum_bad = None  # (trial, X, FX, magnitude, tol)
-    done = 0
-    while done < trials:
-        cnt = min(_CHUNK, trials - done)
+    def spectrum(start, cnt, judge):
         Xs = bb.domain.sample_batch(rng, cnt)
         FXs = bb.apply_batch(Xs)
-        if spectrum_bad is None:
-            wx = np.linalg.eigvals(Xs)
-            wy = np.linalg.eigvals(FXs)
-            tols = np.maximum(1e-12, tol * np.linalg.norm(Xs, axis=(1, 2)))
-            D = np.abs(wx[:, :, None] - wy[:, None, :])
-            suspect = _batch_greedy_match_max(D) > tols
-            for i in np.flatnonzero(suspect):
-                if not _matchable(D[i], tols[i]):
-                    spectrum_bad = (
-                        done + int(i),
-                        Xs[i],
-                        FXs[i],
-                        spectral_bottleneck_distance(Xs[i], FXs[i]),
-                        float(tols[i]),
-                    )
-                    break
-        done += cnt
+        if not judge:
+            return None
+        wx = np.linalg.eigvals(Xs)
+        wy = np.linalg.eigvals(FXs)
+        tols = np.maximum(1e-12, tol * np.linalg.norm(Xs, axis=(1, 2)))
+        D = np.abs(wx[:, :, None] - wy[:, None, :])
+        # the greedy maxima bound the bottleneck distances from above
+        for i in np.flatnonzero(_batch_greedy_match_max(D) > tols):
+            gap = _bottleneck(D[i])
+            if gap > tols[i]:
+                return Counterexample("spectrum", start + int(i), (Xs[i],),
+                                      (FXs[i],), gap, float(tols[i]))
+        return None
 
-    comm_bad = None
-    done = 0
-    while done < trials:
-        cnt = min(_CHUNK, trials - done)
+    def commutativity(start, cnt, judge):
         Xs, Ys = bb.domain.sample_pair_batch(rng, cnt)
         FXs = bb.apply_batch(Xs)
         FYs = bb.apply_batch(Ys)
-        if comm_bad is None:
-            comm = np.linalg.norm(FXs @ FYs - FYs @ FXs, axis=(1, 2))
-            tols = np.maximum(
-                1e-12,
-                tol
-                * np.linalg.norm(FXs, axis=(1, 2))
-                * np.linalg.norm(FYs, axis=(1, 2)),
-            )
-            bad = comm > tols
-            if bad.any():
-                i = int(np.argmax(bad))
-                comm_bad = (
-                    done + i,
-                    (Xs[i], Ys[i]),
-                    (FXs[i], FYs[i]),
-                    float(comm[i]),
-                    float(tols[i]),
-                )
-        done += cnt
+        if not judge:
+            return None
+        comm = np.linalg.norm(FXs @ FYs - FYs @ FXs, axis=(1, 2))
+        tols = np.maximum(
+            1e-12,
+            tol * np.linalg.norm(FXs, axis=(1, 2)) * np.linalg.norm(FYs, axis=(1, 2)),
+        )
+        bad = np.flatnonzero(comm > tols)
+        if bad.size == 0:
+            return None
+        i = int(bad[0])
+        return Counterexample("commutativity", start + i, (Xs[i], Ys[i]),
+                              (FXs[i], FYs[i]), float(comm[i]), float(tols[i]))
 
-    counter = None
-    if spectrum_bad is not None:
-        t, X, FX, mag, tolv = spectrum_bad
-        counter = Counterexample("spectrum", t, (X,), (FX,), mag, tolv)
-    elif comm_bad is not None:
-        t, ins, outs, mag, tolv = comm_bad
-        counter = Counterexample("commutativity", t, ins, outs, mag, tolv)
+    spectrum_bad = _first_violation(trials, spectrum)
+    comm_bad = _first_violation(trials, commutativity)
     return PreserverVerdict(
         spectrum_ok=spectrum_bad is None,
         commutativity_ok=comm_bad is None,
         trials=trials,
-        counterexample=counter,
+        counterexample=spectrum_bad or comm_bad,
     )
 
 
@@ -554,8 +546,8 @@ def rho_continuity_experiment(
     if rng is None:
         rng = np.random.default_rng(0)
     center = curve.eval(float(corner_param))
-    db_scales = tuple(scales) if scales is not None else (1e-1, 1e-2, 1e-3, 1e-4)
-    dc_scales = tuple(scales) if scales is not None else (1e-2, 1e-3, 1e-4, 1e-5)
+    db_scales = tuple(scales) if scales is not None else DB_SCALES
+    dc_scales = tuple(scales) if scales is not None else DC_SCALES
     db = db_profile(curve, np.conj, n, center, scales=db_scales, rng=rng)
     dc = dc_probe(curve, np.conj, n, center, scales=dc_scales, rng=rng)
 

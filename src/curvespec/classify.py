@@ -11,9 +11,10 @@ output lines untouched (the map factors through the spectrum alone).
 Once the family is known, the conjugating matrix is reconstructed column
 by column from probe operators with prescribed first eigenlines, and the
 linear-vs-conjugate-linear ambiguity is resolved on a single complex
-probe line.  Every reconstruction is validated on fresh holdout samples;
-a failed validation downgrades the answer to unknown rather than forcing
-a label.
+probe line.  Every reconstruction, a conjugator or a frozen frame, is
+validated by one holdout check on fresh samples (_holdout_residual); a
+failed validation downgrades the answer to unknown rather than forcing a
+label.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _eigenlines(FXs: np.ndarray, curve: Curve):
     lines[fast] = V[fast] / np.linalg.norm(V[fast], axis=1, keepdims=True)
     for i in np.flatnonzero(~fast):
         try:
-            lines[i] = eigenflag(spectral_decompose(FXs[i]), curve).vectors
+            lines[i] = eigenflag(spectral_decompose(FXs[i]), curve)
         except Exception as exc:
             return lines[:i], exc
     return lines, None
@@ -263,6 +264,17 @@ def _first_line_image(bb: BlackBoxMap, u, values) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _holdout_residual(bb: BlackBoxMap, rng, model) -> float:
+    """Worst relative deviation ||F(X) - model(X)|| / ||X|| of the map from
+    a candidate model over fresh domain samples."""
+    residual = 0.0
+    for X in bb.domain.sample_batch(rng, _VALIDATION_SAMPLES):
+        residual = max(
+            residual, np.linalg.norm(bb.apply(X) - model(X)) / np.linalg.norm(X)
+        )
+    return float(residual)
+
+
 def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     """Recover (T, antilinear, residual) for an eigenspace-tracking map.
 
@@ -302,18 +314,14 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     if not np.linalg.cond(T) <= BASIS_COND_LIMIT:
         raise ReconstructionError("reconstructed conjugator is near singular")
     Tinv = np.linalg.inv(T)
-    residual = 0.0
-    Xs = bb.domain.sample_batch(rng, _VALIDATION_SAMPLES)
-    for X in Xs:
-        model = T @ (X.T if antilinear else X) @ Tinv
-        residual = max(
-            residual, np.linalg.norm(bb.apply(X) - model) / np.linalg.norm(X)
-        )
+    residual = _holdout_residual(
+        bb, rng, lambda X: T @ (X.T if antilinear else X) @ Tinv
+    )
     if residual > _VALIDATION_TOL:
         raise ReconstructionError(
             f"conjugator validation residual {residual:.3e} exceeds {_VALIDATION_TOL:g}"
         )
-    return T, antilinear, float(residual)
+    return T, antilinear, residual
 
 
 @dataclass
@@ -345,7 +353,7 @@ def _recover_fixed_frame(bb: BlackBoxMap, rng):
     frame = None
     for k in range(_FRAME_SAMPLES):
         X, _ = _simple_sample(bb, rng)
-        F = eigenflag(spectral_decompose(bb.apply(X)), curve).vectors
+        F = eigenflag(spectral_decompose(bb.apply(X)), curve)
         if frame is None:
             frame = F.copy()
             ref = F
@@ -376,40 +384,30 @@ def classify_preserver(
     if rng is None:
         rng = np.random.default_rng(0)
 
+    def unknown(reason, residual=float("inf")):
+        return PreserverType("unknown", None, False, residual, trials, reason=reason)
+
     try:
         verdict = equivariance_test(bb, trials, rng)
     except (MixedWitnessError, NumericalDomainError) as exc:
-        return PreserverType("unknown", None, False, float("inf"), trials,
-                             reason=str(exc))
+        return unknown(str(exc))
 
     if verdict.kind == EQUIVARIANT:
         try:
             T, antilinear, residual = reconstruct_conjugator(bb, rng)
         except (ReconstructionError, NumericalDomainError) as exc:
-            return PreserverType("unknown", None, False, float("inf"), trials,
-                                 reason=str(exc))
+            return unknown(str(exc))
         kind = "transpose_conjugation" if antilinear else "conjugation"
         return PreserverType(kind, T, antilinear, residual, trials)
 
     try:
         frame = _recover_fixed_frame(bb, rng)
-        ordering = OrderMap(bb.domain.curve, frame)
-        residual = 0.0
-        Xs = bb.domain.sample_batch(rng, _VALIDATION_SAMPLES)
-        for X in Xs:
-            residual = max(
-                residual,
-                np.linalg.norm(bb.apply(X) - ordering.apply(X))
-                / np.linalg.norm(X),
-            )
-        if residual > _VALIDATION_TOL:
-            return PreserverType(
-                "unknown", None, False, float(residual), trials,
-                reason=f"ordering-map validation residual {residual:.3e}")
+        residual = _holdout_residual(bb, rng, OrderMap(bb.domain.curve, frame).apply)
     except (ReconstructionError, NumericalDomainError, ConfigError) as exc:
-        return PreserverType("unknown", None, False, float("inf"), trials,
-                             reason=str(exc))
-    return PreserverType("ordering_map", frame, False, float(residual), trials)
+        return unknown(str(exc))
+    if residual > _VALIDATION_TOL:
+        return unknown(f"ordering-map validation residual {residual:.3e}", residual)
+    return PreserverType("ordering_map", frame, False, residual, trials)
 
 
 # ---------------------------------------------------------------------------

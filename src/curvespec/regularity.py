@@ -237,8 +237,8 @@ def _probe(
     scales = tuple(float(s) for s in scales)
     if len(set(scales)) != len(scales):
         raise ConfigError("duplicate scales")
-    if any(s <= 0 for s in scales):
-        raise ConfigError("scales must be positive")
+    if not all(0.0 < s < np.inf for s in scales):
+        raise ConfigError(f"scales must be positive and finite, got {scales}")
     scales = tuple(sorted(scales, reverse=True))
     if samples_per_scale < 1:
         raise ConfigError("samples_per_scale must be positive")
@@ -275,7 +275,14 @@ def _probe(
         params = np.sort(t_c + eps * u, axis=1)
         pts = curve.eval_array(params.ravel()).reshape(params.shape)
         fv = _call_f(f, pts)
-        q, qerr = _quotient_table_err(fv, pts)
+        # points far from the origin can coincide in floating point, and
+        # tiny scales overflow: the check below reports either
+        with np.errstate(all="ignore"):
+            q, qerr = _quotient_table_err(fv, pts)
+        if not np.all(np.isfinite(q)):
+            raise CoincidentPointsError(
+                f"non-finite difference quotients at scale {eps:g}: points that "
+                "coincide in floating point, overflow or non-finite values of f")
         q[np.abs(q) <= 8.0 * qerr] = 0.0  # certified numerical zero
         mean = complex(q.mean())
         sups.append(float(np.abs(q).max()))

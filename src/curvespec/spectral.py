@@ -13,6 +13,9 @@ Haar-unitary frame (optionally skewed by a well-conditioned S) around the
 diagonal; single samples and commuting pairs share one body.  Batch
 variants operate on (count, n, n) stacks throughout; the stacked LAPACK
 calls are what keeps large randomized checks affordable on a single core.
+
+Spectra are compared by one routine, _bottleneck: the optimal-matching
+distance of a distance matrix, by bisection with a perfect-matching test.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
 __all__ = [
     "MatrixClass",
     "SpectralDecomposition",
-    "LineTuple",
     "as_matrix",
     "matrix_to_json",
     "matrix_from_json",
@@ -580,42 +582,16 @@ def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     return curve.order(dec.distinct_eigenvalues)
 
 
-@dataclass(eq=False)
-class LineTuple:
-    """Tuple of n independent lines in C^n, one unit vector per column."""
-
-    vectors: np.ndarray
-    orthogonal: bool = False
-
-    def __post_init__(self):
-        V = np.asarray(self.vectors, dtype=complex)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ConfigError(f"line tuple must be square, got {V.shape}")
-        norms = np.linalg.norm(V, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ConfigError("line tuple columns must be unit vectors")
-        sv = np.linalg.svd(V, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > BASIS_COND_LIMIT:
-            raise ConfigError("line tuple columns must be linearly independent")
-        if self.orthogonal:
-            gram = V.conj().T @ V
-            if np.linalg.norm(gram - np.eye(V.shape[0])) > 1e-8 * V.shape[0]:
-                raise ConfigError("orthogonal flag set but lines are not orthogonal")
-        self.vectors = V
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     j = int(np.argmax(np.abs(v)))
     piv = v[j]
     return v * (piv.conjugate() / abs(piv))
 
 
-def eigenflag(dec: SpectralDecomposition, curve: Curve) -> LineTuple:
-    """Eigenlines in curve order for a simple-spectrum decomposition."""
+def eigenflag(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
+    """Eigenlines in curve order for a simple-spectrum decomposition: an
+    (n, n) array whose k-th column is a unit vector spanning the line of
+    the k-th eigenvalue, its largest entry made real and positive."""
     if any(m != 1 for m in dec.multiplicities):
         raise NumericalDomainError(
             "eigenflag requires a simple spectrum; "
@@ -623,8 +599,7 @@ def eigenflag(dec: SpectralDecomposition, curve: Curve) -> LineTuple:
         )
     # column 0 of U spans the range of each rank-one idempotent
     U = np.linalg.svd(dec.idempotents[_curve_order(dec, curve)])[0]
-    cols = [_fix_phase(u) for u in U[:, :, 0]]
-    return LineTuple(np.column_stack(cols), orthogonal=dec.is_orthogonal)
+    return np.column_stack([_fix_phase(u) for u in U[:, :, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +627,9 @@ def _matchable(D: np.ndarray, t: float) -> bool:
     return all(augment(i, [False] * len(owner)) for i in range(len(nbrs)))
 
 
-def _eig_distances(X, Y):
-    """|eigvals(X)[i] - eigvals(Y)[j]| as a matrix, or None for unequal shapes."""
-    X = as_matrix(X, name="X")
-    Y = as_matrix(Y, name="Y")
-    if X.shape != Y.shape:
-        return None
-    wx, wy = np.linalg.eigvals(X), np.linalg.eigvals(Y)
-    return np.abs(wx[:, None] - wy[None, :])
-
-
-def spectral_bottleneck_distance(X, Y) -> float:
-    """Optimal-matching distance between the two eigenvalue multisets."""
-    D = _eig_distances(X, Y)
-    if D is None:
-        return np.inf
+def _bottleneck(D: np.ndarray) -> float:
+    """Optimal-matching distance of a square distance matrix: the least
+    max D[i, p(i)] over permutations p."""
     # the optimum is one of the entries: binary search the sorted levels
     levels = np.unique(D)
     lo, hi = 0, levels.size - 1
@@ -679,10 +642,21 @@ def spectral_bottleneck_distance(X, Y) -> float:
     return float(levels[lo])
 
 
+def spectral_bottleneck_distance(X, Y) -> float:
+    """Optimal-matching distance between the two eigenvalue multisets
+    (inf for matrices of different sizes)."""
+    X = as_matrix(X, name="X")
+    Y = as_matrix(Y, name="Y")
+    if X.shape != Y.shape:
+        return np.inf
+    wx, wy = np.linalg.eigvals(X), np.linalg.eigvals(Y)
+    return _bottleneck(np.abs(wx[:, None] - wy[None, :]))
+
+
 def spectra_equal(X, Y, tol: float = 1e-9) -> bool:
     """Whether the eigenvalue multisets match within tol under optimal pairing."""
-    D = _eig_distances(X, Y)
-    return D is not None and _matchable(D, tol)
+    d = spectral_bottleneck_distance(X, Y)
+    return d < np.inf and d <= tol
 
 
 def _batch_greedy_match_max(D: np.ndarray) -> np.ndarray:

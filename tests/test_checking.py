@@ -22,7 +22,7 @@ from curvespec.curves import CornerGraph, real_line, unit_circle_arc
 from curvespec.errors import ConfigError, MapProtocolError
 from curvespec.maps import Compose, Conj, OrderMap, Rho, TransposeConj, eigen_conj, rho
 from curvespec.regularity import divided_difference
-from curvespec.spectral import MatrixClass, random_unitary
+from curvespec.spectral import MatrixClass, random_unitary, spectral_bottleneck_distance
 
 
 def _domain(n=4, curve=None):
@@ -81,6 +81,40 @@ class TestCheckCS:
         assert ce.kind == "commutativity" and len(ce.inputs) == 2
         FX, FY = ce.outputs
         assert np.linalg.norm(FX @ FY - FY @ FX) == pytest.approx(ce.magnitude)
+
+    def test_first_violation_past_the_first_chunk(self):
+        # a plain callable, applied one matrix at a time, that shifts every
+        # input from its call 1,100 on (counting from 0): the spectrum
+        # trials come first, so trial 1,100 is the first violation, in the
+        # second chunk
+        calls = []
+
+        def f(X):
+            calls.append(None)
+            return X + np.eye(3) if len(calls) > 1100 else X
+
+        v = check_cs(BlackBoxMap(f, _domain(3)), 1500, 1e-6,
+                     np.random.default_rng(4))
+        assert not v.spectrum_ok and v.commutativity_ok
+        assert v.counterexample.kind == "spectrum"
+        assert v.counterexample.trial == 1100
+        # every chunk is drawn and mapped, judged or not
+        assert len(calls) == 3 * 1500
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("cls", [MatrixClass.NORMAL, MatrixClass.SEMISIMPLE])
+    @pytest.mark.parametrize("planted", [
+        lambda X: X + np.eye(X.shape[0]),
+        lambda X: 2 * X,
+    ])
+    def test_spectrum_magnitude_is_the_bottleneck_distance(self, n, cls, planted):
+        dom = DomainSpec(real_line(), n, cls)
+        ce = check_cs(BlackBoxMap(planted, dom), 30, 1e-6,
+                      np.random.default_rng(n)).counterexample
+        assert ce.kind == "spectrum"
+        assert ce.magnitude == spectral_bottleneck_distance(ce.inputs[0],
+                                                            ce.outputs[0])
+        assert ce.magnitude > ce.tolerance
 
     def test_first_violation_in_trial_order(self):
         v1 = check_cs(BlackBoxMap(lambda X: 2 * X, _domain()), 30, 1e-6,

@@ -108,8 +108,8 @@ def _reference_witness(bb, X, dec, j, tol):
     curve = bb.domain.curve
     FX = bb.apply(X)
     FtX = bb.apply(_adjacent_swap(X, dec, curve, j))
-    L = eigenflag(spectral_decompose(FX), curve).vectors
-    Lt = eigenflag(spectral_decompose(FtX), curve).vectors
+    L = eigenflag(spectral_decompose(FX), curve)
+    Lt = eigenflag(spectral_decompose(FtX), curve)
     n = L.shape[1]
     if not all(line_distance(L[:, i], Lt[:, i]) <= tol
                for i in range(n) if i not in (j, j + 1)):
@@ -377,6 +377,26 @@ class TestClassifyPreserver:
                                 np.random.default_rng(seed))
         assert pt.kind == "unknown" and pt.T is None
         assert pt.reason is not None
+
+    @staticmethod
+    def _off_by_a_shift(m):
+        """m plus 1e-3 * ||X|| * I: the eigenlines are m's, the values are not."""
+        return lambda X: m.apply(X) + 1e-3 * np.linalg.norm(X) * np.eye(X.shape[0])
+
+    def test_conjugator_holdout_failure_is_unknown(self):
+        f = self._off_by_a_shift(Conj(_unitary(3, 24)))
+        pt = classify_preserver(BlackBoxMap(f, _dom()), np.random.default_rng(5))
+        assert pt.kind == "unknown" and pt.T is None
+        assert pt.reason.startswith("conjugator validation residual ")
+        assert pt.reason.endswith(" exceeds 1e-06")
+        assert pt.residual == float("inf")
+
+    def test_ordering_map_holdout_failure_is_unknown(self):
+        f = self._off_by_a_shift(OrderMap(real_line(), _unitary(3, 25)))
+        pt = classify_preserver(BlackBoxMap(f, _dom()), np.random.default_rng(5))
+        assert pt.kind == "unknown" and pt.T is None
+        assert pt.reason == f"ordering-map validation residual {pt.residual:.3e}"
+        assert 1e-6 < pt.residual < np.inf
 
     def test_singular_conjugator_raises_reconstruction_error(self):
         with pytest.raises(ReconstructionError, match="near singular"):

@@ -90,6 +90,9 @@ class TestParseCurve:
     # the sampled classes are normal and semisimple
     ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
      "--class", "general"],
+    # probe scales must be positive and finite
+    *[["regularity", "--curve", "real-line", "--center", "0", "--order", "3",
+       "--scales", scales, "--seed", "1"] for scales in ("nan", "inf,1e-2")],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -275,6 +278,26 @@ class TestRegularity:
         assert code == 0
         profile = read_profile_csv(io.StringIO(text))
         assert profile.verdict_dc == "converges"
+
+
+@pytest.mark.parametrize("argv", [
+    ["regularity", "--curve", "real-line", "--center", "1e17", "--order", "3",
+     "--seed", "1"],
+    ["rho-continuity", "--curve", "real-line", "--corner", "1e17", "--seed", "1"],
+    ["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "3",
+     "--scales", "1e-310", "--seed", "1"],
+])
+def test_non_finite_quotients_exit_three(run_in_group, argv):
+    # at 1e17 every sampled tuple collapses to one point in floating point,
+    # so each difference quotient is 0/0; at a subnormal scale the corner's
+    # quotients overflow: no verdict may be built on either
+    code, out, err, _, _ = run_in_group(["-m", "curvespec.cli", *argv])
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == "numerical-domain"
+    assert "non-finite difference quotients" in report["message"]
 
 
 class TestRhoContinuity:

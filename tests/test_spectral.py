@@ -19,7 +19,7 @@ from curvespec.errors import (
     NumericalDomainError,
 )
 from curvespec.spectral import (
-    LineTuple,
+    _bottleneck,
     _cluster_components,
     _cluster_means,
     _curve_order,
@@ -188,9 +188,8 @@ def test_default_windows():
 def test_eigenflag_diagonal():
     dec = spectral_decompose(np.diag([3.0, 1.0, 2.0]))
     flag = eigenflag(dec, real_line())
-    perm = np.abs(flag.vectors)
-    assert_allclose(perm, np.eye(3)[:, [1, 2, 0]], atol=1e-10)
-    assert flag.orthogonal
+    assert_allclose(np.abs(flag), np.eye(3)[:, [1, 2, 0]], atol=1e-10)
+    assert dec.is_orthogonal
 
 
 def test_eigenflag_repeated_eigenvalue_rejected():
@@ -206,7 +205,7 @@ def test_eigenflag_conjugated_lines():
     dec = spectral_decompose(X)
     flag = eigenflag(dec, real_line())
     for i in range(3):
-        assert line_distance(flag.vectors[:, i], Q[:, i]) < 1e-8
+        assert line_distance(flag[:, i], Q[:, i]) < 1e-8
 
 
 @given(perm=st.permutations(range(4)))
@@ -218,18 +217,7 @@ def test_eigenflag_equivariant_on_diagonal_models(perm):
     # position k of the flag is the eigenline of the k-th smallest value
     for k in range(4):
         coord = list(perm).index(k)
-        assert line_distance(flag.vectors[:, k], np.eye(4)[:, coord]) < 1e-10
-
-
-def test_line_tuple_validation():
-    with pytest.raises(ConfigError):
-        LineTuple(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ConfigError):
-        v = np.array([[1.0, 1.0], [0.0, 1e-12]])
-        LineTuple(v / np.linalg.norm(v, axis=0))
-    with pytest.raises(ConfigError):
-        v = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])
-        LineTuple(v, orthogonal=True)
+        assert line_distance(flag[:, k], np.eye(4)[:, coord]) < 1e-10
 
 
 def test_spectra_equal_reflexive_and_multiset():
@@ -278,6 +266,7 @@ def test_matchable_agrees_with_brute_force(data, n):
                                     min_size=n, max_size=n)), dtype=float)
     t = data.draw(st.integers(0, 3)) + data.draw(st.sampled_from([0.0, 0.5]))
     assert _matchable(D, t) == (_brute_bottleneck(D) <= t)
+    assert _bottleneck(D) == _brute_bottleneck(D)
 
 
 @given(
@@ -451,4 +440,4 @@ def test_eigenflag_matches_one_svd_per_idempotent(seed, n, cls):
     # the range of each rank-one idempotent, one full SVD at a time
     cols = [_fix_phase(np.linalg.svd(dec.idempotents[int(c)])[0][:, :1][:, 0])
             for c in _curve_order(dec, curve)]
-    assert eigenflag(dec, curve).vectors.tobytes() == np.column_stack(cols).tobytes()
+    assert eigenflag(dec, curve).tobytes() == np.column_stack(cols).tobytes()
