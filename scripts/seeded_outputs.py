@@ -4,16 +4,21 @@
 Each command runs as ``python -m curvespec.cli`` in a fresh interpreter,
 with the curvespec that PYTHONPATH selects, once for each of the seeds 1, 2
 and 7 (a command without a seed runs once).  The script prints one line per
-run: the sha256 of its stdout, stderr and exit code, then the command.
-Two source trees give byte-identical output on these commands exactly when
-the printed lines agree:
+run: the sha256 of its stdout, stderr and exit code, then the command, with
+{python} in place of the interpreter that runs the external map programs
+(this checkout's tests/transpose_map.py and tests/planted_map.py).  Two
+source trees give byte-identical output on these commands exactly when the
+printed lines agree:
 
     PYTHONPATH=old/src python3 scripts/seeded_outputs.py > old.txt
     PYTHONPATH=new/src python3 scripts/seeded_outputs.py > new.txt
     diff old.txt new.txt
 
-The external map programs are this checkout's tests/transpose_map.py and
-tests/planted_map.py.
+tests/seeded_outputs.txt holds the lines of the current tree, and
+tests/test_seeded_outputs.py recomputes them in process; after a change
+meant to move these bytes, regenerate that file with
+
+    PYTHONPATH=src python3 scripts/seeded_outputs.py > tests/seeded_outputs.txt
 """
 
 import hashlib
@@ -27,9 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 7)
 
 RHO = '{"variant": "rho"}'
-TRANSPOSE = shlex.join([sys.executable, "tests/transpose_map.py"])
-SHIFT, FLIP = (shlex.join([sys.executable, "tests/planted_map.py", mode])
-               for mode in ("shift", "flip"))
+# "{python}" marks where the interpreter goes (see resolve)
+TRANSPOSE = "{python} tests/transpose_map.py"
+SHIFT, FLIP = ("{python} tests/planted_map.py " + mode for mode in ("shift", "flip"))
 POLYLINE = {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}
 FRAME = {"n": 3, "entries": [[[1, 0], [1, 0], [0, 0]],
                              [[0, 0], [1, 0], [0, 1]],
@@ -107,14 +112,24 @@ def runs(commands):
             yield [str(seed) if arg == "{seed}" else arg for arg in cmd]
 
 
-def digest(argv) -> str:
-    proc = subprocess.run([sys.executable, "-m", "curvespec.cli", *argv],
-                          cwd=ROOT, capture_output=True, timeout=600)
+def resolve(argv) -> list:
+    """argv with this interpreter in place of {python}."""
+    return [arg.replace("{python}", shlex.quote(sys.executable)) for arg in argv]
+
+
+def hash_run(stdout: bytes, stderr: bytes, code: int) -> str:
+    """sha256 over a run's stdout, stderr and exit code."""
     h = hashlib.sha256()
-    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+    for part in (stdout, stderr, str(code).encode()):
         h.update(len(part).to_bytes(8, "little"))
         h.update(part)
     return h.hexdigest()
+
+
+def digest(argv) -> str:
+    proc = subprocess.run([sys.executable, "-m", "curvespec.cli", *resolve(argv)],
+                          cwd=ROOT, capture_output=True, timeout=600)
+    return hash_run(proc.stdout, proc.stderr, proc.returncode)
 
 
 def main(limit=None) -> int:

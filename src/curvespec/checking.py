@@ -2,11 +2,12 @@
 
 check_cs throws sampled single matrices and exactly-commuting pairs at an
 arbitrary matrix map and tests spectrum preservation and commutativity
-preservation at relative tolerances with absolute floors.  Maps that carry
-a vectorized apply_batch are driven in stacked chunks, which is what makes
-the large canonical-map sweeps affordable; opaque callables are applied one
-matrix at a time inside the same pipeline.  Both properties share one
-chunk loop (_first_violation).
+preservation at relative tolerances with absolute floors.  Every map call
+crosses one boundary, BlackBoxMap.apply_rows: a map that carries a
+vectorized apply_batch gets whole stacked chunks, which is what makes the
+large canonical-map sweeps affordable, and an opaque callable is applied
+one matrix at a time, through BlackBoxMap.apply, inside the same
+pipeline.  Both properties share one chunk loop (_first_violation).
 
 continuity_probe estimates a modulus of continuity along a matrix path and
 raises a heuristic discontinuity flag when the output oscillation refuses
@@ -101,29 +102,53 @@ class BlackBoxMap:
         self.domain = domain
         self.name = name
 
-    def _validated(self, X: np.ndarray, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=complex)
-        if Y.shape != X.shape:
+    def _validated(self, Xs: np.ndarray, Ys) -> np.ndarray:
+        """The map's output for Xs, a stack or one row, checked against it."""
+        Ys = np.asarray(Ys, dtype=complex)
+        if Ys.shape != Xs.shape:
             raise MapProtocolError(
-                f"{self.name} returned shape {Y.shape} for input shape {X.shape}"
+                f"{self.name} returned shape {Ys.shape} for input shape {Xs.shape}"
             )
-        if not np.all(np.isfinite(Y)):
+        if not np.all(np.isfinite(Ys)):
             raise MapProtocolError(f"{self.name} returned non-finite entries")
-        return Y
+        return Ys
+
+    def apply_rows(self, Xs: np.ndarray):
+        """Outputs of the map on the leading rows of the stack Xs, and the
+        exception it raised on the next row, or None when every row went
+        through.
+
+        A map with its own apply_batch gets the whole stack in one call.
+        Such a map is pure, so when that call raises or returns a malformed
+        stack, the rows are replayed one at a time to find the row that
+        fails and its own error.  Any other map, a plain callable or an
+        external program, is applied row by row in order and sees each row
+        once.
+        """
+        Xs = np.asarray(Xs, dtype=complex)
+        batch = getattr(self.func, "apply_batch", None)
+        if batch is not None:
+            try:
+                return self._validated(Xs, batch(Xs)), None
+            except Exception:
+                pass  # the replay below finds the row and its own error
+        out = np.empty_like(Xs)
+        for i, X in enumerate(Xs):
+            try:
+                out[i] = self.apply(X)
+            except Exception as exc:
+                return out[:i], exc
+        return out, None
+
+    def apply_batch(self, Xs: np.ndarray) -> np.ndarray:
+        out, exc = self.apply_rows(Xs)
+        if exc is not None:
+            raise exc
+        return out
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         return self._validated(X, self.func(X))
-
-    def apply_batch(self, Xs: np.ndarray) -> np.ndarray:
-        Xs = np.asarray(Xs, dtype=complex)
-        inner = getattr(self.func, "apply_batch", None)
-        if inner is not None:
-            out = np.asarray(inner(Xs), dtype=complex)
-            if out.shape != Xs.shape or not np.all(np.isfinite(out)):
-                raise MapProtocolError(f"{self.name} batch output malformed")
-            return out
-        return np.array([self.apply(X) for X in Xs])
 
 
 class ExternalProgramMap:
@@ -341,6 +366,11 @@ def check_cs(
 # ---------------------------------------------------------------------------
 # continuity probing
 
+# the heuristic thresholds of the discontinuity flag (see continuity_probe)
+_RATIO_THRESHOLD = 0.9
+_INPUT_CONTRACTION = 1e-3
+_OUTPUT_FLOOR = 1e-6
+
 
 @dataclass
 class ContinuityTable:
@@ -351,9 +381,6 @@ class ContinuityTable:
     input_sups: tuple
     flag: bool
     ratio: float
-    ratio_threshold: float
-    input_contraction: float
-    output_floor: float
 
     def to_json(self) -> dict:
         return {
@@ -362,28 +389,21 @@ class ContinuityTable:
             "input_sups": list(self.input_sups),
             "flag": self.flag,
             "ratio": self.ratio,
-            "ratio_threshold": self.ratio_threshold,
-            "input_contraction": self.input_contraction,
-            "output_floor": self.output_floor,
+            "ratio_threshold": _RATIO_THRESHOLD,
+            "input_contraction": _INPUT_CONTRACTION,
+            "output_floor": _OUTPUT_FLOOR,
         }
 
 
-def continuity_probe(
-    bb: BlackBoxMap,
-    path,
-    samples: int = 101,
-    ratio_threshold: float = 0.9,
-    input_contraction: float = 1e-3,
-    output_floor: float = 1e-6,
-) -> ContinuityTable:
+def continuity_probe(bb: BlackBoxMap, path, samples: int = 101) -> ContinuityTable:
     """Modulus-of-continuity table for bb along path: [0,1] -> matrices.
 
     The grid is uniform; delta levels double from the grid spacing upward.
     The discontinuity flag trips iff the output sup at the finest delta
-    stays above ratio_threshold times the next level's sup (no decay on
+    stays above _RATIO_THRESHOLD times the next level's sup (no decay on
     refinement), the input path's finest-level sup is at most
-    input_contraction (the path itself has contracted), and the output sup
-    clears output_floor (constant paths stay quiet).  Thresholds are
+    _INPUT_CONTRACTION (the path itself has contracted), and the output sup
+    clears _OUTPUT_FLOOR (constant paths stay quiet).  Thresholds are
     heuristics; the raw table is the real product.
     """
     if samples < 3:
@@ -412,9 +432,9 @@ def continuity_probe(
     ratio = out_sups[0] / out_sups[1] if out_sups[1] > 0 else 0.0
     flag = (
         len(deltas) >= 2
-        and ratio > ratio_threshold
-        and in_sups[0] <= input_contraction
-        and out_sups[0] >= output_floor
+        and ratio > _RATIO_THRESHOLD
+        and in_sups[0] <= _INPUT_CONTRACTION
+        and out_sups[0] >= _OUTPUT_FLOOR
     )
     return ContinuityTable(
         deltas=tuple(deltas),
@@ -422,28 +442,24 @@ def continuity_probe(
         input_sups=tuple(in_sups),
         flag=flag,
         ratio=float(ratio),
-        ratio_threshold=ratio_threshold,
-        input_contraction=input_contraction,
-        output_floor=output_floor,
     )
 
 
 # ---------------------------------------------------------------------------
 # collision paths and the involution experiment
 
+# the spread of a collision path's spectrum at t = 0
+_COLLISION_EPS = 2e-5
+
 
 def collision_path(
-    curve: Curve,
-    n: int,
-    corner_param: float,
-    style: str = "straddle-sym",
-    eps_max: float = 2e-5,
+    curve: Curve, n: int, corner_param: float, style: str = "straddle-sym"
 ):
     """Path t -> X_t of semisimple matrices whose spectrum collapses onto
     the curve point at corner_param as t -> 1.
 
     X_t is upper bidiagonal: the diagonal holds n curve points spread
-    eps_t = (1-t) * eps_max around the center, the superdiagonal holds the
+    eps_t = (1-t) * _COLLISION_EPS around the center, the superdiagonal holds the
     coupling eps_t^((n-2)/(n-1)).  That exponent balances the coupling
     product against the growth of the order-(n-1) difference quotient, so
     a corner in the curve keeps one output entry of the involution pinned
@@ -472,7 +488,7 @@ def collision_path(
     t_c = float(corner_param)
 
     def path(t: float) -> np.ndarray:
-        eps = (1.0 - float(t)) * eps_max
+        eps = (1.0 - float(t)) * _COLLISION_EPS
         diag = curve.eval_array(t_c + eps * offsets)
         X = np.diag(diag)
         s = eps**alpha

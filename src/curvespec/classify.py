@@ -63,6 +63,7 @@ _LINE_TOL = 1e-6
 _VALIDATION_TOL = 1e-6
 _VALIDATION_SAMPLES = 50
 _FRAME_SAMPLES = 20
+_SAMPLE_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,10 @@ class EquivarianceVerdict:
             raise ConfigError("verdict needs at least one witness")
 
 
-def _simple_sample(bb: BlackBoxMap, rng, attempts: int = 50):
+def _simple_sample(bb: BlackBoxMap, rng):
     """Draw a domain sample with n distinct eigenvalues, plus its decomposition."""
     n = bb.domain.n
-    for _ in range(attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         X = bb.domain.sample_batch(rng, 1)[0]
         dec = spectral_decompose(X)
         if dec.num_clusters == n:
@@ -96,30 +97,6 @@ def _adjacent_swap(X, dec, curve, j):
     va, vb = dec.distinct_eigenvalues[a], dec.distinct_eigenvalues[b]
     Pa, Pb = dec.idempotents[a], dec.idempotents[b]
     return X + (vb - va) * Pa + (va - vb) * Pb
-
-
-def _apply_rows(bb: BlackBoxMap, Xs: np.ndarray):
-    """Outputs of the map on the leading rows of Xs, and the exception it
-    raised on the next row, or None when every row went through.
-
-    A map with its own apply_batch gets the whole stack in one call.  Such
-    a map is pure, so when that call raises, the rows are replayed one at
-    a time to find the row that fails.  Any other map, a plain callable or
-    an external program, is applied row by row in order and sees each row
-    once.
-    """
-    if getattr(bb.func, "apply_batch", None) is not None:
-        try:
-            return bb.apply_batch(Xs), None
-        except Exception:
-            pass  # the replay below finds the row and raises its own error
-    out = np.empty_like(Xs)
-    for i, X in enumerate(Xs):
-        try:
-            out[i] = bb.apply(X)
-        except Exception as exc:
-            return out[:i], exc
-    return out, None
 
 
 def _eigenlines(FXs: np.ndarray, curve: Curve):
@@ -170,8 +147,10 @@ def equivariance_test(
     is a witness conflict.
 
     All trials are drawn first.  Their 2 * trials inputs X_1, X'_1, X_2,
-    X'_2, ... go to the map in that order, through one apply_batch when it
-    has one, and one stacked eig decomposes the outputs (see _eigenlines).
+    X'_2, ... go to the map in that order through one
+    BlackBoxMap.apply_rows, which hands a map with its own apply_batch the
+    whole stack, and one stacked eig decomposes the outputs (see
+    _eigenlines).
     Failures come out as they would one trial at a time: trials are judged
     in order, and a failure to draw, to apply the map or to decompose an
     output at trial k is raised only after trials 0..k-1 are judged.
@@ -200,7 +179,7 @@ def equivariance_test(
         js.append(j)
     if not Xs:
         raise failure
-    FXs, exc = _apply_rows(bb, np.array(Xs))
+    FXs, exc = bb.apply_rows(np.array(Xs))
     if exc is not None:
         failure = exc
     lines, exc = _eigenlines(FXs[: FXs.shape[0] // 2 * 2], curve)

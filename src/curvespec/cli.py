@@ -35,7 +35,7 @@ from .curves import (
     real_line,
     unit_circle_arc,
 )
-from .errors import ConfigError, CurvespecError, NumericalDomainError
+from .errors import ConfigError, NumericalDomainError
 from .maps import map_from_json
 from .regularity import db_profile, dc_probe, write_profile_csv
 from .spectral import MatrixClass, matrix_from_json, matrix_to_json, sample
@@ -65,15 +65,26 @@ def parse_curve(text: str):
 
 
 def _floats(text: str, what: str, count: int | None = None) -> list:
-    """Comma-separated numbers (exactly count of them, if given)."""
+    """Comma-separated finite numbers (exactly count of them, if given)."""
     try:
         vals = [float(x) for x in text.split(",")]
     except ValueError:
         vals = []
-    if not vals or len(vals) != (count or len(vals)):
+    if not (vals and np.all(np.isfinite(vals)) and len(vals) == (count or len(vals))):
         raise ConfigError(f"{what}: expected {count or 'one or more'} "
-                          f"comma-separated number(s), got {text!r}")
+                          f"comma-separated finite number(s), got {text!r}")
     return vals
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
 
 
 def _parse_window(text: str | None) -> Interval | None:
@@ -139,7 +150,7 @@ def _build_parser() -> _Parser:
         if window:
             sp.add_argument("--window")
         if seed:
-            sp.add_argument("--seed", type=int, required=True)
+            sp.add_argument("--seed", type=_seed, required=True)
         sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("sample")
@@ -177,7 +188,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--mode", choices=["db", "dc"], default="db")
     sp.add_argument("--scales")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("rho-continuity")
@@ -185,7 +196,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--corner", type=float, default=0.0,
                     help="curve parameter of the suspected bad point")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("demo-circle")
@@ -297,10 +308,6 @@ def run(argv) -> int:
         return 2
     except NumericalDomainError as exc:
         print(json.dumps({"error": "numerical-domain", "message": str(exc)}),
-              file=sys.stderr)
-        return 3
-    except CurvespecError as exc:
-        print(json.dumps({"error": "internal", "message": str(exc)}),
               file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program, never of its input

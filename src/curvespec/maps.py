@@ -5,12 +5,12 @@ conjugation, the curve-ordering map that sorts the spectrum into a fixed
 eigenspace chain, and the involution that conjugates every eigenvalue
 against its own spectral idempotents.  Compositions apply left to right.
 
-Every map has a vectorized apply_batch over (count, n, n) stacks that
-returns what apply returns row by row, and raises what apply raises on the
-first row where it raises.  The spectral maps take the batch route of
-spectral._batch_eig, one stacked eigensolve, on the rows that the
-per-matrix decomposition would accept; every other row takes the
-per-matrix route and its guards.
+A map is its apply_batch over (count, n, n) stacks; apply(X) is
+apply_batch on the one-row stack X[None], so the two agree bit for bit,
+and a stack raises what its first failing row raises alone.  The spectral
+maps take the batch route of spectral._batch_eig, one stacked eigensolve,
+on the rows that the per-matrix decomposition would accept; every other
+row takes the per-matrix route and its guards.
 """
 
 from __future__ import annotations
@@ -66,81 +66,72 @@ def eigen_conj(X, cluster_tol=None) -> np.ndarray:
     return (dec.basis * d[None, :]) @ dec.basis_inv
 
 
-def _frame_with_inverse(T) -> tuple[np.ndarray, np.ndarray]:
-    T = as_matrix(T, name="frame")
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > FRAME_COND_LIMIT:
-        raise ConfigError(
-            f"frame condition number exceeds {FRAME_COND_LIMIT:.0e}; not usable"
-        )
-    return T, np.linalg.inv(T)
-
-
 @dataclass(frozen=True)
 class CanonicalMap:
-    """Base for the canonical preserver variants; immutable, pure apply."""
+    """Base for the canonical preserver variants; immutable and pure.
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    apply_batch is the one implementation of a map; apply is its one-row
+    case.
+    """
+
+    def apply_batch(self, Xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X) -> np.ndarray:
+        return self.apply_batch(as_matrix(X)[None])[0]
+
+    def __call__(self, X) -> np.ndarray:
         return self.apply(X)
 
 
-def _check_dim(X: np.ndarray, T: np.ndarray) -> None:
-    """Raise unless a matrix, or each matrix of a stack, matches the frame."""
-    if X.shape[-1] != T.shape[0]:
-        raise ConfigError(
-            f"input dimension {X.shape[-1]} does not match frame dimension {T.shape[0]}"
-        )
+@dataclass(frozen=True)
+class _Framed(CanonicalMap):
+    """A map with a fixed frame T, a field of each subclass: T is checked
+    to be well conditioned and held with its inverse _Tinv."""
+
+    def __post_init__(self):
+        T = as_matrix(self.T, name="frame")
+        sv = np.linalg.svd(T, compute_uv=False)
+        if sv[-1] == 0.0 or sv[0] / sv[-1] > FRAME_COND_LIMIT:
+            raise ConfigError(
+                f"frame condition number exceeds {FRAME_COND_LIMIT:.0e}; not usable"
+            )
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "_Tinv", np.linalg.inv(T))
+
+    def _stack(self, Xs) -> np.ndarray:
+        """Xs as a complex stack whose matrices match the frame."""
+        Xs = np.asarray(Xs, dtype=complex)
+        if Xs.shape[-1] != self.T.shape[0]:
+            raise ConfigError(
+                f"input dimension {Xs.shape[-1]} does not match frame "
+                f"dimension {self.T.shape[0]}"
+            )
+        return Xs
 
 
 @dataclass(frozen=True)
-class Conj(CanonicalMap):
+class Conj(_Framed):
     """X -> T X T^{-1}."""
 
     T: np.ndarray
 
-    def __post_init__(self):
-        T, Tinv = _frame_with_inverse(self.T)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_Tinv", Tinv)
-
-    def apply(self, X):
-        X = as_matrix(X)
-        _check_dim(X, self.T)
-        return self.T @ X @ self._Tinv
-
     def apply_batch(self, Xs):
-        Xs = np.asarray(Xs, dtype=complex)
-        _check_dim(Xs, self.T)
-        return self.T @ Xs @ self._Tinv
+        return self.T @ self._stack(Xs) @ self._Tinv
 
 
 @dataclass(frozen=True)
-class TransposeConj(CanonicalMap):
+class TransposeConj(_Framed):
     """X -> T X^t T^{-1}."""
 
     T: np.ndarray
 
-    def __post_init__(self):
-        T, Tinv = _frame_with_inverse(self.T)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_Tinv", Tinv)
-
-    def apply(self, X):
-        X = as_matrix(X)
-        _check_dim(X, self.T)
-        return self.T @ X.T @ self._Tinv
-
     def apply_batch(self, Xs):
-        Xs = np.asarray(Xs, dtype=complex)
-        _check_dim(Xs, self.T)
-        return self.T @ Xs.transpose(0, 2, 1) @ self._Tinv
+        return self.T @ self._stack(Xs).transpose(0, 2, 1) @ self._Tinv
 
 
 @dataclass(frozen=True)
-class OrderMap(CanonicalMap):
+class OrderMap(_Framed):
     """Sort the spectrum along the curve into the fixed eigenspace chain of T.
 
     The output is T diag(sorted eigenvalues, multiplicities contiguous)
@@ -156,43 +147,35 @@ class OrderMap(CanonicalMap):
             raise ClosedCurveError(
                 "ordering along a closed curve is not defined; cut it first"
             )
-        T, Tinv = _frame_with_inverse(self.T)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_Tinv", Tinv)
+        super().__post_init__()
 
-    def apply(self, X):
-        X = as_matrix(X)
-        _check_dim(X, self.T)
+    def _sorted_spectrum(self, X: np.ndarray) -> np.ndarray:
+        """The eigenvalues of one matrix in curve order, multiplicities
+        contiguous, from spectral_decompose and its guards."""
         dec = spectral_decompose(X)
         order = self.curve.order(dec.distinct_eigenvalues)
-        d = np.repeat(
+        return np.repeat(
             dec.distinct_eigenvalues[order], np.asarray(dec.multiplicities)[order]
         )
-        return (self.T * d[None, :]) @ self._Tinv
 
     def apply_batch(self, Xs):
-        Xs = np.asarray(Xs, dtype=complex)
-        _check_dim(Xs, self.T)
+        Xs = self._stack(Xs)
         fast, w, _, _ = _batch_eig(Xs, self.curve, vectors=False)
-        out = np.empty_like(Xs)
-        out[fast] = (self.T * w[fast][:, None, :]) @ self._Tinv
         for i in np.flatnonzero(~fast):
-            out[i] = self.apply(Xs[i])
-        return out
+            w[i] = self._sorted_spectrum(Xs[i])
+        return (self.T * w[:, None, :]) @ self._Tinv
 
 
 @dataclass(frozen=True)
 class Rho(CanonicalMap):
     """The eigenvalue-conjugation involution; see rho().
 
-    apply runs apply_batch on a one-matrix stack: on near-normal inputs
-    rho() takes the Schur route, whose result differs from the batch
-    eigenvector route's by the departure from normality, which may reach
-    the reconstruction tolerance.
+    rho() serves the rows that the batch route turns away.  On a
+    near-normal row it takes the Schur route, whose result differs from
+    the batch eigenvector route's by the departure from normality, which
+    may reach the reconstruction tolerance: rho(X) and apply(X) may differ
+    by that much.
     """
-
-    def apply(self, X):
-        return self.apply_batch(as_matrix(X)[None])[0]
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
@@ -220,15 +203,12 @@ class Compose(CanonicalMap):
             raise ConfigError("composition parts must be canonical maps")
         object.__setattr__(self, "parts", parts)
 
-    def apply(self, X):
-        Y = as_matrix(X)
-        for p in self.parts:
-            Y = p.apply(Y)
-        return Y
-
     def apply_batch(self, Xs):
         Ys = np.asarray(Xs, dtype=complex)
         for p in self.parts:
+            # an overflow between parts is a config error, as in as_matrix
+            if not np.all(np.isfinite(Ys)):
+                raise ConfigError("matrix has non-finite entries")
             Ys = p.apply_batch(Ys)
         return Ys
 

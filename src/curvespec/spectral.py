@@ -389,7 +389,8 @@ def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True)
         fast &= near_normal
         # the other rows may still pass the eigenvector guards
         rest = np.flatnonzero(~fast)
-        fast[rest], w[rest] = _batch_eig(Xs[rest])[:2]
+        if rest.size:
+            fast[rest], w[rest] = _batch_eig(Xs[rest])[:2]
     else:
         guarded = np.flatnonzero(fast & ~near_normal)
         sv = np.linalg.svd(V[guarded], compute_uv=False)

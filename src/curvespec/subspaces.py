@@ -20,15 +20,16 @@ __all__ = [
 ]
 
 
-def orthonormal_columns(A: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span of A (n x k, k = numerical rank)."""
+def orthonormal_columns(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of A (n x k, k = numerical rank
+    at relative singular-value cutoff 1e-10)."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[1] == 0:
         return A.copy()
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > rcond * s[0]))
+    rank = int(np.sum(s > 1e-10 * s[0]))
     return u[:, :rank]
 
 
@@ -54,19 +55,18 @@ def subspace_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return orthonormal_columns(np.hstack([U, V]))
 
 
-def subspace_intersection(
-    U: np.ndarray, V: np.ndarray, rcond: float = 1e-8
-) -> np.ndarray:
+def subspace_intersection(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(U) & span(V).
 
     A vector lies in both spans iff it is U x = V y for some coefficient
-    vectors; the null space of [U, -V] yields all such pairs.
+    vectors; the null space of [U, -V] (at relative cutoff 1e-8) yields
+    all such pairs.
     """
     if U.shape[1] == 0 or V.shape[1] == 0:
         return np.zeros((U.shape[0], 0), dtype=complex)
     import scipy.linalg  # deferred, so that importing the package stays scipy-free
     stacked = np.hstack([U, -V])
-    ns = scipy.linalg.null_space(stacked, rcond=rcond)
+    ns = scipy.linalg.null_space(stacked, rcond=1e-8)
     if ns.shape[1] == 0:
         return np.zeros((U.shape[0], 0), dtype=complex)
     return orthonormal_columns(U @ ns[: U.shape[1], :])

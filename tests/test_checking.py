@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from curvespec.checking import (
 )
 from curvespec.curves import CornerGraph, real_line, unit_circle_arc
 from curvespec.errors import ConfigError, MapProtocolError
-from curvespec.maps import Compose, Conj, OrderMap, Rho, TransposeConj, eigen_conj, rho
+from curvespec.maps import (
+    CanonicalMap,
+    Compose,
+    Conj,
+    OrderMap,
+    Rho,
+    TransposeConj,
+    eigen_conj,
+    rho,
+)
 from curvespec.regularity import divided_difference
 from curvespec.spectral import MatrixClass, random_unitary, spectral_bottleneck_distance
 
@@ -176,6 +186,85 @@ class TestBlackBoxMap:
         assert np.allclose(batch, seq, atol=1e-12)
 
 
+@dataclass(frozen=True)
+class _MarkedRowsMap(CanonicalMap):
+    """A pure batch map that doubles every row and misbehaves on the rows
+    whose [0, 0] entry is negative: it raises naming the last such entry,
+    returns inf there, or returns the stack with its last column cut off."""
+
+    mode: str
+
+    def apply_batch(self, Xs):
+        marked = Xs[:, 0, 0].real < 0
+        if self.mode == "raise" and marked.any():
+            raise ValueError(f"marked row {Xs[marked][-1, 0, 0].real}")
+        out = 2.0 * Xs
+        if self.mode == "inf":
+            out[marked] = np.inf
+        if self.mode == "shape" and marked.any():
+            return out[:, :, :-1]
+        return out
+
+
+def _marked_stack(rows=6, marked=(2, 4)):
+    Xs = np.array([(1.0 + i) * np.eye(3, dtype=complex) for i in range(rows)])
+    for i in marked:
+        Xs[i, 0, 0] = -float(i)
+    return Xs
+
+
+class TestApplyRows:
+    def test_batch_map_that_raises_returns_rows_before_and_their_own_error(self):
+        Xs = _marked_stack()
+        out, exc = BlackBoxMap(_MarkedRowsMap("raise"), _domain(3)).apply_rows(Xs)
+        assert np.array_equal(out, 2.0 * Xs[:2])
+        # the error of row 2 itself, not the stack's, which names row 4
+        assert isinstance(exc, ValueError) and str(exc) == "marked row -2.0"
+
+    @pytest.mark.parametrize("mode", ["inf", "shape"])
+    def test_malformed_batch_output_is_replayed_to_the_row(self, mode):
+        Xs = _marked_stack()
+        bb = BlackBoxMap(_MarkedRowsMap(mode), _domain(3), name="marked")
+        out, exc = bb.apply_rows(Xs)
+        assert np.array_equal(out, 2.0 * Xs[:2])
+        assert isinstance(exc, MapProtocolError)
+        assert str(exc).startswith("marked returned ")
+        with pytest.raises(MapProtocolError):
+            bb.apply_batch(Xs)
+
+    def test_plain_callable_sees_each_row_once_in_order(self):
+        Xs = _marked_stack(marked=())
+        seen = []
+
+        def f(X):
+            seen.append(X.copy())
+            if len(seen) == 4:
+                raise ValueError("fourth call")
+            return X
+
+        out, exc = BlackBoxMap(f, _domain(3)).apply_rows(Xs)
+        assert len(seen) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(seen, Xs))
+        assert np.array_equal(out, Xs[:3]) and str(exc) == "fourth call"
+
+    def test_every_row_through_gives_no_error(self):
+        Xs = _marked_stack(marked=())
+        for func in (_MarkedRowsMap("raise"), lambda X: 2.0 * X):
+            out, exc = BlackBoxMap(func, _domain(3)).apply_rows(Xs)
+            assert exc is None and np.array_equal(out, 2.0 * Xs)
+
+    def test_apply_is_the_checked_map_on_one_row(self):
+        for mode in ("raise", "inf"):
+            bb = BlackBoxMap(_MarkedRowsMap(mode), _domain(3), name="marked")
+            assert np.array_equal(bb.apply(np.eye(3)), 2.0 * np.eye(3))
+        X = np.eye(3, dtype=complex)
+        X[0, 0] = -1.0
+        with pytest.raises(ValueError, match="marked row -1.0"):
+            BlackBoxMap(_MarkedRowsMap("raise"), _domain(3)).apply(X)
+        with pytest.raises(MapProtocolError, match="marked returned non-finite"):
+            bb.apply(X)
+
+
 class TestExternalProgramMap:
     ECHO = ("import sys, json\n"
             "for line in sys.stdin:\n"
@@ -275,8 +364,7 @@ class TestCollisionPath:
         # triangular functional calculus: corner entry of the involution's
         # conjugate is the coupling product times the order-2 quotient
         cg = CornerGraph(-1.0, 1.0)
-        eps = 1e-3
-        p = collision_path(cg, 3, 0.0, "straddle-sym", eps_max=eps)
+        p = collision_path(cg, 3, 0.0, "straddle-sym")
         X = p(0.0)
         d = tuple(np.diag(X))
         expected = X[0, 1] * X[1, 2] * divided_difference(np.conj, d)

@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +94,35 @@ class TestParseCurve:
     # probe scales must be positive and finite
     *[["regularity", "--curve", "real-line", "--center", "0", "--order", "3",
        "--scales", scales, "--seed", "1"] for scales in ("nan", "inf,1e-2")],
+    # a seed numpy's generators refuse, on every seeded subcommand
+    ["sample", "--curve", "real-line", "--n", "3", "--seed", "-1"],
+    ["check", "--curve", "real-line", "--n", "3", "--seed", "-1", "--map", RHO_JSON],
+    ["classify", "--curve", "real-line", "--n", "3", "--seed", "-1",
+     "--map", RHO_JSON],
+    ["regularity", "--curve", "real-line", "--center", "0", "--order", "2",
+     "--seed", "-1"],
+    ["rho-continuity", "--curve", "real-line", "--seed", "-1"],
+    # a cut that is not a finite angle
+    ["demo-circle", "--n", "3", "--spectrum", "0,1,2", "--cuts", "inf,0.1"],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
-    code, out, err = _run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert not caught, [str(w.message) for w in caught]
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("text,seed", [("+5", 5), (" 7", 7), ("1_000", 1000), ("0", 0)])
+def test_seed_forms_int_accepts(capsys, text, seed):
+    # a negative seed is refused (see above), and any other form int() takes
+    # runs as its plain integer
+    argv = ["sample", "--curve", "real-line", "--n", "3", "--seed"]
+    code, out, _ = _run(capsys, *argv, text)
+    assert code == 0 and out == _run(capsys, *argv, str(seed))[1]
 
 
 class TestSample:
@@ -149,6 +172,22 @@ class TestApply:
                              "--matrix", "-")
         assert code == 0
         assert np.allclose(matrix_from_json(json.loads(text)), X)
+
+    def test_overflow_between_composed_maps_exits_two(self, capsys):
+        # the frame product overflows, and the ordering map refuses the
+        # non-finite matrix it is handed as a config error, as for an input
+        frame = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        parts = [{"variant": "conj", "T": frame},
+                 {"variant": "order", "curve": {"kind": "real_interval"},
+                  "T": matrix_to_json(np.eye(2))}]
+        X = matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = _run(capsys, "apply", "--map",
+                                  json.dumps({"variant": "compose", "parts": parts}),
+                                  "--matrix", json.dumps(X))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": "matrix has non-finite entries"}
 
     def test_defective_matrix_exits_three(self, capsys):
         nil = '{"n": 2, "entries": [[[0,0],[1,0]],[[0,0],[0,0]]]}'

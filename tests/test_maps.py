@@ -29,7 +29,9 @@ from curvespec.maps import (
     rho,
 )
 from curvespec.spectral import (
+    RECONSTRUCTION_RTOL,
     MatrixClass,
+    default_window,
     random_unitary,
     sample,
     sample_batch,
@@ -296,6 +298,31 @@ def _outcome(f, X):
         return type(exc)
 
 
+def _per_matrix(m, X):
+    """The map on one matrix through its per-matrix route, which apply's
+    batch route must match: the frame products, OrderMap's
+    _sorted_spectrum (the stacked eigensolve must serve a row exactly when
+    spectral_decompose accepts it), rho(), and a composition's parts in
+    turn."""
+    if isinstance(m, Conj):
+        return m.T @ X @ m._Tinv
+    if isinstance(m, TransposeConj):
+        return m.T @ X.T @ m._Tinv
+    if isinstance(m, OrderMap):
+        return (m.T * m._sorted_spectrum(X)) @ m._Tinv
+    if isinstance(m, Rho):
+        return rho(X)
+    for p in m.parts:
+        X = p.apply(X)
+    return X
+
+
+# rho() takes the Schur route on a near-normal row, and its result differs
+# from the batch route's by the departure from normality, which the batch
+# route bounds by RECONSTRUCTION_RTOL (see Rho)
+_PER_MATRIX_RTOL = {Rho: 2 * RECONSTRUCTION_RTOL}
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(3, 6),
@@ -304,7 +331,7 @@ def _outcome(f, X):
     log_b=st.floats(-12.0, 0.0),
 )
 @settings(max_examples=80, deadline=None)
-def test_apply_and_apply_batch_agree_or_raise_alike(seed, n, near_jordan, log_a, log_b):
+def test_apply_agrees_with_the_per_matrix_route_or_raises_alike(seed, n, near_jordan, log_a, log_b):
     rng = np.random.default_rng(seed)
     if near_jordan:
         # diagonal 1 + k*delta, log-uniform superdiagonal: near a Jordan block
@@ -320,13 +347,15 @@ def test_apply_and_apply_batch_agree_or_raise_alike(seed, n, near_jordan, log_a,
         X = Q @ (np.diag(lam) + U) @ Q.conj().T
     X = X.astype(complex)
     for m in _variant_pool(rng, n):
-        one = _outcome(m.apply, X)
-        bat = _outcome(lambda Y: m.apply_batch(Y[None])[0], X)
-        if isinstance(one, type) or isinstance(bat, type):
-            assert one is bat, (type(m).__name__, one, bat)
+        want = _outcome(lambda Y: _per_matrix(m, Y), X)
+        got = _outcome(m.apply, X)
+        if isinstance(want, type) or isinstance(got, type):
+            assert want is got, (type(m).__name__, want, got)
+        elif isinstance(m, OrderMap):
+            assert np.array_equal(got, want)
         else:
-            rel = np.linalg.norm(one - bat) / np.linalg.norm(one)
-            assert rel <= 1e-9, (type(m).__name__, rel)
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= _PER_MATRIX_RTOL.get(type(m), 1e-9), (type(m).__name__, rel)
 
 
 def _tied_stack(count=40):
@@ -372,6 +401,20 @@ def test_multi_row_apply_batch_agrees_or_raises_like_the_first_failing_row(name)
             seq = np.array([m.apply(X) for X in Xs])
             rel = np.linalg.norm(seq - bat, axis=(1, 2)) / np.linalg.norm(seq, axis=(1, 2))
             assert rel.max() <= 1e-9, (type(m).__name__, rel.max())
+
+
+@pytest.mark.parametrize("curve", [real_line(), unit_circle_arc(0.0)],
+                         ids=["line", "arc"])
+@pytest.mark.parametrize("mclass", list(MatrixClass), ids=lambda c: c.value)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_order_map_batch_is_the_sorted_spectrum_bit_for_bit(curve, mclass, n):
+    # the batch eigenvalues are the per-matrix decomposition's, bit for bit,
+    # which keeps every ordering map output the same on either route
+    rng = np.random.default_rng(500 + n)
+    om = OrderMap(curve, _random_frame(n, rng, 0.4))
+    Xs = sample_batch(curve, n, mclass, rng, default_window(curve), count=100)
+    want = np.array([(om.T * om._sorted_spectrum(X)) @ om._Tinv for X in Xs])
+    assert np.array_equal(om.apply_batch(Xs), want)
 
 
 def test_apply_batch_handles_repeated_eigenvalues():
