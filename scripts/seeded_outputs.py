@@ -101,6 +101,13 @@ COMMANDS = [
     # and the classifier's unknown from a failed holdout and from a witness
     *[[cmd, "--curve", "real-line", "--n", "3", "--seed", "{seed}",
        "--map-cmd", prog] for prog in (SHIFT, FLIP) for cmd in ("check", "classify")],
+    # tuples of 4 and 5 points: thin one-sided strata, where the sampler's
+    # separation floor halves after 100 rounds
+    ["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "5",
+     "--seed", "{seed}"],
+    ["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "4",
+     "--mode", "dc", "--seed", "{seed}"],
+    ["rho-continuity", "--curve", "corner-graph:-1,1", "--n", "4", "--seed", "{seed}"],
 ]
 
 

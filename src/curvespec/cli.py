@@ -223,7 +223,12 @@ def _cmd_sample(args) -> int:
 def _cmd_apply(args) -> int:
     m = _parse_map_arg(args.map)
     X = _parse_matrix_arg(args.matrix)
-    _emit_json(matrix_to_json(m.apply(X)), args.output)
+    # a finite input can overflow inside a map: report that, not NaN
+    with np.errstate(all="ignore"):
+        Y = m.apply(X)
+    if not np.all(np.isfinite(Y)):
+        raise NumericalDomainError("map output has non-finite entries")
+    _emit_json(matrix_to_json(Y), args.output)
     return 0
 
 

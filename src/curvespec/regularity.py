@@ -16,6 +16,7 @@ are dominated by the random closest pair and the slope fit degenerates.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -195,7 +196,18 @@ def _sample_offsets(
     lo: float,
     hi: float,
 ) -> np.ndarray:
-    """Unit-scale parameter offsets in [lo, hi] with pairwise separation."""
+    """Unit-scale parameter offsets in [lo, hi] with pairwise separation.
+
+    Seeded probe outputs rest on this stream contract.  Each round makes
+    exactly one rng call, ``rng.uniform(lo, hi, size=(4 * (count - have), k))``
+    with ``have`` rows accepted so far; ``count == 0`` makes none.  A row is
+    acceptable when it lies in the stratum (straddle: min < -sep/4 and
+    max > sep/4; left: max < 0; right: min > 0) and its sorted entries are
+    at least ``sep`` apart.  The result is the first ``count`` acceptable
+    rows in draw order.  The rounds fix only how far the stream advances
+    and when ``sep`` halves (after every 100 rounds); how a round computes
+    its acceptance mask is free, as long as the mask stays exact.
+    """
     if count == 0:
         return np.zeros((0, k))
     out = np.zeros((count, k))
@@ -208,15 +220,19 @@ def _sample_offsets(
             sep *= 0.5  # keep terminating on very thin boxes
             rounds = 0
         u = rng.uniform(lo, hi, size=(4 * (count - have), k))
+        # reducing over the k column views is cheap where an axis=1
+        # reduction along short rows is not; sort only rows in the stratum
         if stratum == "straddle":
-            ok = (u.min(axis=1) < -0.25 * sep) & (u.max(axis=1) > 0.25 * sep)
+            ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
+                  & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
         elif stratum == "left":
-            ok = u.max(axis=1) < 0.0
+            ok = functools.reduce(np.maximum, u.T) < 0.0
         else:
-            ok = u.min(axis=1) > 0.0
-        su = np.sort(u, axis=1)
-        ok &= np.diff(su, axis=1).min(axis=1) >= sep
+            ok = functools.reduce(np.minimum, u.T) > 0.0
         good = u[ok]
+        if good.shape[0]:
+            st = np.sort(good, axis=1).T
+            good = good[functools.reduce(np.minimum, st[1:] - st[:-1]) >= sep]
         take = min(count - have, good.shape[0])
         out[have : have + take] = good[:take]
         have += take

@@ -24,6 +24,9 @@ def _run(capsys, *args):
 
 RHO_JSON = '{"variant": "rho"}'
 MISBEHAVING_MAP = Path(__file__).with_name("misbehaving_map.py")
+# a shear frame, and a finite matrix that it carries past the largest double
+SHEAR_JSON = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
+HUGE_COLUMN_JSON = json.dumps(matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]])))
 
 
 class TestParseCurve:
@@ -104,6 +107,12 @@ class TestParseCurve:
     ["rho-continuity", "--curve", "real-line", "--seed", "-1"],
     # a cut that is not a finite angle
     ["demo-circle", "--n", "3", "--spectrum", "0,1,2", "--cuts", "inf,0.1"],
+    # the frame product overflows between composed maps, and the ordering
+    # map refuses the non-finite matrix it is handed
+    ["apply", "--map", json.dumps({"variant": "compose", "parts": [
+        {"variant": "conj", "T": SHEAR_JSON},
+        {"variant": "order", "curve": {"kind": "real_interval"},
+         "T": matrix_to_json(np.eye(2))}]}), "--matrix", HUGE_COLUMN_JSON],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -114,6 +123,22 @@ def test_malformed_arguments_exit_two(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    # a finite input whose image under a single map overflows
+    ["apply", "--map", json.dumps({"variant": "conj", "T": SHEAR_JSON}),
+     "--matrix", HUGE_COLUMN_JSON],
+])
+def test_numerical_failures_exit_three(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numerical-domain"
 
 
 @pytest.mark.parametrize("text,seed", [("+5", 5), (" 7", 7), ("1_000", 1000), ("0", 0)])

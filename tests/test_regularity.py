@@ -13,6 +13,7 @@ from curvespec.errors import (
 )
 from curvespec.regularity import (
     ConfigurationTuple,
+    _sample_offsets,
     db_profile,
     dc_probe,
     divided_difference,
@@ -256,3 +257,86 @@ def test_probe_interval_boundary_center():
     p = db_profile(seg, np.conj, 2, 0.0, rng=np.random.default_rng(21))
     assert p.verdict_db == "bounded"
     assert all(abs(s - 1.0) <= 1e-9 for s in p.sup_values)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's stream contract: the same rng calls, the same rows
+
+
+def _reference_sample_offsets(rng, stratum, count, k, lo, hi):
+    """The row-wise sampler the seeded outputs were recorded with, plus a
+    count of its rounds."""
+    total_rounds = 0
+    if count == 0:
+        return np.zeros((0, k)), total_rounds
+    out = np.zeros((count, k))
+    have = 0
+    sep = 0.05
+    rounds = 0
+    while have < count:
+        total_rounds += 1
+        rounds += 1
+        if rounds > 100:
+            sep *= 0.5  # keep terminating on very thin boxes
+            rounds = 0
+        u = rng.uniform(lo, hi, size=(4 * (count - have), k))
+        if stratum == "straddle":
+            ok = (u.min(axis=1) < -0.25 * sep) & (u.max(axis=1) > 0.25 * sep)
+        elif stratum == "left":
+            ok = u.max(axis=1) < 0.0
+        else:
+            ok = u.min(axis=1) > 0.0
+        su = np.sort(u, axis=1)
+        ok &= np.diff(su, axis=1).min(axis=1) >= sep
+        good = u[ok]
+        take = min(count - have, good.shape[0])
+        out[have : have + take] = good[:take]
+        have += take
+    return out, total_rounds
+
+
+def _stratum_has_room(stratum, k, lo, hi):
+    """The probe's own test (regularity._probe) for a stratum it may use; the
+    others it replaces, and the sampler would hardly ever finish on them."""
+    if stratum == "left":
+        return lo < -0.05 * k
+    if stratum == "right":
+        return hi > 0.05 * k
+    return lo <= -0.25 * 0.05 and hi >= 0.25 * 0.05
+
+
+def _assert_same_stream(seed, stratum, count, k, lo, hi):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, rounds = _reference_sample_offsets(ref_rng, stratum, count, k, lo, hi)
+    got = _sample_offsets(rng, stratum, count, k, lo, hi)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return rounds
+
+
+_ORACLE_CASES = [(stratum, k, lo, hi, count)
+                 for stratum in ("straddle", "left", "right")
+                 for k in range(2, 7)
+                 for lo, hi in ((-1.0, 1.0), (-1.0, 0.03), (-0.3, 1.0))
+                 for count in (0, 1, 7, 500)
+                 if _stratum_has_room(stratum, k, lo, hi)]
+
+
+@pytest.mark.parametrize("stratum,k,lo,hi,count", _ORACLE_CASES)
+def test_sample_offsets_keeps_the_reference_stream(stratum, k, lo, hi, count):
+    _assert_same_stream(11 * k + count, stratum, count, k, lo, hi)
+
+
+def test_sample_offsets_stream_survives_separation_halving():
+    # a thin one-sided stratum of the corner_collision probes: the sampler
+    # passes 100 rounds, so sep halves before the last rows are accepted
+    rounds = _assert_same_stream(3, "left", 500, 5, -1.0, 1.0)
+    assert rounds > 100
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5),
+       count=st.integers(0, 40), stratum=st.sampled_from(["straddle", "left", "right"]),
+       lo=st.floats(-1.0, -0.3), hi=st.floats(0.3, 1.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_sample_offsets_stream_property(seed, k, count, stratum, lo, hi):
+    _assert_same_stream(seed, stratum, count, k, lo, hi)
