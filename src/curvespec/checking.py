@@ -5,7 +5,10 @@ arbitrary matrix map and tests spectrum preservation and commutativity
 preservation at relative tolerances with absolute floors.  Every map call
 crosses one boundary, BlackBoxMap.apply_rows: a map that carries a
 vectorized apply_batch gets whole stacked chunks, which is what makes the
-large canonical-map sweeps affordable, and an opaque callable is applied
+large canonical-map sweeps affordable; an external program gets each
+whole chunk (at most _CHUNK = 1,024 rows) pipelined, its rows written
+while its replies are read, sees each row once and in order, and may see
+rows after the one whose reply fails; and an opaque callable is applied
 one matrix at a time, through BlackBoxMap.apply, inside the same
 pipeline.  Both properties share one chunk loop (_first_violation).
 
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 import json
 import os
+import selectors
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +65,9 @@ __all__ = [
 ]
 
 _CHUNK = 1024
+# bytes moved per read or write on an external map's pipes: a Linux pipe's
+# default capacity
+_PIPE_BYTES = 65536
 
 # an external map gets this long to exit after stdin closes, and again
 # after SIGTERM, before it is killed
@@ -121,9 +129,11 @@ class BlackBoxMap:
         A map with its own apply_batch gets the whole stack in one call.
         Such a map is pure, so when that call raises or returns a malformed
         stack, the rows are replayed one at a time to find the row that
-        fails and its own error.  Any other map, a plain callable or an
-        external program, is applied row by row in order and sees each row
-        once.
+        fails and its own error.  A map with its own apply_rows, an
+        external program, gets the whole stack once and returns its replies
+        up to the first bad one with that row's error; the replies are
+        checked in order and never replayed.  A plain callable is applied
+        row by row in order and sees each row once.
         """
         Xs = np.asarray(Xs, dtype=complex)
         batch = getattr(self.func, "apply_batch", None)
@@ -133,6 +143,15 @@ class BlackBoxMap:
             except Exception:
                 pass  # the replay below finds the row and its own error
         out = np.empty_like(Xs)
+        exchange = getattr(self.func, "apply_rows", None)
+        if exchange is not None:
+            replies, exc = exchange(Xs)
+            for i, Y in enumerate(replies):
+                try:
+                    out[i] = self._validated(Xs[i], Y)
+                except MapProtocolError as bad:
+                    return out[:i], bad
+            return out[: len(replies)], exc
         for i, X in enumerate(Xs):
             try:
                 out[i] = self.apply(X)
@@ -154,25 +173,35 @@ class BlackBoxMap:
 class ExternalProgramMap:
     """A map implemented by a subprocess speaking matrix JSON line protocol.
 
-    One matrix JSON object per input line, one per output line.  A program
-    that cannot start is a config error; a nonzero exit or a malformed reply
-    is a protocol error.  The program's stderr is drained on a thread, so
-    that a chatty program cannot fill the pipe and stall; the last
-    characters are kept for diagnostics.
+    One matrix JSON object per input line, one per output line, in order.
+    apply_rows sends a whole stack while it reads the replies, so the two
+    processes work at once; a call on one matrix is its one-row case.  A
+    program that cannot start is a config error; a program that exits,
+    closes its output, sends no reply byte for `timeout` seconds or sends a
+    malformed reply is a protocol error.  The program's stderr is drained
+    on a thread, so that a chatty program cannot fill the pipe and stall;
+    the last characters are kept for diagnostics.
     """
 
-    def __init__(self, argv):
+    def __init__(self, argv, timeout: float = 60.0):
         self.argv = list(argv)
+        if not (timeout > 0.0 and np.isfinite(timeout)):
+            raise ConfigError(f"map timeout must be positive and finite, got {timeout}")
+        self.timeout = float(timeout)
         try:
             self.proc = subprocess.Popen(
                 self.argv,
+                bufsize=0,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
             )
         except OSError as exc:
             raise ConfigError(f"cannot start {self.argv}: {exc}") from None
+        # writes never block: a blocked write cannot read the replies that
+        # a program stalled on its own full stdout is waiting to send
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self._received = bytearray()  # reply bytes after the last full line
         self._stderr_bytes = b""
         self._drain = threading.Thread(target=self._drain_stderr, daemon=True)
         self._drain.start()
@@ -184,28 +213,81 @@ class ExternalProgramMap:
             self._stderr_bytes = (self._stderr_bytes + chunk)[-4 * _STDERR_TAIL_CHARS:]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
+        replies, exc = self.apply_rows(np.asarray(X)[None])
+        if exc is not None:
+            raise exc
+        return replies[0]
+
+    def apply_rows(self, Xs):
+        """The program's replies to the rows of the stack Xs up to the first
+        row whose reply is bad, and that row's MapProtocolError (None when
+        every reply is good).
+
+        Each row is sent once, in order, while the replies are read, and
+        every reply to the stack is read before returning, also after a bad
+        one, so that the next call's rows meet their own replies.  A
+        program that closes its output or sends no reply byte for `timeout`
+        seconds is ended (see _end).
+        """
         if self.proc.poll() is not None:
-            raise MapProtocolError(
+            return [], MapProtocolError(
                 f"external map exited with code {self.proc.returncode}"
             )
-        try:
-            self.proc.stdin.write(json.dumps(matrix_to_json(X)) + "\n")
-            self.proc.stdin.flush()
-            line = self.proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise MapProtocolError(f"external map pipe failed: {exc}") from None
-        if not line:
-            code = self._end()
-            self._drain.join(timeout=_CLOSE_GRACE_S)
-            err = self._stderr_bytes.decode("utf-8", errors="replace")
-            raise MapProtocolError(
-                f"external map closed its output (exit {code}): "
-                f"{err[-_STDERR_TAIL_CHARS:]}"
-            )
-        try:
-            return matrix_from_json(json.loads(line))
-        except (json.JSONDecodeError, ConfigError) as exc:
-            raise MapProtocolError(f"external map reply malformed: {exc}") from None
+        wfd, rfd = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        replies, failure, count = [], None, 0
+        outbox, sent = bytearray(), 0
+        with selectors.DefaultSelector() as sel:
+            sel.register(rfd, selectors.EVENT_READ)
+            sel.register(wfd, selectors.EVENT_WRITE)
+            deadline = time.monotonic() + self.timeout
+            while True:
+                buf, start = self._received, 0
+                while count < len(Xs) and (end := buf.find(b"\n", start)) >= 0:
+                    count += 1
+                    if failure is None:
+                        try:
+                            replies.append(_reply(buf[start:end]))
+                        except MapProtocolError as exc:
+                            failure = exc
+                    start = end + 1
+                del buf[:start]
+                if count == len(Xs):
+                    return replies, failure
+                events = sel.select(deadline - time.monotonic())
+                if not events:
+                    stop = self._ended(f"sent no reply byte in {self.timeout:g} s")
+                    return replies, failure or stop
+                for key, _ in events:
+                    if key.fd == wfd:
+                        while sent < len(Xs) and len(outbox) < _PIPE_BYTES:
+                            outbox += (json.dumps(matrix_to_json(Xs[sent])) + "\n").encode()
+                            sent += 1
+                        try:
+                            del outbox[: os.write(wfd, outbox)]
+                        except BlockingIOError:
+                            pass
+                        except OSError:
+                            # the program stopped reading; its output says why
+                            outbox.clear()
+                            sent = len(Xs)
+                        if not outbox and sent == len(Xs):
+                            sel.unregister(wfd)
+                        continue
+                    data = os.read(rfd, _PIPE_BYTES)
+                    if not (data or buf):
+                        stop = self._ended("closed its output")
+                        return replies, failure or stop
+                    buf += data or b"\n"  # end an unterminated last line
+                    deadline = time.monotonic() + self.timeout
+
+    def _ended(self, what: str) -> MapProtocolError:
+        """End the program (see _end) and describe why, with its stderr tail."""
+        code = self._end()
+        self._drain.join(timeout=_CLOSE_GRACE_S)
+        err = self._stderr_bytes.decode("utf-8", errors="replace")
+        return MapProtocolError(
+            f"external map {what} (exit {code}): {err[-_STDERR_TAIL_CHARS:]}"
+        )
 
     def _end(self) -> int:
         """Stop the program and return its exit code, never raising: stdin
@@ -214,7 +296,7 @@ class ExternalProgramMap:
         try:
             self.proc.stdin.close()
         except OSError:
-            pass  # the program is gone and the last flush found no reader
+            pass  # ending the program must not fail on its pipe
         for escalate in (self.proc.terminate, self.proc.kill):
             try:
                 return self.proc.wait(timeout=_CLOSE_GRACE_S)
@@ -236,6 +318,14 @@ class ExternalProgramMap:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+def _reply(line) -> np.ndarray:
+    """The matrix of one reply line of an external map."""
+    try:
+        return matrix_from_json(json.loads(line))
+    except ValueError as exc:  # bad JSON, bad UTF-8 or a bad matrix
+        raise MapProtocolError(f"external map reply malformed: {exc}") from None
 
 
 @dataclass

@@ -87,6 +87,18 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _seconds(text: str) -> float:
+    """A --map-timeout value: a positive finite number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not (seconds > 0.0 and np.isfinite(seconds)):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number of seconds, got {text!r}")
+    return seconds
+
+
 def _parse_window(text: str | None) -> Interval | None:
     if text is None:
         return None
@@ -115,7 +127,7 @@ def _black_box(args, domain: DomainSpec):
     if getattr(args, "map", None) is not None:
         yield BlackBoxMap(_parse_map_arg(args.map), domain, name="canonical")
     elif getattr(args, "map_cmd", None) is not None:
-        with ExternalProgramMap(shlex.split(args.map_cmd)) as ext:
+        with ExternalProgramMap(shlex.split(args.map_cmd), args.map_timeout) as ext:
             yield BlackBoxMap(ext, domain, name="external")
     else:
         raise ConfigError("one of --map or --map-cmd is required")
@@ -169,6 +181,8 @@ def _build_parser() -> _Parser:
                     choices=[c.value for c in MatrixClass])
     sp.add_argument("--map")
     sp.add_argument("--map-cmd")
+    sp.add_argument("--map-timeout", type=_seconds, default=60.0,
+                    help="seconds a --map-cmd program may go without replying")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--expect-pass", action="store_true")
@@ -177,6 +191,8 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--map")
     sp.add_argument("--map-cmd")
+    sp.add_argument("--map-timeout", type=_seconds, default=60.0,
+                    help="seconds a --map-cmd program may go without replying")
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--expect-pass", action="store_true")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, curve_from_json, curve_to_json
-from .errors import ClosedCurveError, ConfigError
+from .errors import ClosedCurveError, ConfigError, NumericalDomainError
 from .spectral import (
     _batch_eig,
     as_matrix,
@@ -205,10 +205,16 @@ class Compose(CanonicalMap):
 
     def apply_batch(self, Xs):
         Ys = np.asarray(Xs, dtype=complex)
-        for p in self.parts:
-            # an overflow between parts is a config error, as in as_matrix
+        for k, p in enumerate(self.parts):
             if not np.all(np.isfinite(Ys)):
-                raise ConfigError("matrix has non-finite entries")
+                # a non-finite input is a config error, as in as_matrix; a
+                # finite one that overflows inside the composition is out
+                # of its numerical domain, as it is for a single map
+                if k == 0:
+                    raise ConfigError("matrix has non-finite entries")
+                raise NumericalDomainError(
+                    f"part {k} of {len(self.parts)} of the composition "
+                    "returned non-finite entries")
             Ys = p.apply_batch(Ys)
         return Ys
 

@@ -3,6 +3,7 @@
     python misbehaving_map.py chatty   # also writes 4 KiB to stderr per reply
     python misbehaving_map.py linger   # ignores SIGTERM, stays alive after stdin closes
     python misbehaving_map.py mute     # replies once, closes its stdout, stays alive
+    python misbehaving_map.py hang     # replies twice, then sleeps with both pipes open
 
 Used by the CLI tests of `check --map-cmd`; imports nothing heavier than json.
 """
@@ -16,7 +17,9 @@ import time
 mode = sys.argv[1]
 if mode == "linger":
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-for line in sys.stdin:
+for count, line in enumerate(sys.stdin):
+    if mode == "hang" and count == 2:
+        time.sleep(600)
     m = json.loads(line)
     m["entries"] = [list(col) for col in zip(*m["entries"])]
     print(json.dumps(m), flush=True)

@@ -32,7 +32,12 @@ from curvespec.maps import (
     rho,
 )
 from curvespec.regularity import divided_difference
-from curvespec.spectral import MatrixClass, random_unitary, spectral_bottleneck_distance
+from curvespec.spectral import (
+    MatrixClass,
+    matrix_to_json,
+    random_unitary,
+    spectral_bottleneck_distance,
+)
 
 
 def _domain(n=4, curve=None):
@@ -265,10 +270,143 @@ class TestApplyRows:
             bb.apply(X)
 
 
+class _Exchange:
+    """An in-process stand-in for an external program: replies 2X to each
+    row, a 2x2 matrix to the rows whose [0, 0] entry is negative, and
+    records every stack it is handed."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def apply_rows(self, Xs):
+        self.stacks.append(Xs.copy())
+        return [np.eye(2) if X[0, 0].real < 0 else 2.0 * X for X in Xs], None
+
+    def __call__(self, X):
+        return self.apply_rows(X[None])[0][0]
+
+
+class TestApplyRowsExchange:
+    def test_replies_are_checked_in_order_and_never_replayed(self):
+        ex = _Exchange()
+        bb = BlackBoxMap(ex, _domain(3), name="exchange")
+        Xs = _marked_stack()
+        out, exc = bb.apply_rows(Xs)
+        assert np.array_equal(out, 2.0 * Xs[:2])
+        assert isinstance(exc, MapProtocolError)
+        assert str(exc) == "exchange returned shape (2, 2) for input shape (3, 3)"
+        assert len(ex.stacks) == 1 and np.array_equal(ex.stacks[0], Xs)
+
+    def test_the_exchange_error_follows_the_good_rows(self):
+        Xs = _marked_stack(marked=())
+        bad = MapProtocolError("row 3 was bad")
+
+        class Failing(_Exchange):
+            def apply_rows(self, Xs):
+                return super().apply_rows(Xs)[0][:3], bad
+
+        out, exc = BlackBoxMap(Failing(), _domain(3)).apply_rows(Xs)
+        assert np.array_equal(out, 2.0 * Xs[:3]) and exc is bad
+
+
+# one line per reply: X^t, except reply GARBLE (0-based, -1 for none), which
+# is junk; every request line is appended to the file TEE
+_TEE_MAP = """
+import json, sys
+tee, garble = sys.argv[1], int(sys.argv[2])
+with open(tee, "a") as log:
+    for count, line in enumerate(sys.stdin):
+        log.write(line)
+        log.flush()
+        m = json.loads(line)
+        m["entries"] = [list(col) for col in zip(*m["entries"])]
+        print("junk" if count == garble else json.dumps(m), flush=True)
+"""
+
+
+def _tee_map(tmp_path, garble=-1, timeout=60.0):
+    tee = tmp_path / "requests.jsonl"
+    argv = [sys.executable, "-c", _TEE_MAP, str(tee), str(garble)]
+    return ExternalProgramMap(argv, timeout), tee
+
+
 class TestExternalProgramMap:
     ECHO = ("import sys, json\n"
             "for line in sys.stdin:\n"
             "    print(line.strip(), flush=True)\n")
+
+    def test_program_receives_each_row_once_in_order(self, tmp_path):
+        # 400 rows at n = 4 are about 300 kB of requests, more than a pipe
+        # holds, and a one-row call follows the stack
+        Xs = _domain(4).sample_batch(np.random.default_rng(8), 401)
+        ext, tee = _tee_map(tmp_path)
+        with ext:
+            out, exc = BlackBoxMap(ext, _domain(4)).apply_rows(Xs[:400])
+            last = ext(Xs[400])
+        assert exc is None
+        assert np.array_equal(out, Xs[:400].transpose(0, 2, 1))
+        assert np.array_equal(last, Xs[400].T)
+        want = "".join(json.dumps(matrix_to_json(X)) + "\n" for X in Xs)
+        assert tee.read_text() == want
+
+    @pytest.mark.parametrize("garble", [0, 5, 299])
+    def test_garbled_reply_keeps_the_stream_in_step(self, tmp_path, garble):
+        Xs = _domain(3).sample_batch(np.random.default_rng(9), 301)
+        ext, tee = _tee_map(tmp_path, garble)
+        with ext:
+            out, exc = BlackBoxMap(ext, _domain(3)).apply_rows(Xs[:300])
+            assert np.array_equal(out, Xs[:garble].transpose(0, 2, 1))
+            assert isinstance(exc, MapProtocolError)
+            assert "reply malformed" in str(exc)
+            # the replies after the garbled one were read: the next call
+            # gets the reply to its own row
+            assert np.array_equal(ext(Xs[300]), Xs[300].T)
+        assert tee.read_text().count("\n") == 301
+
+    def test_silent_program_meets_the_deadline(self):
+        prog = ("import sys, time\n"
+                "print(sys.stdin.readline().strip(), flush=True)\n"
+                "time.sleep(600)\n")
+        ext = ExternalProgramMap([sys.executable, "-c", prog], timeout=0.5)
+        with ext:
+            Xs = _domain(3).sample_batch(np.random.default_rng(2), 3)
+            out, exc = ext.apply_rows(Xs)
+            assert len(out) == 1 and np.array_equal(out[0], Xs[0])
+            assert isinstance(exc, MapProtocolError)
+            assert "sent no reply byte in 0.5 s" in str(exc)
+            assert ext.proc.returncode is not None
+            with pytest.raises(MapProtocolError, match="exited with code"):
+                ext(np.eye(1, dtype=complex))
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_deadline_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ConfigError, match="map timeout"):
+            ExternalProgramMap([sys.executable, "-c", self.ECHO], timeout)
+
+    def test_exit_mid_stack_reports_the_closed_output(self):
+        prog = ("import sys\n"
+                "for count, line in enumerate(sys.stdin):\n"
+                "    if count == 2:\n"
+                "        sys.stderr.write('giving up')\n"
+                "        sys.exit(4)\n"
+                "    print(line.strip(), flush=True)\n")
+        with ExternalProgramMap([sys.executable, "-c", prog]) as ext:
+            Xs = _domain(3).sample_batch(np.random.default_rng(2), 5)
+            out, exc = ext.apply_rows(Xs)
+            assert np.array_equal(np.array(out), Xs[:2])
+            assert isinstance(exc, MapProtocolError)
+            assert str(exc) == "external map closed its output (exit 4): giving up"
+
+    def test_unterminated_last_reply_is_a_reply(self):
+        prog = ("import sys\n"
+                "sys.stdout.write(sys.stdin.readline().strip())\n")
+        with ExternalProgramMap([sys.executable, "-c", prog]) as ext:
+            X = np.diag([1.0, 2.0]).astype(complex)
+            assert np.array_equal(ext(X), X)
+            # ended by the empty reply, or found gone before the request
+            with pytest.raises(MapProtocolError,
+                               match="closed its output|exited with code"):
+                ext(X)
 
     def test_echo_program_is_identity(self):
         with ExternalProgramMap([sys.executable, "-c", self.ECHO]) as ext:

@@ -24,6 +24,7 @@ def _run(capsys, *args):
 
 RHO_JSON = '{"variant": "rho"}'
 MISBEHAVING_MAP = Path(__file__).with_name("misbehaving_map.py")
+TRANSPOSE_MAP = Path(__file__).with_name("transpose_map.py")
 # a shear frame, and a finite matrix that it carries past the largest double
 SHEAR_JSON = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
 HUGE_COLUMN_JSON = json.dumps(matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]])))
@@ -107,12 +108,13 @@ class TestParseCurve:
     ["rho-continuity", "--curve", "real-line", "--seed", "-1"],
     # a cut that is not a finite angle
     ["demo-circle", "--n", "3", "--spectrum", "0,1,2", "--cuts", "inf,0.1"],
-    # the frame product overflows between composed maps, and the ordering
-    # map refuses the non-finite matrix it is handed
-    ["apply", "--map", json.dumps({"variant": "compose", "parts": [
-        {"variant": "conj", "T": SHEAR_JSON},
-        {"variant": "order", "curve": {"kind": "real_interval"},
-         "T": matrix_to_json(np.eye(2))}]}), "--matrix", HUGE_COLUMN_JSON],
+    # a reply deadline that is not a positive finite number of seconds
+    *[[cmd, "--curve", "real-line", "--n", "3", "--seed", "1", "--map", RHO_JSON,
+       "--map-timeout", seconds]
+      for cmd in ("check", "classify") for seconds in ("0", "-1", "nan", "inf", "x")],
+    ["check", "--curve", "real-line", "--n", "3", "--seed", "1",
+     "--map-cmd", shlex.join([sys.executable, str(MISBEHAVING_MAP), "hang"]),
+     "--map-timeout", "0"],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -129,6 +131,11 @@ def test_malformed_arguments_exit_two(capsys, argv):
     # a finite input whose image under a single map overflows
     ["apply", "--map", json.dumps({"variant": "conj", "T": SHEAR_JSON}),
      "--matrix", HUGE_COLUMN_JSON],
+    # the same overflow between composed maps
+    ["apply", "--map", json.dumps({"variant": "compose", "parts": [
+        {"variant": "conj", "T": SHEAR_JSON},
+        {"variant": "order", "curve": {"kind": "real_interval"},
+         "T": matrix_to_json(np.eye(2))}]}), "--matrix", HUGE_COLUMN_JSON],
 ])
 def test_numerical_failures_exit_three(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -198,21 +205,24 @@ class TestApply:
         assert code == 0
         assert np.allclose(matrix_from_json(json.loads(text)), X)
 
-    def test_overflow_between_composed_maps_exits_two(self, capsys):
-        # the frame product overflows, and the ordering map refuses the
-        # non-finite matrix it is handed as a config error, as for an input
+    def test_overflow_between_composed_maps_exits_three(self, capsys):
+        # the frame product overflows on a finite input: a numerical-domain
+        # failure, as the same overflow in a single map is
         frame = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
         parts = [{"variant": "conj", "T": frame},
                  {"variant": "order", "curve": {"kind": "real_interval"},
                   "T": matrix_to_json(np.eye(2))}]
         X = matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = _run(capsys, "apply", "--map",
                                   json.dumps({"variant": "compose", "parts": parts}),
                                   "--matrix", json.dumps(X))
-        assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "config",
-                                   "message": "matrix has non-finite entries"}
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "numerical-domain",
+            "message": "part 1 of 2 of the composition returned non-finite entries"}
 
     def test_defective_matrix_exits_three(self, capsys):
         nil = '{"n": 2, "entries": [[[0,0],[1,0]],[[0,0],[0,0]]]}'
@@ -269,6 +279,48 @@ class TestCheck:
         code, out, err, elapsed, lingered = run_in_group(
             ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "3",
              "--trials", "5", "--seed", "1", "--map-cmd", cmd], timeout=20.0)
+        assert code == 3 and elapsed < 10.0
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "closed its output" in json.loads(lines[0])["message"]
+        assert not lingered, "a process of the run outlived it"
+
+    def test_hung_map_program_meets_its_deadline(self, run_in_group):
+        # the program replies twice, then sleeps with both pipes open: the
+        # reply deadline ends the run, and the close escalation the program
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), "hang"])
+        code, out, err, elapsed, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "3",
+             "--trials", "5", "--seed", "1", "--map-cmd", cmd,
+             "--map-timeout", "1"], timeout=20.0)
+        assert code == 3 and elapsed < 10.0
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "numerical-domain"
+        assert "sent no reply byte in 1 s" in report["message"]
+        assert not lingered, "a process of the run outlived it"
+
+    def test_chunk_larger_than_the_pipe_does_not_deadlock(self, run_in_group):
+        # 1024 rows at n = 8 are about 3 MB of requests, far more than a
+        # pipe holds, sent while the program's replies fill its stdout
+        code, out, _, elapsed, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "8",
+             "--trials", "1024", "--seed", "1", "--map-cmd",
+             shlex.join([sys.executable, str(TRANSPOSE_MAP)])], timeout=60.0)
+        assert code == 0 and elapsed < 60.0
+        verdict = json.loads(out)
+        assert verdict["spectrum_ok"] is True and verdict["commutativity_ok"] is True
+        assert not lingered, "a process of the run outlived it"
+
+    def test_mute_map_program_on_a_large_chunk_costs_bounded_time(self, run_in_group):
+        # the program stops reading its stdin with the pipe full of requests
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), "mute"])
+        code, out, err, elapsed, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "8",
+             "--trials", "1024", "--seed", "1", "--map-cmd", cmd], timeout=20.0)
         assert code == 3 and elapsed < 10.0
         assert out == ""
         lines = err.splitlines()

@@ -14,6 +14,7 @@ from curvespec.errors import (
     ClosedCurveError,
     ConfigError,
     DefectiveMatrixError,
+    NumericalDomainError,
     OffCurveError,
 )
 from curvespec.maps import (
@@ -253,6 +254,17 @@ def test_compose_empty_rejected():
         Compose(())
     with pytest.raises(ConfigError):
         Compose((Rho(), "not a map"))
+
+
+def test_compose_overflow_inside_is_numerical_and_bad_input_is_config():
+    shear = Conj(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    m = Compose((shear, Conj(np.eye(2))))
+    huge = np.array([[[1e308, 0.0], [1e308, 1.0]]], dtype=complex)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalDomainError, match="part 1 of 2"):
+            m.apply_batch(huge)
+    with pytest.raises(ConfigError, match="non-finite"):
+        m.apply_batch(np.full((1, 2, 2), np.nan, dtype=complex))
 
 
 def test_compose_helper_unwraps_singleton():
