@@ -42,6 +42,7 @@ from .spectral import (
     MatrixClass,
     _batch_greedy_match_max,
     _bottleneck,
+    _draw,
     as_matrix,
     default_window,
     matrix_from_json,
@@ -98,6 +99,10 @@ class DomainSpec:
         return sample_commuting_pair_batch(
             self.curve, self.n, self.matrix_class, rng, self.window, count
         )
+
+    def _draw(self, rng, count: int):
+        """sample_batch(rng, count) before its assembly (spectral._assemble)."""
+        return _draw(self.curve, self.n, self.matrix_class, rng, self.window, count)
 
 
 class BlackBoxMap:

@@ -15,6 +15,11 @@ probe line.  Every reconstruction, a conjugator or a frozen frame, is
 validated by one holdout check on fresh samples (_holdout_residual); a
 failed validation downgrades the answer to unknown rather than forcing a
 label.
+
+Each stage (the equivariance trials, the 2n probes, the frame samples,
+the holdout) builds its inputs first and crosses BlackBoxMap.apply_rows
+once; failures come out in the order of a one-at-a-time loop, though an
+external program may see rows after the one that fails.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from .errors import (
 from .maps import OrderMap
 from .spectral import (
     BASIS_COND_LIMIT,
+    CLUSTER_RTOL,
     MatrixClass,
+    _assemble,
     _batch_eig,
     _curve_order,
     eigenflag,
@@ -64,6 +71,9 @@ _VALIDATION_TOL = 1e-6
 _VALIDATION_SAMPLES = 50
 _FRAME_SAMPLES = 20
 _SAMPLE_ATTEMPTS = 50
+# computed eigenvalues of a normal sample lie within about 10 ulp * ||X||
+# of its drawn spectrum, far inside this band
+_GAP_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,15 +88,40 @@ class EquivarianceVerdict:
             raise ConfigError("verdict needs at least one witness")
 
 
-def _simple_sample(bb: BlackBoxMap, rng):
-    """Draw a domain sample with n distinct eigenvalues, plus its decomposition."""
-    n = bb.domain.n
+def _certified_simple(lam: np.ndarray) -> bool:
+    """Whether the least gap of a normal sample's drawn spectrum clears the
+    merge threshold of spectral_decompose by more than the band, so that it
+    gives len(lam) clusters.  Below that it may also raise."""
+    gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(lam.size, dtype=bool)]
+    return bool(gaps.min() > (CLUSTER_RTOL + _GAP_BAND) * max(1.0, np.linalg.norm(lam)))
+
+
+def _simple_draw(domain, rng):
+    """The draw (see DomainSpec._draw) of one sample with n distinct
+    eigenvalues; an uncertified candidate is assembled and decomposed."""
     for _ in range(_SAMPLE_ATTEMPTS):
-        X = bb.domain.sample_batch(rng, 1)[0]
-        dec = spectral_decompose(X)
-        if dec.num_clusters == n:
-            return X, dec
+        draw = domain._draw(rng, 1)
+        if _certified_simple(draw.lam[0, 0]) or (
+            spectral_decompose(_assemble(draw)[0][0, 0]).num_clusters == domain.n
+        ):
+            return draw
     raise NumericalDomainError("could not draw a simple-spectrum sample")
+
+
+def _simple_samples(domain, rng, count: int, then=lambda: None):
+    """Up to count simple samples as one stack, and the exception that ended
+    the drawing early, or None; then() runs after each draw."""
+    draws, failure = [], None
+    for _ in range(count):
+        try:
+            draws.append(_simple_draw(domain, rng))
+        except Exception as exc:
+            failure = exc
+            break
+        then()
+    if not draws:
+        raise failure
+    return _assemble(*draws)[0][0], failure
 
 
 def _adjacent_swap(X, dec, curve, j):
@@ -165,18 +200,17 @@ def equivariance_test(
     curve = bb.domain.curve
     # each stage works on the rows before the earliest failure so far, so
     # a failure it meets comes first in trial order
-    Xs, js, failure = [], [], None
-    for _ in range(trials):
+    js = []
+    samples, failure = _simple_samples(
+        bb.domain, rng, trials, lambda: js.append(int(rng.integers(n - 1)))
+    )
+    Xs = []
+    for X, j in zip(samples, js):
         try:
-            X, dec = _simple_sample(bb, rng)
-            j = int(rng.integers(n - 1))
-            Xs.append(X)
-            Xs.append(_adjacent_swap(X, dec, curve, j))
+            Xs += [X, _adjacent_swap(X, spectral_decompose(X), curve, j)]
         except Exception as exc:
-            # held back until the trials before it are judged
             failure = exc
             break
-        js.append(j)
     if not Xs:
         raise failure
     FXs, exc = bb.apply_rows(np.array(Xs))
@@ -229,10 +263,8 @@ def _probe_with_first_line(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (Q * values) @ Q.conj().T
 
 
-def _first_line_image(bb: BlackBoxMap, u, values) -> np.ndarray:
-    """Unit vector spanning the output eigenline attached to values[0]."""
-    X = _probe_with_first_line(u, values)
-    FX = bb.apply(X)
+def _first_line_image(FX: np.ndarray, values) -> np.ndarray:
+    """Unit vector spanning the eigenline of values[0] in the probe image FX."""
     dec = spectral_decompose(FX)
     k = int(np.argmin(np.abs(dec.distinct_eigenvalues - values[0])))
     if dec.multiplicities[k] != 1:
@@ -245,12 +277,14 @@ def _first_line_image(bb: BlackBoxMap, u, values) -> np.ndarray:
 
 def _holdout_residual(bb: BlackBoxMap, rng, model) -> float:
     """Worst relative deviation ||F(X) - model(X)|| / ||X|| of the map from
-    a candidate model over fresh domain samples."""
+    a candidate model, a map of stacks, over fresh domain samples."""
+    Xs = bb.domain.sample_batch(rng, _VALIDATION_SAMPLES)
+    FXs, exc = bb.apply_rows(Xs)
     residual = 0.0
-    for X in bb.domain.sample_batch(rng, _VALIDATION_SAMPLES):
-        residual = max(
-            residual, np.linalg.norm(bb.apply(X) - model(X)) / np.linalg.norm(X)
-        )
+    for X, FX, M in zip(Xs, FXs, model(Xs[: len(FXs)])):
+        residual = max(residual, np.linalg.norm(FX - M) / np.linalg.norm(X))
+    if exc is not None:
+        raise exc
     return float(residual)
 
 
@@ -269,12 +303,22 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     window = bb.domain.window
     values = bb.domain.curve.eval_array(_probe_params(bb.domain.curve, window, n))
     eye = np.eye(n, dtype=complex)
+    # first lines: e_i, then (e_0 + e_j) / sqrt(2), then (e_0 + i e_1) / sqrt(2)
+    lines = [*eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n))]
+    lines.append((eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2))
+    probes = np.array([_probe_with_first_line(u, values) for u in lines])
+    FXs, exc = bb.apply_rows(probes)
 
-    cols = [_first_line_image(bb, eye[:, i], values) for i in range(n)]
+    def image(k):
+        if k >= len(FXs):
+            raise exc
+        return _first_line_image(FXs[k], values)
+
+    cols = [image(i) for i in range(n)]
     T = np.empty((n, n), dtype=complex)
     T[:, 0] = cols[0]
     for j in range(1, n):
-        w = _first_line_image(bb, (eye[:, 0] + eye[:, j]) / np.sqrt(2), values)
+        w = image(n - 1 + j)
         coeffs, *_ = np.linalg.lstsq(
             np.column_stack([cols[0], cols[j]]), w, rcond=None
         )
@@ -283,7 +327,7 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
             raise ReconstructionError("scale probe did not mix both columns")
         T[:, j] = (beta / alpha) * cols[j]
 
-    w = _first_line_image(bb, (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2), values)
+    w = image(2 * n - 1)
     d_lin = line_distance(w, T @ (eye[:, 0] + 1j * eye[:, 1]))
     d_anti = line_distance(w, T @ (eye[:, 0] - 1j * eye[:, 1]))
     antilinear = d_anti < d_lin
@@ -294,7 +338,7 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
         raise ReconstructionError("reconstructed conjugator is near singular")
     Tinv = np.linalg.inv(T)
     residual = _holdout_residual(
-        bb, rng, lambda X: T @ (X.T if antilinear else X) @ Tinv
+        bb, rng, lambda Xs: T @ (Xs.transpose(0, 2, 1) if antilinear else Xs) @ Tinv
     )
     if residual > _VALIDATION_TOL:
         raise ReconstructionError(
@@ -329,10 +373,11 @@ class PreserverType:
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
     curve = bb.domain.curve
+    Xs, failure = _simple_samples(bb.domain, rng, _FRAME_SAMPLES)
+    FXs, exc = bb.apply_rows(Xs)
     frame = None
-    for k in range(_FRAME_SAMPLES):
-        X, _ = _simple_sample(bb, rng)
-        F = eigenflag(spectral_decompose(bb.apply(X)), curve)
+    for FX in FXs:
+        F = eigenflag(spectral_decompose(FX), curve)
         if frame is None:
             frame = F.copy()
             ref = F
@@ -344,6 +389,8 @@ def _recover_fixed_frame(bb: BlackBoxMap, rng):
                     raise ReconstructionError("output frames do not share columns")
                 F[:, j] *= c.conjugate() / abs(c)
             frame += F
+    if exc or failure:
+        raise exc or failure
     frame /= np.linalg.norm(frame, axis=0, keepdims=True)
     return frame
 
@@ -381,7 +428,9 @@ def classify_preserver(
 
     try:
         frame = _recover_fixed_frame(bb, rng)
-        residual = _holdout_residual(bb, rng, OrderMap(bb.domain.curve, frame).apply)
+        residual = _holdout_residual(
+            bb, rng, OrderMap(bb.domain.curve, frame).apply_batch
+        )
     except (ReconstructionError, NumericalDomainError, ConfigError) as exc:
         return unknown(str(exc))
     if residual > _VALIDATION_TOL:

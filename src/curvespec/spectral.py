@@ -10,9 +10,10 @@ eigensolve and admits only the rows this routine would accept.
 
 Samplers draw spectra from a parameter window on a curve and conjugate a
 Haar-unitary frame (optionally skewed by a well-conditioned S) around the
-diagonal; single samples and commuting pairs share one body.  Batch
-variants operate on (count, n, n) stacks throughout; the stacked LAPACK
-calls are what keeps large randomized checks affordable on a single core.
+diagonal: _draw makes the rng calls, and _assemble the linear algebra on
+(count, n, n) stacks.  The stacked LAPACK calls are what keeps large
+randomized checks affordable on a single core; they equal the per-matrix
+calls bit for bit, so draws made one at a time assemble as one stack.
 
 Spectra are compared by one routine, _bottleneck: the optimal-matching
 distance of a distance matrix, by bisection with a perfect-matching test.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -421,11 +423,15 @@ def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True)
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _random_unitaries(n, 1, rng)[0]
+    return _haar_frames(_ginibre(n, 1, rng))[0]
 
 
-def _random_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+def _ginibre(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+
+
+def _haar_frames(g: np.ndarray) -> np.ndarray:
+    """The unitary QR factors of a Ginibre stack, phases fixed to make them Haar."""
     q, r = np.linalg.qr(g / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     mod = np.abs(d)
@@ -483,47 +489,61 @@ def _conjugate_diag(frames: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return (frames * diag[:, None, :]) @ frames.conj().transpose(0, 2, 1)
 
 
-def _skew_frames(
-    n: int, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _skew_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned non-unitary frames S = I + 0.5 * Gaussian."""
     eye = np.eye(n)
     S = np.empty((count, n, n), dtype=complex)
     todo = np.arange(count)
     while todo.size:
-        g = rng.standard_normal((todo.size, n, n)) + 1j * rng.standard_normal(
-            (todo.size, n, n)
-        )
-        cand = eye + 0.5 * g / np.sqrt(2.0)
+        cand = eye + 0.5 * _ginibre(n, todo.size, rng) / np.sqrt(2.0)
         conds = np.linalg.cond(cand)
         good = conds <= _SAMPLE_COND_LIMIT
         S[todo[good]] = cand[good]
         todo = todo[~good]
-    return S, np.linalg.inv(S)
+    return S
 
 
-def _sample_spectra(
+class _Draw(NamedTuple):
+    """Spectra lam (k, count, n), Ginibre stack G and skew frames S (None
+    for the normal class) of count samples in k stacks."""
+
+    lam: np.ndarray
+    G: np.ndarray
+    S: np.ndarray | None
+
+
+def _draw(
     curve: Curve,
     n: int,
     matrix_class: MatrixClass,
     rng: np.random.Generator,
     window: Interval | None,
     count: int,
-    k: int,
-) -> list:
-    """k stacks of count samples with spectra on the curve, where the i-th
-    samples of all k stacks share one eigenframe (so they commute)."""
+    k: int = 1,
+) -> _Draw:
+    """Every rng call of count samples in k stacks, in the samplers' order."""
     if not (MIN_DIM <= n <= MAX_DIM):
         raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
     window = _resolve_window(curve, window)
     ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
-    lams = [curve.eval_array(t.ravel()).reshape(count, n) for t in ts]
-    Q = _random_unitaries(n, count, rng)
-    stacks = [_conjugate_diag(Q, lam) for lam in lams]
-    if matrix_class is MatrixClass.NORMAL:
-        return stacks
-    S, Sinv = _skew_frames(n, count, rng)
-    return [S @ N @ Sinv for N in stacks]
+    lam = np.array([curve.eval_array(t.ravel()).reshape(count, n) for t in ts])
+    G = _ginibre(n, count, rng)
+    S = None if matrix_class is MatrixClass.NORMAL else _skew_frames(n, count, rng)
+    return _Draw(lam, G, S)
+
+
+def _assemble(*draws: _Draw) -> tuple[np.ndarray, np.ndarray]:
+    """The k sample stacks X (k, count, n, n) of the draws, in order, whose
+    i-th samples share one eigenframe (so they commute), and their unitary
+    frames Q."""
+    lam, G, S = zip(*draws)
+    Q = _haar_frames(np.concatenate(G))
+    X = np.array([_conjugate_diag(Q, d) for d in np.concatenate(lam, axis=1)])
+    if S[0] is not None:
+        S = np.concatenate(S)
+        Sinv = np.linalg.inv(S)
+        X = np.array([S @ N @ Sinv for N in X])
+    return X, Q
 
 
 def sample_batch(
@@ -535,7 +555,7 @@ def sample_batch(
     count: int = 1,
 ) -> np.ndarray:
     """Stack of count independent samples with spectrum on the curve."""
-    return _sample_spectra(curve, n, matrix_class, rng, window, count, 1)[0]
+    return _assemble(_draw(curve, n, matrix_class, rng, window, count))[0][0]
 
 
 def sample(
@@ -558,7 +578,7 @@ def sample_commuting_pair_batch(
     count: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
-    return tuple(_sample_spectra(curve, n, matrix_class, rng, window, count, 2))
+    return tuple(_assemble(_draw(curve, n, matrix_class, rng, window, count, 2))[0])
 
 
 def sample_commuting_pair(

@@ -418,9 +418,9 @@ class TestExternalProgramMap:
             assert v.ok
 
     def test_dead_program_raises(self):
-        ext = ExternalProgramMap([sys.executable, "-c", "import sys; sys.exit(3)"])
-        with pytest.raises(MapProtocolError):
-            ext(np.eye(3, dtype=complex))
+        with ExternalProgramMap([sys.executable, "-c", "import sys; sys.exit(3)"]) as ext:
+            with pytest.raises(MapProtocolError):
+                ext(np.eye(3, dtype=complex))
 
     def test_malformed_reply_raises(self):
         prog = "import sys\nfor line in sys.stdin:\n    print('junk', flush=True)\n"

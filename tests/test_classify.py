@@ -1,17 +1,32 @@
 """Preserver classification, conjugator reconstruction, obstruction demo."""
 
+import json
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvespec.checking import BlackBoxMap, DomainSpec
+import curvespec.classify as classify
+from curvespec.checking import BlackBoxMap, DomainSpec, ExternalProgramMap
 from curvespec.classify import (
+    _FRAME_SAMPLES,
+    _GAP_BAND,
+    _SAMPLE_ATTEMPTS,
+    _VALIDATION_SAMPLES,
     EQUIVARIANT,
     FACTORS_THROUGH_QUOTIENT,
     EquivarianceVerdict,
     _adjacent_swap,
-    _simple_sample,
+    _certified_simple,
+    _first_line_image,
+    _holdout_residual,
+    _probe_params,
+    _probe_with_first_line,
+    _recover_fixed_frame,
+    _simple_draw,
     circle_obstruction_demo,
     classify_preserver,
     equivariance_test,
@@ -33,8 +48,13 @@ from curvespec.errors import (
 from curvespec.curves import UnitCircleClosed
 from curvespec.maps import Conj, OrderMap, TransposeConj, compose
 from curvespec.spectral import (
+    BASIS_COND_LIMIT,
+    CLUSTER_RTOL,
     MatrixClass,
+    _assemble,
+    _Draw,
     eigenflag,
+    matrix_to_json,
     random_unitary,
     spectral_decompose,
 )
@@ -102,6 +122,17 @@ class TestEquivariance:
 # the scalar reference: one witness at a time, each with two map calls and
 # two eigenflags; equivariance_test must give the same verdict, or raise the
 # same error with the same message, on the same seed
+
+
+def _simple_sample(bb: BlackBoxMap, rng):
+    """Draw a domain sample with n distinct eigenvalues, plus its decomposition."""
+    n = bb.domain.n
+    for _ in range(_SAMPLE_ATTEMPTS):
+        X = bb.domain.sample_batch(rng, 1)[0]
+        dec = spectral_decompose(X)
+        if dec.num_clusters == n:
+            return X, dec
+    raise NumericalDomainError("could not draw a simple-spectrum sample")
 
 
 def _reference_witness(bb, X, dec, j, tol):
@@ -182,7 +213,8 @@ class _Scripted:
 
 class _DryingDomain:
     """The normal domain of _dom, except that every sample from draw
-    `dry_from` on has one repeated eigenvalue."""
+    `dry_from` on has one repeated eigenvalue, on both routes: the samples
+    of sample_batch and the spectra of _draw."""
 
     def __init__(self, n, dry_from):
         self.inner, self.n, self.dry_from, self.drawn = _dom(n), n, dry_from, 0
@@ -194,6 +226,13 @@ class _DryingDomain:
         if self.drawn > self.dry_from:
             Xs[:] = 0.5 * np.eye(self.n)
         return Xs
+
+    def _draw(self, rng, count):
+        draw = self.inner._draw(rng, count)
+        self.drawn += count
+        if self.drawn > self.dry_from:
+            draw.lam[:] = 0.5
+        return draw
 
 
 _JORDAN = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -280,6 +319,279 @@ class TestBatchedEquivarianceOracle:
         _reference_equivariance(bb, 20, ref)
         equivariance_test(bb, 20, new)
         assert ref.bit_generator.state == new.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the cluster count certified from the drawn spectrum
+
+
+_GAP_CURVES = {
+    "real-line": real_line(),
+    "arc": unit_circle_arc(0),
+    "corner": CornerGraph(-1.0, 2.0),
+}
+
+
+def _spectrum_with_gap(curve, n, t0, u, s):
+    """n points on the curve whose least gap, between the first two, lies s
+    bands (_GAP_BAND) from the merge threshold; t0 and u in [0, 1) place
+    the first point and the n - 2 far ones."""
+    w = DomainSpec(curve, n, MatrixClass.NORMAL).window
+    lo, span = w.lower, w.upper - w.lower
+    rest = lo + span * (0.5 + 0.45 * (np.arange(n - 2) + u) / (n - 2))
+    t0 = lo + span * (0.05 + 0.4 * t0)
+    dt = CLUSTER_RTOL
+    for _ in range(3):
+        lam = curve.eval_array(np.array([t0, t0 + dt, *rest]))
+        scale = max(1.0, float(np.linalg.norm(lam)))
+        dt *= (CLUSTER_RTOL + s * _GAP_BAND) * scale / abs(lam[1] - lam[0])
+    return curve.eval_array(np.array([t0, t0 + dt, *rest]))
+
+
+class _FixedDomain:
+    """A domain whose every draw is the same one."""
+
+    def __init__(self, n, draw):
+        self.n, self.draw = n, draw
+
+    def _draw(self, rng, count):
+        return self.draw
+
+
+class TestCertifiedClusterCount:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        curve=st.sampled_from(sorted(_GAP_CURVES)),
+        n=st.integers(3, 6),
+        t0=st.floats(0.0, 1.0, exclude_max=True),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        s=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectrum_rule_agrees_with_the_decomposition(self, curve, n, t0, u, s, seed):
+        lam = _spectrum_with_gap(_GAP_CURVES[curve], n, t0, u, s)
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n))
+        draw = _Draw(lam[None, None], G, None)
+        # today's test: n clusters, too few, or the decomposition's error
+        try:
+            want = spectral_decompose(_assemble(draw)[0][0, 0]).num_clusters == n
+        except Exception as exc:
+            want = type(exc), str(exc)
+        certified = _certified_simple(lam)
+        if s >= 1.05:
+            assert certified and want is True
+        elif s <= 0.95:
+            assert not certified
+        # a candidate the spectrum does not certify is decomposed
+        with mock.patch.object(
+            classify, "spectral_decompose", wraps=spectral_decompose
+        ) as dec:
+            try:
+                got = _simple_draw(_FixedDomain(n, draw), None) is draw
+            except Exception as exc:
+                got = type(exc), str(exc)
+                if got == (NumericalDomainError,
+                           "could not draw a simple-spectrum sample"):
+                    got = False
+        assert got == want
+        if certified:
+            assert dec.call_count == 0
+        else:
+            assert dec.call_count == (_SAMPLE_ATTEMPTS if want is False else 1)
+
+
+# ---------------------------------------------------------------------------
+# the holdout, the probes and the frame cross the map boundary as one stack
+# each; the references map one matrix at a time and read its output at once
+
+
+def _reference_holdout(bb, rng, model):
+    residual = 0.0
+    for X in bb.domain.sample_batch(rng, _VALIDATION_SAMPLES):
+        residual = max(
+            residual, np.linalg.norm(bb.apply(X) - model(X)) / np.linalg.norm(X)
+        )
+    return float(residual)
+
+
+def _reference_reconstruct(bb, rng):
+    n = bb.domain.n
+    values = bb.domain.curve.eval_array(
+        _probe_params(bb.domain.curve, bb.domain.window, n))
+    eye = np.eye(n, dtype=complex)
+
+    def line(u):
+        return _first_line_image(bb.apply(_probe_with_first_line(u, values)), values)
+
+    cols = [line(eye[:, i]) for i in range(n)]
+    T = np.empty((n, n), dtype=complex)
+    T[:, 0] = cols[0]
+    for j in range(1, n):
+        w = line((eye[:, 0] + eye[:, j]) / np.sqrt(2))
+        coeffs, *_ = np.linalg.lstsq(
+            np.column_stack([cols[0], cols[j]]), w, rcond=None)
+        alpha, beta = coeffs
+        if abs(alpha) < 1e-12 or abs(beta) < 1e-12:
+            raise ReconstructionError("scale probe did not mix both columns")
+        T[:, j] = (beta / alpha) * cols[j]
+    w = line((eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2))
+    d_lin = line_distance(w, T @ (eye[:, 0] + 1j * eye[:, 1]))
+    d_anti = line_distance(w, T @ (eye[:, 0] - 1j * eye[:, 1]))
+    antilinear = d_anti < d_lin
+    T /= T.ravel()[int(np.argmax(np.abs(T)))]
+    if not np.linalg.cond(T) <= BASIS_COND_LIMIT:
+        raise ReconstructionError("reconstructed conjugator is near singular")
+    Tinv = np.linalg.inv(T)
+    residual = _reference_holdout(
+        bb, rng, lambda X: T @ (X.T if antilinear else X) @ Tinv)
+    if residual > 1e-6:
+        raise ReconstructionError(
+            f"conjugator validation residual {residual:.3e} exceeds 1e-06")
+    return T, antilinear, residual
+
+
+def _reference_frame(bb, rng):
+    curve = bb.domain.curve
+    frame = None
+    for _ in range(_FRAME_SAMPLES):
+        X, _ = _simple_sample(bb, rng)
+        F = eigenflag(spectral_decompose(bb.apply(X)), curve)
+        if frame is None:
+            frame = F.copy()
+            ref = F
+        else:
+            for j in range(F.shape[1]):
+                c = ref[:, j].conj() @ F[:, j]
+                if abs(c) < 1e-12:
+                    raise ReconstructionError("output frames do not share columns")
+                F[:, j] *= c.conjugate() / abs(c)
+            frame += F
+    frame /= np.linalg.norm(frame, axis=0, keepdims=True)
+    return frame
+
+
+# stage: (batched, reference, scripted map that the stage succeeds on)
+_STAGES = {
+    "holdout": (lambda bb, rng: _holdout_residual(bb, rng, lambda Xs: Xs),
+                lambda bb, rng: _reference_holdout(bb, rng, lambda X: X),
+                {}),
+    "probes": (reconstruct_conjugator, _reference_reconstruct, {}),
+    "frame": (_recover_fixed_frame, _reference_frame, {"order_from": 0}),
+}
+
+# stage: scripted failures, as keyword arguments of _Scripted
+_STAGE_FAILURES = {
+    "holdout": [{"fail": 0}, {"fail": 17}, {"fail": 49},
+                {"fail": 10, "output": {3: np.eye(4)}},
+                {"fail": 3, "output": {10: np.eye(4)}}],
+    "probes": [{"fail": 0}, {"fail": 2}, {"fail": 5},
+               {"fail": 4, "output": {2: _JORDAN}},
+               {"fail": 2, "output": {4: _JORDAN}}],
+    "frame": [{"fail": 0}, {"fail": 7}, {"fail": 19},
+              {"fail": 7, "output": {3: _JORDAN}},
+              {"fail": 4, "output": {9: _JORDAN}}],
+}
+
+
+def _stage_outcome(run, func, seed=3):
+    """The bytes of a stage's result, or (exception type, message)."""
+    try:
+        got = run(BlackBoxMap(func, _dom()), np.random.default_rng(seed))
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        return tuple(np.asarray(x).tobytes() for x in got)
+    return np.asarray(got).tobytes()
+
+
+class _Transposing:
+    """X -> X^t, recording every input."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __call__(self, X):
+        self.inputs.append(X.copy())
+        return X.T
+
+
+_TEE = """
+import json, sys
+with open(sys.argv[1], "a") as log:
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        m = json.loads(line)
+        m["entries"] = [list(col) for col in zip(*m["entries"])]
+        print(json.dumps(m), flush=True)
+"""
+
+
+class TestStageBatchBoundary:
+    @pytest.mark.parametrize("stage,case", [
+        (stage, i) for stage, cases in _STAGE_FAILURES.items()
+        for i in range(len(cases))])
+    def test_failure_at_row_k_is_the_one_at_a_time_failure(self, stage, case):
+        new, ref, base = _STAGES[stage]
+        script = {**base, **_STAGE_FAILURES[stage][case]}
+        want = _stage_outcome(ref, _Scripted(3, **script))
+        assert isinstance(want[0], type) and issubclass(want[0], Exception)
+        assert _stage_outcome(new, _Scripted(3, **script)) == want
+
+    @pytest.mark.parametrize("stage", sorted(_STAGES))
+    def test_counting_callable_sees_each_row_once_in_order(self, stage):
+        new, ref, base = _STAGES[stage]
+        a, b = _Scripted(3, **base), _Scripted(3, **base)
+        want = _stage_outcome(ref, a)
+        assert _stage_outcome(new, b) == want and isinstance(want, (bytes, tuple))
+        assert len(b.inputs) == len(a.inputs) > 0
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(b.inputs, a.inputs))
+
+    @pytest.mark.parametrize("stage", sorted(_STAGES))
+    def test_program_receives_the_reference_rows(self, stage, tmp_path):
+        new, ref, _ = _STAGES[stage]
+        oracle = _Transposing()
+        want = _stage_outcome(ref, oracle)
+        tee = tmp_path / "requests.jsonl"
+        with ExternalProgramMap([sys.executable, "-c", _TEE, str(tee)]) as ext:
+            assert _stage_outcome(new, ext) == want
+        assert tee.read_text() == "".join(
+            json.dumps(matrix_to_json(X)) + "\n" for X in oracle.inputs)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("case", [
+        "conj/unitary", "conj/oblique", "transpose/oblique", "order/unitary",
+        "order/oblique", "planted X+I"])
+    def test_holdout_residual_is_the_per_row_residual(self, case, seed):
+        kind, _, frame = case.partition("/")
+        T = _unitary(4, 60) if frame == "unitary" else _oblique(4, 61)
+        Tinv = np.linalg.inv(T)
+        if kind == "order":
+            m = OrderMap(real_line(), T)
+            func, batch, one = m, m.apply_batch, m.apply
+        else:
+            func = {"conj": Conj(T), "transpose": TransposeConj(T),
+                    "planted X+I": lambda X: X + np.eye(4)}[kind]
+            T = np.eye(4) if kind == "planted X+I" else T
+            Tinv = np.linalg.inv(T)
+            if kind == "transpose":
+                def batch(Xs):
+                    return T @ Xs.transpose(0, 2, 1) @ Tinv
+
+                def one(X):
+                    return T @ X.T @ Tinv
+            else:
+                def batch(Xs):
+                    return T @ Xs @ Tinv
+
+                def one(X):
+                    return T @ X @ Tinv
+        bb = BlackBoxMap(func, _dom(4))
+        got = _holdout_residual(bb, np.random.default_rng(seed), batch)
+        want = _reference_holdout(bb, np.random.default_rng(seed), one)
+        assert got == want
+        assert (want > 0.1) if kind == "planted X+I" else (want < 1e-9)
 
 
 class TestReconstructConjugator:

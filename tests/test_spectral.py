@@ -12,15 +12,23 @@ from curvespec.curves import (
     Segment,
     UnitCircleClosed,
     real_line,
+    unit_circle_arc,
 )
 from curvespec.errors import (
     ConfigError,
     DefectiveMatrixError,
     NumericalDomainError,
 )
+from curvespec.checking import DomainSpec
 from curvespec.spectral import (
+    _assemble,
     _bottleneck,
     _cluster_components,
+    _conjugate_diag,
+    _draw,
+    _draw_params,
+    _resolve_window,
+    _SAMPLE_COND_LIMIT,
     _cluster_means,
     _curve_order,
     _fix_phase,
@@ -35,6 +43,7 @@ from curvespec.spectral import (
     sample,
     sample_batch,
     sample_commuting_pair,
+    sample_commuting_pair_batch,
     spectra_equal,
     spectral_bottleneck_distance,
     spectral_decompose,
@@ -441,3 +450,102 @@ def test_eigenflag_matches_one_svd_per_idempotent(seed, n, cls):
     cols = [_fix_phase(np.linalg.svd(dec.idempotents[int(c)])[0][:, :1][:, 0])
             for c in _curve_order(dec, curve)]
     assert eigenflag(dec, curve).tobytes() == np.column_stack(cols).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the sampler record: _draw makes the rng calls, _assemble the linear algebra
+
+
+def _reference_sample_spectra(curve, n, matrix_class, rng, window, count, k):
+    """The sampler before it was split into _draw and _assemble, in one body."""
+    window = _resolve_window(curve, window)
+    ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
+    lams = [curve.eval_array(t.ravel()).reshape(count, n) for t in ts]
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(g / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    mod = np.abs(d)
+    mod[mod == 0.0] = 1.0
+    Q = q * (d / mod)[:, None, :]
+    stacks = [_conjugate_diag(Q, lam) for lam in lams]
+    if matrix_class is MatrixClass.NORMAL:
+        return stacks
+    S = np.empty((count, n, n), dtype=complex)
+    todo = np.arange(count)
+    while todo.size:
+        g = rng.standard_normal((todo.size, n, n)) + 1j * rng.standard_normal(
+            (todo.size, n, n))
+        cand = np.eye(n) + 0.5 * g / np.sqrt(2.0)
+        good = np.linalg.cond(cand) <= _SAMPLE_COND_LIMIT
+        S[todo[good]] = cand[good]
+        todo = todo[~good]
+    Sinv = np.linalg.inv(S)
+    return [S @ N @ Sinv for N in stacks]
+
+
+_RECORD_CURVES = {
+    "real-line": real_line(),
+    "arc": unit_circle_arc(0.5),
+    "corner": CornerGraph(-1.0, 1.0),
+}
+_CLASSES = [MatrixClass.NORMAL, MatrixClass.SEMISIMPLE]
+
+
+class TestSamplerRecord:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("curve", sorted(_RECORD_CURVES))
+    @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.value)
+    def test_record_is_the_samplers_stream_and_bits(self, cls, curve, n):
+        curve = _RECORD_CURVES[curve]
+        for count in (1, 2, 7, 40):
+            seed = 1000 * n + count
+            ref, rec, one = (np.random.default_rng(seed) for _ in range(3))
+            want = _reference_sample_spectra(curve, n, cls, ref, None, count, 1)[0]
+            X, Q = _assemble(_draw(curve, n, cls, rec, None, count))
+            got = sample_batch(curve, n, cls, one, None, count)
+            assert X.shape == (1, count, n, n) and Q.shape == (count, n, n)
+            assert X[0].tobytes() == want.tobytes() == got.tobytes()
+            state = ref.bit_generator.state
+            assert rec.bit_generator.state == state == one.bit_generator.state
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.value)
+    def test_pair_record_is_the_pair_samplers_stream_and_bits(self, cls):
+        for curve in _RECORD_CURVES.values():
+            ref, rec, one = (np.random.default_rng(7) for _ in range(3))
+            want = _reference_sample_spectra(curve, 4, cls, ref, None, 9, 2)
+            X, _ = _assemble(_draw(curve, 4, cls, rec, None, 9, k=2))
+            got = sample_commuting_pair_batch(curve, 4, cls, one, None, 9)
+            for i in range(2):
+                assert X[i].tobytes() == want[i].tobytes() == got[i].tobytes()
+            state = ref.bit_generator.state
+            assert rec.bit_generator.state == state == one.bit_generator.state
+
+    def test_domain_route_draws_what_sample_batch_samples(self):
+        for cls in _CLASSES:
+            dom = DomainSpec(unit_circle_arc(0.5), 5, cls)
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            X, _ = _assemble(dom._draw(a, 6))
+            assert X[0].tobytes() == dom.sample_batch(b, 6).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.value)
+    def test_single_draws_assemble_as_one_stack(self, cls, n):
+        for name, curve in _RECORD_CURVES.items():
+            rng = np.random.default_rng(n)
+            for k in (1, 2, 5, 20):
+                draws = [_draw(curve, n, cls, rng, None, 1, 2) for _ in range(k)]
+                X, Q = _assemble(*draws)
+                alone = [_assemble(d) for d in draws]
+                assert X.tobytes() == np.concatenate(
+                    [Xi for Xi, _ in alone], axis=1).tobytes()
+                assert Q.tobytes() == np.concatenate([Qi for _, Qi in alone]).tobytes()
+
+    def test_draw_keeps_the_spectra(self):
+        curve = unit_circle_arc(0.5)
+        draw = _draw(curve, 4, MatrixClass.NORMAL, np.random.default_rng(1), None, 3)
+        X, Q = _assemble(draw)
+        assert draw.lam.shape == (1, 3, 4) and draw.S is None
+        for Xi, Qi, lam in zip(X[0], Q, draw.lam[0]):
+            assert np.allclose(Qi.conj().T @ Qi, np.eye(4), atol=1e-12)
+            assert np.allclose(Qi.conj().T @ Xi @ Qi, np.diag(lam), atol=1e-12)
