@@ -485,10 +485,6 @@ def _draw_params(
     return t
 
 
-def _conjugate_diag(frames: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    return (frames * diag[:, None, :]) @ frames.conj().transpose(0, 2, 1)
-
-
 def _skew_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned non-unitary frames S = I + 0.5 * Gaussian."""
     eye = np.eye(n)
@@ -536,13 +532,16 @@ def _assemble(*draws: _Draw) -> tuple[np.ndarray, np.ndarray]:
     """The k sample stacks X (k, count, n, n) of the draws, in order, whose
     i-th samples share one eigenframe (so they commute), and their unitary
     frames Q."""
-    lam, G, S = zip(*draws)
-    Q = _haar_frames(np.concatenate(G))
-    X = np.array([_conjugate_diag(Q, d) for d in np.concatenate(lam, axis=1)])
-    if S[0] is not None:
-        S = np.concatenate(S)
-        Sinv = np.linalg.inv(S)
-        X = np.array([S @ N @ Sinv for N in X])
+    if len(draws) == 1:
+        lam, G, S = draws[0]
+    else:
+        lam, G, S = zip(*draws)
+        lam, G = np.concatenate(lam, axis=1), np.concatenate(G)
+        S = None if S[0] is None else np.concatenate(S)
+    Q = _haar_frames(G)
+    X = (Q * lam[:, :, None, :]) @ Q.conj().transpose(0, 2, 1)
+    if S is not None:
+        X = S @ X @ np.linalg.inv(S)
     return X, Q
 
 

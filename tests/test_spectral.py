@@ -24,7 +24,6 @@ from curvespec.spectral import (
     _assemble,
     _bottleneck,
     _cluster_components,
-    _conjugate_diag,
     _draw,
     _draw_params,
     _resolve_window,
@@ -467,7 +466,7 @@ def _reference_sample_spectra(curve, n, matrix_class, rng, window, count, k):
     mod = np.abs(d)
     mod[mod == 0.0] = 1.0
     Q = q * (d / mod)[:, None, :]
-    stacks = [_conjugate_diag(Q, lam) for lam in lams]
+    stacks = [(Q * lam[:, None, :]) @ Q.conj().transpose(0, 2, 1) for lam in lams]
     if matrix_class is MatrixClass.NORMAL:
         return stacks
     S = np.empty((count, n, n), dtype=complex)
