@@ -98,11 +98,14 @@ def _certified_simple(lam: np.ndarray) -> bool:
 
 def _simple_draw(domain, rng):
     """The draw (see DomainSpec._draw) of one sample with n distinct
-    eigenvalues; an uncertified candidate is assembled and decomposed."""
+    eigenvalues; a candidate the spectrum does not certify, and every
+    candidate of a non-normal class (whose ||X|| may exceed ||lam||, and
+    with it the merge threshold), is assembled and decomposed."""
+    normal = domain.matrix_class is MatrixClass.NORMAL
     for _ in range(_SAMPLE_ATTEMPTS):
         draw = domain._draw(rng, 1)
-        if _certified_simple(draw.lam[0, 0]) or (
-            spectral_decompose(_assemble(draw)[0][0, 0]).num_clusters == domain.n
+        if (normal and _certified_simple(draw.lam[0, 0])) or (
+            spectral_decompose(_assemble(draw)[0, 0]).num_clusters == domain.n
         ):
             return draw
     raise NumericalDomainError("could not draw a simple-spectrum sample")
@@ -121,7 +124,7 @@ def _simple_samples(domain, rng, count: int, then=lambda: None):
         then()
     if not draws:
         raise failure
-    return _assemble(*draws)[0][0], failure
+    return _assemble(*draws)[0], failure
 
 
 def _adjacent_swap(X, dec, curve, j):

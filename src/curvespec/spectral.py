@@ -528,21 +528,17 @@ def _draw(
     return _Draw(lam, G, S)
 
 
-def _assemble(*draws: _Draw) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(*draws: _Draw) -> np.ndarray:
     """The k sample stacks X (k, count, n, n) of the draws, in order, whose
-    i-th samples share one eigenframe (so they commute), and their unitary
-    frames Q."""
-    if len(draws) == 1:
-        lam, G, S = draws[0]
-    else:
-        lam, G, S = zip(*draws)
-        lam, G = np.concatenate(lam, axis=1), np.concatenate(G)
-        S = None if S[0] is None else np.concatenate(S)
+    i-th samples share one eigenframe (so they commute)."""
+    lam, G, S = zip(*draws)
+    lam, G = np.concatenate(lam, axis=1), np.concatenate(G)
+    S = None if S[0] is None else np.concatenate(S)
     Q = _haar_frames(G)
     X = (Q * lam[:, :, None, :]) @ Q.conj().transpose(0, 2, 1)
     if S is not None:
         X = S @ X @ np.linalg.inv(S)
-    return X, Q
+    return X
 
 
 def sample_batch(
@@ -554,7 +550,7 @@ def sample_batch(
     count: int = 1,
 ) -> np.ndarray:
     """Stack of count independent samples with spectrum on the curve."""
-    return _assemble(_draw(curve, n, matrix_class, rng, window, count))[0][0]
+    return _assemble(_draw(curve, n, matrix_class, rng, window, count))[0]
 
 
 def sample(
@@ -577,7 +573,7 @@ def sample_commuting_pair_batch(
     count: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
-    return tuple(_assemble(_draw(curve, n, matrix_class, rng, window, count, 2))[0])
+    return tuple(_assemble(_draw(curve, n, matrix_class, rng, window, count, 2)))
 
 
 def sample_commuting_pair(

@@ -53,6 +53,7 @@ from curvespec.spectral import (
     MatrixClass,
     _assemble,
     _Draw,
+    _skew_frames,
     eigenflag,
     matrix_to_json,
     random_unitary,
@@ -218,7 +219,7 @@ class _DryingDomain:
 
     def __init__(self, n, dry_from):
         self.inner, self.n, self.dry_from, self.drawn = _dom(n), n, dry_from, 0
-        self.curve = self.inner.curve
+        self.curve, self.matrix_class = self.inner.curve, self.inner.matrix_class
 
     def sample_batch(self, rng, count):
         Xs = self.inner.sample_batch(rng, count)
@@ -351,8 +352,8 @@ def _spectrum_with_gap(curve, n, t0, u, s):
 class _FixedDomain:
     """A domain whose every draw is the same one."""
 
-    def __init__(self, n, draw):
-        self.n, self.draw = n, draw
+    def __init__(self, n, draw, matrix_class=MatrixClass.NORMAL):
+        self.n, self.draw, self.matrix_class = n, draw, matrix_class
 
     def _draw(self, rng, count):
         return self.draw
@@ -375,7 +376,7 @@ class TestCertifiedClusterCount:
         draw = _Draw(lam[None, None], G, None)
         # today's test: n clusters, too few, or the decomposition's error
         try:
-            want = spectral_decompose(_assemble(draw)[0][0, 0]).num_clusters == n
+            want = spectral_decompose(_assemble(draw)[0, 0]).num_clusters == n
         except Exception as exc:
             want = type(exc), str(exc)
         certified = _certified_simple(lam)
@@ -399,6 +400,40 @@ class TestCertifiedClusterCount:
             assert dec.call_count == 0
         else:
             assert dec.call_count == (_SAMPLE_ATTEMPTS if want is False else 1)
+
+    def test_semisimple_candidates_are_always_decomposed(self):
+        # S X S^-1 may have ||X|| well above ||lam||, and so a merge
+        # threshold above a gap that clears the spectrum's own
+        exposed = 0
+        for curve in _GAP_CURVES.values():
+            for n in range(3, 7):
+                lam = _spectrum_with_gap(curve, n, 0.3, 0.5, 2.0)
+                assert _certified_simple(lam)
+                for seed in range(5):
+                    rng = np.random.default_rng(seed)
+                    G = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal(
+                        (1, n, n))
+                    draw = _Draw(lam[None, None], G, _skew_frames(n, 1, rng))
+                    try:
+                        want = spectral_decompose(
+                            _assemble(draw)[0, 0]).num_clusters == n
+                    except Exception as exc:
+                        want = type(exc), str(exc)
+                    exposed += want is not True
+                    domain = _FixedDomain(n, draw, MatrixClass.SEMISIMPLE)
+                    with mock.patch.object(
+                        classify, "spectral_decompose", wraps=spectral_decompose
+                    ) as dec:
+                        try:
+                            got = _simple_draw(domain, None) is draw
+                        except Exception as exc:
+                            got = type(exc), str(exc)
+                            if got == (NumericalDomainError,
+                                       "could not draw a simple-spectrum sample"):
+                                got = False
+                    assert got == want
+                    assert dec.call_count == (_SAMPLE_ATTEMPTS if want is False else 1)
+        assert exposed
 
 
 # ---------------------------------------------------------------------------

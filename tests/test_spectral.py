@@ -31,6 +31,7 @@ from curvespec.spectral import (
     _cluster_means,
     _curve_order,
     _fix_phase,
+    _haar_frames,
     _matchable,
     _schur,
     MatrixClass,
@@ -500,9 +501,9 @@ class TestSamplerRecord:
             seed = 1000 * n + count
             ref, rec, one = (np.random.default_rng(seed) for _ in range(3))
             want = _reference_sample_spectra(curve, n, cls, ref, None, count, 1)[0]
-            X, Q = _assemble(_draw(curve, n, cls, rec, None, count))
+            X = _assemble(_draw(curve, n, cls, rec, None, count))
             got = sample_batch(curve, n, cls, one, None, count)
-            assert X.shape == (1, count, n, n) and Q.shape == (count, n, n)
+            assert X.shape == (1, count, n, n)
             assert X[0].tobytes() == want.tobytes() == got.tobytes()
             state = ref.bit_generator.state
             assert rec.bit_generator.state == state == one.bit_generator.state
@@ -512,7 +513,7 @@ class TestSamplerRecord:
         for curve in _RECORD_CURVES.values():
             ref, rec, one = (np.random.default_rng(7) for _ in range(3))
             want = _reference_sample_spectra(curve, 4, cls, ref, None, 9, 2)
-            X, _ = _assemble(_draw(curve, 4, cls, rec, None, 9, k=2))
+            X = _assemble(_draw(curve, 4, cls, rec, None, 9, k=2))
             got = sample_commuting_pair_batch(curve, 4, cls, one, None, 9)
             for i in range(2):
                 assert X[i].tobytes() == want[i].tobytes() == got[i].tobytes()
@@ -523,7 +524,7 @@ class TestSamplerRecord:
         for cls in _CLASSES:
             dom = DomainSpec(unit_circle_arc(0.5), 5, cls)
             a, b = np.random.default_rng(3), np.random.default_rng(3)
-            X, _ = _assemble(dom._draw(a, 6))
+            X = _assemble(dom._draw(a, 6))
             assert X[0].tobytes() == dom.sample_batch(b, 6).tobytes()
             assert a.bit_generator.state == b.bit_generator.state
 
@@ -534,16 +535,14 @@ class TestSamplerRecord:
             rng = np.random.default_rng(n)
             for k in (1, 2, 5, 20):
                 draws = [_draw(curve, n, cls, rng, None, 1, 2) for _ in range(k)]
-                X, Q = _assemble(*draws)
+                X = _assemble(*draws)
                 alone = [_assemble(d) for d in draws]
-                assert X.tobytes() == np.concatenate(
-                    [Xi for Xi, _ in alone], axis=1).tobytes()
-                assert Q.tobytes() == np.concatenate([Qi for _, Qi in alone]).tobytes()
+                assert X.tobytes() == np.concatenate(alone, axis=1).tobytes()
 
     def test_draw_keeps_the_spectra(self):
         curve = unit_circle_arc(0.5)
         draw = _draw(curve, 4, MatrixClass.NORMAL, np.random.default_rng(1), None, 3)
-        X, Q = _assemble(draw)
+        X, Q = _assemble(draw), _haar_frames(draw.G)
         assert draw.lam.shape == (1, 3, 4) and draw.S is None
         for Xi, Qi, lam in zip(X[0], Q, draw.lam[0]):
             assert np.allclose(Qi.conj().T @ Qi, np.eye(4), atol=1e-12)
