@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve, Interval, curve_to_json
-from .errors import ConfigError, MapProtocolError
+from .errors import ConfigError, MapProtocolError, NumericalDomainError
 from .maps import rho
 from .regularity import DB_SCALES, DC_SCALES, RegularityProfile, db_profile, dc_probe
 from .spectral import (
@@ -394,6 +394,19 @@ def _first_violation(trials: int, run) -> Counterexample | None:
     return found
 
 
+def _suspects(kind: str, start: int, magnitudes, tols):
+    """Rows of a chunk over tolerance, in trial order.  A row whose magnitude
+    or tolerance is not finite, which no comparison would flag, raises
+    NumericalDomainError when reached."""
+    finite = np.isfinite(magnitudes) & np.isfinite(tols)
+    for i in np.flatnonzero(~finite | (magnitudes > tols)):
+        if not finite[i]:
+            raise NumericalDomainError(
+                f"{kind} trial {start + int(i)}: {magnitudes[i]} against "
+                f"tolerance {tols[i]} is not finite")
+        yield int(i)
+
+
 def check_cs(
     bb: BlackBoxMap, trials: int, tol: float = 1e-6, rng=None
 ) -> PreserverVerdict:
@@ -404,7 +417,8 @@ def check_cs(
     images of exactly-commuting pairs must have commutator norm at most
     max(1e-12, tol * ||im X|| * ||im Y||) on `trials` constructed pairs.
     The first violation in trial order is recorded, with its magnitude
-    computed from the eigenvalues or commutator that judged it.
+    computed from the eigenvalues or commutator that judged it.  A trial
+    before it whose magnitude or tolerance overflows raises NumericalDomainError.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -418,15 +432,17 @@ def check_cs(
         FXs = bb.apply_batch(Xs)
         if not judge:
             return None
-        wx = np.linalg.eigvals(Xs)
-        wy = np.linalg.eigvals(FXs)
-        tols = np.maximum(1e-12, tol * np.linalg.norm(Xs, axis=(1, 2)))
-        D = np.abs(wx[:, :, None] - wy[:, None, :])
-        # the greedy maxima bound the bottleneck distances from above
-        for i in np.flatnonzero(_batch_greedy_match_max(D) > tols):
+        with np.errstate(all="ignore"):
+            wx = np.linalg.eigvals(Xs)
+            wy = np.linalg.eigvals(FXs)
+            tols = np.maximum(1e-12, tol * np.linalg.norm(Xs, axis=(1, 2)))
+            D = np.abs(wx[:, :, None] - wy[:, None, :])
+            # the greedy maxima bound the bottleneck distances from above
+            bounds = _batch_greedy_match_max(D)
+        for i in _suspects("spectrum", start, bounds, tols):
             gap = _bottleneck(D[i])
             if gap > tols[i]:
-                return Counterexample("spectrum", start + int(i), (Xs[i],),
+                return Counterexample("spectrum", start + i, (Xs[i],),
                                       (FXs[i],), gap, float(tols[i]))
         return None
 
@@ -436,15 +452,13 @@ def check_cs(
         FYs = bb.apply_batch(Ys)
         if not judge:
             return None
-        comm = np.linalg.norm(FXs @ FYs - FYs @ FXs, axis=(1, 2))
-        tols = np.maximum(
-            1e-12,
-            tol * np.linalg.norm(FXs, axis=(1, 2)) * np.linalg.norm(FYs, axis=(1, 2)),
-        )
-        bad = np.flatnonzero(comm > tols)
-        if bad.size == 0:
+        with np.errstate(all="ignore"):
+            comm = np.linalg.norm(FXs @ FYs - FYs @ FXs, axis=(1, 2))
+            tols = np.maximum(1e-12, tol * np.linalg.norm(FXs, axis=(1, 2))
+                              * np.linalg.norm(FYs, axis=(1, 2)))
+        i = next(_suspects("commutativity", start, comm, tols), None)
+        if i is None:
             return None
-        i = int(bad[0])
         return Counterexample("commutativity", start + i, (Xs[i], Ys[i]),
                               (FXs[i], FYs[i]), float(comm[i]), float(tols[i]))
 

@@ -245,7 +245,7 @@ def equivariance_test(
 # conjugator reconstruction
 
 
-def _probe_params(curve: Curve, window, n: int) -> np.ndarray:
+def _probe_params(window, n: int) -> np.ndarray:
     lo, hi = window.lower, window.upper
     return lo + (np.arange(1, n + 1) / (n + 1)) * (hi - lo)
 
@@ -303,8 +303,7 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     n = bb.domain.n
-    window = bb.domain.window
-    values = bb.domain.curve.eval_array(_probe_params(bb.domain.curve, window, n))
+    values = bb.domain.curve.eval_array(_probe_params(bb.domain.window, n))
     eye = np.eye(n, dtype=complex)
     # first lines: e_i, then (e_0 + e_j) / sqrt(2), then (e_0 + i e_1) / sqrt(2)
     lines = [*eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n))]
@@ -461,7 +460,7 @@ def subspace_image(bb: BlackBoxMap, V: np.ndarray) -> np.ndarray:
     if not 1 <= d <= n:
         raise ConfigError("subspace dimension out of range")
     curve = bb.domain.curve
-    values = curve.eval_array(_probe_params(curve, bb.domain.window, n))
+    values = curve.eval_array(_probe_params(bb.domain.window, n))
 
     # complete V to a unitary: QR of [V | I] keeps V's span in the lead columns
     Q, _ = np.linalg.qr(np.column_stack([V, np.eye(n, dtype=complex)]))

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import maps
 from .checking import (
     BlackBoxMap,
     DomainSpec,
@@ -36,9 +37,16 @@ from .curves import (
     unit_circle_arc,
 )
 from .errors import ConfigError, NumericalDomainError
-from .maps import map_from_json
-from .regularity import db_profile, dc_probe, write_profile_csv
-from .spectral import MatrixClass, matrix_from_json, matrix_to_json, sample
+from .maps import Conj, OrderMap, Rho, map_from_json
+from .regularity import db_profile, dc_probe, divided_difference, write_profile_csv
+from .spectral import (
+    MatrixClass,
+    matrix_from_json,
+    matrix_to_json,
+    random_unitary,
+    sample,
+    spectra_equal,
+)
 
 __all__ = ["run", "main"]
 
@@ -46,11 +54,8 @@ __all__ = ["run", "main"]
 def parse_curve(text: str):
     """Curve from a shorthand name, inline JSON, or a .json file path."""
     text = text.strip()
-    if text.startswith("{"):
-        return curve_from_json(json.loads(text))
-    if text.endswith(".json"):
-        with open(text) as fh:
-            return curve_from_json(json.load(fh))
+    if text.startswith("{") or text.endswith(".json"):
+        return curve_from_json(_read_json(text))
     name, _, arg = text.partition(":")
     if name == "real-line":
         return real_line()
@@ -105,27 +110,31 @@ def _parse_window(text: str | None) -> Interval | None:
     return Interval(*_floats(text, "window", 2))
 
 
+def _read_json(text: str):
+    """An option's JSON value: inline when it starts with "{", else the
+    contents of the file it names."""
+    if text.strip().startswith("{"):
+        return json.loads(text)
+    with open(text) as fh:
+        return json.load(fh)
+
+
 def _parse_matrix_arg(text: str) -> np.ndarray:
-    if text == "-":
-        return matrix_from_json(json.load(sys.stdin))
-    if text.strip().startswith("{"):
-        return matrix_from_json(json.loads(text))
-    with open(text) as fh:
-        return matrix_from_json(json.load(fh))
+    return matrix_from_json(json.load(sys.stdin) if text == "-" else _read_json(text))
 
 
-def _parse_map_arg(text: str):
-    if text.strip().startswith("{"):
-        return map_from_json(json.loads(text))
-    with open(text) as fh:
-        return map_from_json(json.load(fh))
+def _finite(X: np.ndarray, what: str) -> np.ndarray:
+    """X, refused when an overflow has left non-finite entries in it."""
+    if not np.all(np.isfinite(X)):
+        raise NumericalDomainError(f"{what} has non-finite entries")
+    return X
 
 
 @contextlib.contextmanager
 def _black_box(args, domain: DomainSpec):
     """The map under test; an external program is closed on the way out."""
     if getattr(args, "map", None) is not None:
-        yield BlackBoxMap(_parse_map_arg(args.map), domain, name="canonical")
+        yield BlackBoxMap(map_from_json(_read_json(args.map)), domain, name="canonical")
     elif getattr(args, "map_cmd", None) is not None:
         with ExternalProgramMap(shlex.split(args.map_cmd), args.map_timeout) as ext:
             yield BlackBoxMap(ext, domain, name="external")
@@ -230,21 +239,21 @@ def _build_parser() -> _Parser:
 
 def _cmd_sample(args) -> int:
     curve = parse_curve(args.curve)
-    X = sample(curve, args.n, MatrixClass(args.mclass),
-               np.random.default_rng(args.seed), _parse_window(args.window))
-    _emit_json(matrix_to_json(X), args.output)
+    # a finite curve can carry a sample past the largest double
+    with np.errstate(all="ignore"):
+        X = sample(curve, args.n, MatrixClass(args.mclass),
+                   np.random.default_rng(args.seed), _parse_window(args.window))
+    _emit_json(matrix_to_json(_finite(X, "sample")), args.output)
     return 0
 
 
 def _cmd_apply(args) -> int:
-    m = _parse_map_arg(args.map)
+    m = map_from_json(_read_json(args.map))
     X = _parse_matrix_arg(args.matrix)
     # a finite input can overflow inside a map: report that, not NaN
     with np.errstate(all="ignore"):
         Y = m.apply(X)
-    if not np.all(np.isfinite(Y)):
-        raise NumericalDomainError("map output has non-finite entries")
-    _emit_json(matrix_to_json(Y), args.output)
+    _emit_json(matrix_to_json(_finite(Y, "map output")), args.output)
     return 0
 
 
@@ -350,17 +359,14 @@ def main() -> int:
 
 
 def _selftest_checks(quick: bool):
-    from .maps import Conj, OrderMap, Rho, rho
-    from .regularity import divided_difference
-    from .spectral import random_unitary, spectra_equal
-
+    # maps.rho is read at each call, so the checks test the rho Rho falls back on
     rl = real_line()
 
     def rho_fixed_oracles():
         # the skewed rotation: conjugate of a rotation by diag(2, 1)
         X = np.array([[0.0, 2.0], [-0.5, 0.0]], dtype=complex)
         want = np.array([[0.0, 0.5], [-2.0, 0.0]], dtype=complex)
-        assert np.linalg.norm(rho(X) - want) <= 1e-12
+        assert np.linalg.norm(maps.rho(X) - want) <= 1e-12
 
     def rho_skew_conjugation():
         rng = np.random.default_rng(31)
@@ -371,18 +377,17 @@ def _selftest_checks(quick: bool):
             w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             N = (U * w) @ U.conj().T
             X = R @ N @ np.linalg.inv(R)
-            got = rho(X)
+            got = maps.rho(X)
             want = np.linalg.inv(R) @ N @ R
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(X)
 
     def rho_involution_and_fixed_points():
         rng = np.random.default_rng(32)
-        from .spectral import sample as draw
         for _ in range(10):
-            X = draw(rl, 3, MatrixClass.SEMISIMPLE, rng)
-            assert np.linalg.norm(rho(rho(X)) - X) <= 1e-6 * np.linalg.norm(X)
-            N = draw(rl, 3, MatrixClass.NORMAL, rng)
-            assert np.linalg.norm(rho(N) - N) <= 1e-8 * max(1.0, np.linalg.norm(N))
+            X = sample(rl, 3, MatrixClass.SEMISIMPLE, rng)
+            assert np.linalg.norm(maps.rho(maps.rho(X)) - X) <= 1e-6 * np.linalg.norm(X)
+            N = sample(rl, 3, MatrixClass.NORMAL, rng)
+            assert np.linalg.norm(maps.rho(N) - N) <= 1e-8 * max(1.0, np.linalg.norm(N))
 
     def quotient_corner_blowup():
         cg = CornerGraph(-1.0, 1.0)

@@ -16,11 +16,10 @@ spatial membership.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -199,10 +198,6 @@ class Curve:
         """Parameter domain; None for the closed circle."""
         raise NotImplementedError
 
-    @property
-    def closed(self) -> bool:
-        return self.domain is None
-
     def _point_array(self, ts: np.ndarray) -> np.ndarray:
         """Curve points at parameters ``ts`` inside the domain."""
         raise NotImplementedError
@@ -257,16 +252,6 @@ class Curve:
         zs = np.asarray(zs, dtype=complex)
         key = self.orientation * self.invert_array(zs.ravel()).reshape(zs.shape)
         return np.lexsort((zs.imag, zs.real, key), axis=-1)
-
-    def distance(self, z: complex) -> float:
-        return float(self._nearest(complex(z))[2][0])
-
-    def contains(self, z: complex) -> bool:
-        return self.distance(z) <= self.tol
-
-    def reversed(self) -> "Curve":
-        """Same point set, opposite orientation."""
-        return dataclasses.replace(self, orientation=-self.orientation)
 
     # -- serialization ----------------------------------------------------
 

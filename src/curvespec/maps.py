@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, curve_from_json, curve_to_json
+from .curves import Curve, curve_from_json
 from .errors import ClosedCurveError, ConfigError, NumericalDomainError
 from .spectral import (
     _batch_eig,
     as_matrix,
     matrix_from_json,
-    matrix_to_json,
     spectral_decompose,
 )
 
@@ -38,8 +37,6 @@ __all__ = [
     "Compose",
     "rho",
     "eigen_conj",
-    "compose",
-    "map_to_json",
     "map_from_json",
 ]
 
@@ -219,34 +216,8 @@ class Compose(CanonicalMap):
         return Ys
 
 
-def compose(maps) -> CanonicalMap:
-    """Composition of a nonempty list, applied left to right."""
-    maps = tuple(maps)
-    if len(maps) == 1:
-        return maps[0]
-    return Compose(maps)
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def map_to_json(m: CanonicalMap) -> dict:
-    if isinstance(m, Conj):
-        return {"variant": "conj", "T": matrix_to_json(m.T)}
-    if isinstance(m, TransposeConj):
-        return {"variant": "transpose_conj", "T": matrix_to_json(m.T)}
-    if isinstance(m, OrderMap):
-        return {
-            "variant": "order",
-            "curve": curve_to_json(m.curve),
-            "T": matrix_to_json(m.T),
-        }
-    if isinstance(m, Rho):
-        return {"variant": "rho"}
-    if isinstance(m, Compose):
-        return {"variant": "compose", "parts": [map_to_json(p) for p in m.parts]}
-    raise ConfigError(f"unknown canonical map {type(m).__name__}")
 
 
 def map_from_json(obj: dict) -> CanonicalMap:

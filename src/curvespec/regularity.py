@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "db_profile",
     "dc_probe",
     "write_profile_csv",
-    "read_profile_csv",
     "DB_SCALES",
     "DC_SCALES",
 ]
@@ -80,9 +78,6 @@ class ConfigurationTuple:
         if self.curve is not None:
             self.curve.invert_array(arr)  # raises OffCurveError off the curve
         object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return len(self.points)
 
     def sorted_points(self) -> tuple:
         """Points ordered by curve parameter when a curve is attached."""
@@ -378,7 +373,7 @@ def dc_probe(
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# CSV output
 
 
 def write_profile_csv(profile: RegularityProfile, fh) -> None:
@@ -412,49 +407,3 @@ def write_profile_csv(profile: RegularityProfile, fh) -> None:
     finally:
         if close:
             fh.close()
-
-
-def read_profile_csv(fh) -> RegularityProfile:
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "r", newline="")
-        close = True
-    try:
-        rows = []
-        footer = None
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                footer = json.loads(line[1:].strip())
-            else:
-                rows.append(line)
-    finally:
-        if close:
-            fh.close()
-    if footer is None:
-        raise ConfigError("profile CSV has no verdict footer")
-    body = list(csv.reader(io.StringIO("\n".join(rows))))
-    if body and body[0] == ["scale", "sup", "mean_re", "mean_im", "dispersion"]:
-        body = body[1:]
-    scales, sups, means, disps = [], [], [], []
-    for row in body:
-        scales.append(float(row[0]))
-        sups.append(float(row[1]))
-        means.append(complex(float(row[2]), float(row[3])))
-        disps.append(float(row[4]))
-    limit = footer.get("dc_limit")
-    return RegularityProfile(
-        center=complex(footer["center"][0], footer["center"][1]),
-        order=int(footer["order"]),
-        scales=tuple(scales),
-        sup_values=tuple(sups),
-        means=tuple(means),
-        dispersions=tuple(disps),
-        verdict_db=footer["verdict_db"],
-        verdict_dc=footer["verdict_dc"],
-        dc_limit=None if limit is None else complex(limit[0], limit[1]),
-        samples_per_scale=int(footer.get("samples_per_scale", 0)),
-        slope=float(footer.get("slope", 0.0)),
-    )

@@ -48,7 +48,6 @@ __all__ = [
     "default_window",
     "sample",
     "sample_batch",
-    "sample_commuting_pair",
     "sample_commuting_pair_batch",
     "eigenflag",
     "spectra_equal",
@@ -166,23 +165,16 @@ class SpectralDecomposition:
     """Clustered eigenvalues of X and a basis that diagonalizes X.
 
     X = basis diag(expanded()) basis_inv, with each cluster's columns
-    contiguous; unitary marks the Schur route, whose basis_inv is the
-    adjoint of its basis.  The spectral idempotents are derived on first
-    use: they resolve the identity, annihilate each other pairwise, and
-    weighted by the eigenvalues reconstruct X.  is_orthogonal marks the
-    Hermitian-projector case of a normal input.
+    contiguous; on the Schur route of a normal input basis_inv is the
+    adjoint of basis.  The spectral idempotents are derived on first use:
+    they resolve the identity, annihilate each other pairwise, and
+    weighted by the eigenvalues reconstruct X.
     """
 
     distinct_eigenvalues: np.ndarray
     multiplicities: tuple
     basis: np.ndarray
     basis_inv: np.ndarray
-    unitary: bool
-    cluster_tol: float
-
-    @property
-    def n(self) -> int:
-        return int(sum(self.multiplicities))
 
     @property
     def num_clusters(self) -> int:
@@ -199,57 +191,6 @@ class SpectralDecomposition:
             self.basis[:, a:b] @ self.basis_inv[a:b, :]
             for a, b in zip(ends - self.multiplicities, ends)
         ])
-
-    @functools.cached_property
-    def is_orthogonal(self) -> bool:
-        return self.unitary or all(
-            np.linalg.norm(p - p.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(p))
-            for p in self.idempotents
-        )
-
-    def reconstruct(self) -> np.ndarray:
-        return np.tensordot(self.distinct_eigenvalues, self.idempotents, axes=1)
-
-    def validate(self, X=None) -> None:
-        """Check the structural invariants, and reconstruction when X is given."""
-        n = self.n
-        P = self.idempotents
-        ident = np.sum(P, axis=0)
-        if np.linalg.norm(ident - np.eye(n)) > 1e-8 * n:
-            raise NumericalDomainError("idempotents do not resolve the identity")
-        for i in range(len(P)):
-            for j in range(len(P)):
-                prod = P[i] @ P[j]
-                target = P[i] if i == j else 0.0
-                scale = max(1.0, np.linalg.norm(P[i]) * np.linalg.norm(P[j]))
-                if np.linalg.norm(prod - target) > 1e-8 * scale:
-                    raise NumericalDomainError(
-                        f"idempotent product ({i},{j}) violates annihilation"
-                    )
-        vals = self.distinct_eigenvalues
-        if len(vals) > 1:
-            gap = np.min(
-                np.abs(vals[:, None] - vals[None, :])[~np.eye(len(vals), dtype=bool)]
-            )
-            if gap <= self.cluster_tol:
-                raise NumericalDomainError(
-                    "distinct eigenvalues closer than cluster_tol"
-                )
-        if self.is_orthogonal:
-            for i, p in enumerate(P):
-                if np.linalg.norm(p - p.conj().T) > 1e-8 * max(
-                    1.0, np.linalg.norm(p)
-                ):
-                    raise NumericalDomainError(
-                        f"idempotent {i} flagged orthogonal but not Hermitian"
-                    )
-        if X is not None:
-            X = as_matrix(X)
-            err = np.linalg.norm(self.reconstruct() - X)
-            if err > RECONSTRUCTION_RTOL * max(np.linalg.norm(X), 1e-300):
-                raise NumericalDomainError(
-                    f"reconstruction error {err:.3g} exceeds tolerance"
-                )
 
 
 def _resolve_cluster_tol(cluster_tol, norm_x: float) -> float:
@@ -303,7 +244,7 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     Binv = np.linalg.inv(B)
     values = _cluster_means(w, clusters)
     mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(values, mults, B, Binv, unitary=False, cluster_tol=tol)
+    dec = SpectralDecomposition(values, mults, B, Binv)
     recon = (B * dec.expanded()[None, :]) @ Binv
     if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
         raise DefectiveMatrixError(
@@ -346,9 +287,7 @@ def _schur_decompose(X: np.ndarray, tol: float, norm_x: float):
     B = Z[:, perm]
     values = _cluster_means(d, clusters)
     mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(
-        values, mults, B, B.conj().T, unitary=True, cluster_tol=tol
-    )
+    dec = SpectralDecomposition(values, mults, B, B.conj().T)
     recon = (B * dec.expanded()[None, :]) @ B.conj().T
     if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
         return None
@@ -574,17 +513,6 @@ def sample_commuting_pair_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
     return tuple(_assemble(_draw(curve, n, matrix_class, rng, window, count, 2)))
-
-
-def sample_commuting_pair(
-    curve: Curve,
-    n: int,
-    matrix_class: MatrixClass,
-    rng: np.random.Generator,
-    window: Interval | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    X, Y = sample_commuting_pair_batch(curve, n, matrix_class, rng, window, 1)
-    return X[0], Y[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,116 @@
+"""Test oracles: independent checks of library results that no entry point needs.
+
+    from oracles import is_orthogonal, read_profile_csv, validate
+
+validate checks a SpectralDecomposition's structural invariants and its
+reconstruction of X; read_profile_csv reads back what
+regularity.write_profile_csv wrote.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+
+from curvespec.errors import NumericalDomainError
+from curvespec.regularity import RegularityProfile
+from curvespec.spectral import RECONSTRUCTION_RTOL, _resolve_cluster_tol, as_matrix
+
+
+def is_orthogonal(dec) -> bool:
+    """Whether every idempotent is a Hermitian projector (a normal input)."""
+    return np.array_equal(dec.basis_inv, dec.basis.conj().T) or all(
+        np.linalg.norm(p - p.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(p))
+        for p in dec.idempotents
+    )
+
+
+def reconstruct(dec) -> np.ndarray:
+    return np.tensordot(dec.distinct_eigenvalues, dec.idempotents, axes=1)
+
+
+def validate(dec, X, cluster_tol=None) -> None:
+    """Raise NumericalDomainError unless the idempotents of dec resolve the
+    identity and annihilate each other pairwise, its distinct eigenvalues
+    lie further apart than the cluster threshold spectral_decompose(X,
+    cluster_tol) used, its idempotents are Hermitian when its basis is
+    unitary, and it reconstructs X."""
+    X = as_matrix(X)
+    n = X.shape[0]
+    P = dec.idempotents
+    ident = np.sum(P, axis=0)
+    if np.linalg.norm(ident - np.eye(n)) > 1e-8 * n:
+        raise NumericalDomainError("idempotents do not resolve the identity")
+    for i in range(len(P)):
+        for j in range(len(P)):
+            prod = P[i] @ P[j]
+            target = P[i] if i == j else 0.0
+            scale = max(1.0, np.linalg.norm(P[i]) * np.linalg.norm(P[j]))
+            if np.linalg.norm(prod - target) > 1e-8 * scale:
+                raise NumericalDomainError(
+                    f"idempotent product ({i},{j}) violates annihilation"
+                )
+    vals = dec.distinct_eigenvalues
+    if len(vals) > 1:
+        gap = np.min(
+            np.abs(vals[:, None] - vals[None, :])[~np.eye(len(vals), dtype=bool)]
+        )
+        if gap <= _resolve_cluster_tol(cluster_tol, np.linalg.norm(X)):
+            raise NumericalDomainError("distinct eigenvalues closer than cluster_tol")
+    if is_orthogonal(dec):
+        for i, p in enumerate(P):
+            if np.linalg.norm(p - p.conj().T) > 1e-8 * max(1.0, np.linalg.norm(p)):
+                raise NumericalDomainError(
+                    f"idempotent {i} flagged orthogonal but not Hermitian"
+                )
+    err = np.linalg.norm(reconstruct(dec) - X)
+    if err > RECONSTRUCTION_RTOL * max(np.linalg.norm(X), 1e-300):
+        raise NumericalDomainError(f"reconstruction error {err:.3g} exceeds tolerance")
+
+
+def read_profile_csv(fh) -> RegularityProfile:
+    """The profile regularity.write_profile_csv wrote to fh (a path or a
+    text stream)."""
+    close = False
+    if isinstance(fh, (str, bytes)):
+        fh = open(fh, "r", newline="")
+        close = True
+    try:
+        rows = []
+        footer = None
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                footer = json.loads(line[1:].strip())
+            else:
+                rows.append(line)
+    finally:
+        if close:
+            fh.close()
+    assert footer is not None, "profile CSV has no verdict footer"
+    body = list(csv.reader(io.StringIO("\n".join(rows))))
+    if body and body[0] == ["scale", "sup", "mean_re", "mean_im", "dispersion"]:
+        body = body[1:]
+    scales, sups, means, disps = [], [], [], []
+    for row in body:
+        scales.append(float(row[0]))
+        sups.append(float(row[1]))
+        means.append(complex(float(row[2]), float(row[3])))
+        disps.append(float(row[4]))
+    limit = footer.get("dc_limit")
+    return RegularityProfile(
+        center=complex(footer["center"][0], footer["center"][1]),
+        order=int(footer["order"]),
+        scales=tuple(scales),
+        sup_values=tuple(sups),
+        means=tuple(means),
+        dispersions=tuple(disps),
+        verdict_db=footer["verdict_db"],
+        verdict_dc=footer["verdict_dc"],
+        dc_limit=None if limit is None else complex(limit[0], limit[1]),
+        samples_per_scale=int(footer.get("samples_per_scale", 0)),
+        slope=float(footer.get("slope", 0.0)),
+    )

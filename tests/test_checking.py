@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ from curvespec.checking import (
     continuity_probe,
     rho_continuity_experiment,
 )
-from curvespec.curves import CornerGraph, real_line, unit_circle_arc
-from curvespec.errors import ConfigError, MapProtocolError
+from curvespec.curves import CornerGraph, Line, real_line, unit_circle_arc
+from curvespec.errors import ConfigError, MapProtocolError, NumericalDomainError
 from curvespec.maps import (
     CanonicalMap,
     Compose,
@@ -46,6 +47,21 @@ def _domain(n=4, curve=None):
 
 def _frame(n, seed):
     return random_unitary(n, np.random.default_rng(seed))
+
+
+class _FixedPairs:
+    """A domain that serves the given commuting-pair trials, and as many
+    single trials of one small diagonal matrix, in place of random draws."""
+
+    def __init__(self, pairs):
+        self.pairs = np.array(pairs, dtype=complex)
+        self.singles = np.array([np.diag([1.0, 2.0])] * len(pairs), dtype=complex)
+
+    def sample_batch(self, rng, count):
+        return self.singles[:count]
+
+    def sample_pair_batch(self, rng, count):
+        return self.pairs[:count, 0], self.pairs[:count, 1]
 
 
 class TestCheckCS:
@@ -145,6 +161,34 @@ class TestCheckCS:
         runs = [check_cs(BlackBoxMap(Rho(), dom), 60, 1e-6,
                          np.random.default_rng(77)) for _ in range(2)]
         assert runs[0].to_json() == runs[1].to_json()
+
+    def test_overflowing_tolerances_raise_without_warnings(self):
+        # every sample's norm overflows, so every tolerance is inf, and no
+        # comparison with it would flag 2X
+        dom = DomainSpec(Line(0j, 1e300 + 0j), 3, MatrixClass.NORMAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="spectrum trial 0"):
+                check_cs(BlackBoxMap(lambda X: 2 * X, dom), 20)
+
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_overflow_counts_only_before_the_first_violation(self, overflow_first):
+        # under the identity, a pair that does not commute is a violation,
+        # and a pair at 1e200 overflows its commutator and its tolerance
+        huge = 1e200 * np.eye(2)
+        apart = (np.array([[1.0, 1.0], [0.0, 2.0]]), np.diag([1.0, 3.0]))
+        pairs = [(huge, huge), apart] if overflow_first else [apart, (huge, huge)]
+        bb = BlackBoxMap(lambda X: X, _FixedPairs(pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflow_first:
+                with pytest.raises(NumericalDomainError,
+                                   match="commutativity trial 0"):
+                    check_cs(bb, 2)
+            else:
+                v = check_cs(bb, 2)
+                assert v.spectrum_ok and not v.commutativity_ok
+                assert v.counterexample.trial == 0
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -487,7 +531,7 @@ class TestCollisionPath:
         X = p(0.0)
         assert np.allclose(np.tril(X, -1), 0)
         for d in np.diag(X):
-            assert cg.distance(d) <= 1e-12
+            assert cg._nearest(d)[2][0] <= 1e-12
         end = p(1.0)
         assert np.allclose(end, cg.eval(0.0) * np.eye(3), atol=1e-15)
 

@@ -46,7 +46,7 @@ from curvespec.errors import (
     ReconstructionError,
 )
 from curvespec.curves import UnitCircleClosed
-from curvespec.maps import Conj, OrderMap, TransposeConj, compose
+from curvespec.maps import Compose, Conj, OrderMap, TransposeConj
 from curvespec.spectral import (
     BASIS_COND_LIMIT,
     CLUSTER_RTOL,
@@ -250,8 +250,8 @@ _ORACLE_CASES = {
         for frame in ("unitary", "oblique")
         for n in (3, 4, 5)
     },
-    "order/composed/n=4": (4, lambda: compose(
-        [Conj(_oblique(4, 50)), OrderMap(real_line(), _unitary(4, 51))])),
+    "order/composed/n=4": (4, lambda: Compose(
+        (Conj(_oblique(4, 50)), OrderMap(real_line(), _unitary(4, 51))))),
     "planted X+I/n=3": (3, lambda: (lambda X: X + np.eye(3))),
     "planted X+I/n=5": (5, lambda: (lambda X: X + np.eye(5))),
     "planted 2X/n=3": (3, lambda: (lambda X: 2 * X)),
@@ -453,7 +453,7 @@ def _reference_holdout(bb, rng, model):
 def _reference_reconstruct(bb, rng):
     n = bb.domain.n
     values = bb.domain.curve.eval_array(
-        _probe_params(bb.domain.curve, bb.domain.window, n))
+        _probe_params(bb.domain.window, n))
     eye = np.eye(n, dtype=complex)
 
     def line(u):

@@ -12,8 +12,8 @@ import pytest
 
 from curvespec.cli import _selftest, parse_curve, run
 from curvespec.curves import CornerGraph, RealInterval
-from curvespec.regularity import read_profile_csv
 from curvespec.spectral import matrix_from_json, matrix_to_json
+from oracles import read_profile_csv
 
 
 def _run(capsys, *args):
@@ -25,6 +25,7 @@ def _run(capsys, *args):
 RHO_JSON = '{"variant": "rho"}'
 MISBEHAVING_MAP = Path(__file__).with_name("misbehaving_map.py")
 TRANSPOSE_MAP = Path(__file__).with_name("transpose_map.py")
+PLANTED_MAP = Path(__file__).with_name("planted_map.py")
 # a shear frame, and a finite matrix that it carries past the largest double
 SHEAR_JSON = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
 HUGE_COLUMN_JSON = json.dumps(matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]])))
@@ -136,6 +137,16 @@ def test_malformed_arguments_exit_two(capsys, argv):
         {"variant": "conj", "T": SHEAR_JSON},
         {"variant": "order", "curve": {"kind": "real_interval"},
          "T": matrix_to_json(np.eye(2))}]}), "--matrix", HUGE_COLUMN_JSON],
+    # samples whose norms overflow every tolerance of check, which would
+    # otherwise pass a map that breaks commutativity
+    ["check", "--curve", json.dumps({"kind": "line", "point": [0, 0],
+                                     "direction": [1e200, 0]}),
+     "--n", "3", "--seed", "1", "--trials", "50", "--expect-pass",
+     "--map-cmd", shlex.join([sys.executable, str(PLANTED_MAP), "flip"])],
+    # a finite curve that carries a sample past the largest double
+    ["sample", "--curve", json.dumps({"kind": "line", "point": [1e308, 0],
+                                      "direction": [1e308, 0]}),
+     "--n", "3", "--seed", "1"],
 ])
 def test_numerical_failures_exit_three(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

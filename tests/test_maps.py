@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,20 +26,19 @@ from curvespec.maps import (
     OrderMap,
     Rho,
     TransposeConj,
-    compose,
     eigen_conj,
     map_from_json,
-    map_to_json,
     rho,
 )
 from curvespec.spectral import (
     RECONSTRUCTION_RTOL,
     MatrixClass,
     default_window,
+    matrix_to_json,
     random_unitary,
     sample,
     sample_batch,
-    sample_commuting_pair,
+    sample_commuting_pair_batch,
     spectra_equal,
     spectral_decompose,
 )
@@ -120,7 +122,7 @@ def test_order_map_sorts_diagonal():
 
 
 def test_order_map_reversed_orientation():
-    om = OrderMap(real_line().reversed(), np.eye(3))
+    om = OrderMap(dataclasses.replace(real_line(), orientation=-1), np.eye(3))
     assert_allclose(om.apply(np.diag([3.0, 1.0, 2.0])), np.diag([3.0, 2.0, 1.0]), atol=1e-12)
 
 
@@ -265,11 +267,6 @@ def test_compose_overflow_inside_is_numerical_and_bad_input_is_config():
             m.apply_batch(huge)
     with pytest.raises(ConfigError, match="non-finite"):
         m.apply_batch(np.full((1, 2, 2), np.nan, dtype=complex))
-
-
-def test_compose_helper_unwraps_singleton():
-    m = compose([Rho()])
-    assert isinstance(m, Rho)
 
 
 def _variant_pool(rng, n=3, curve=None):
@@ -442,8 +439,8 @@ def test_apply_batch_handles_repeated_eigenvalues():
 def test_all_variants_preserve_spectrum_and_commutativity(seed, k):
     rng = np.random.default_rng(seed)
     m = _variant_pool(rng)[k]
-    X, Y = sample_commuting_pair(
-        real_line(), 3, MatrixClass.NORMAL, rng, Interval(0.0, 1.0)
+    (X,), (Y,) = sample_commuting_pair_batch(
+        real_line(), 3, MatrixClass.NORMAL, rng, Interval(0.0, 1.0), count=1
     )
     fx, fy = m.apply(X), m.apply(Y)
     assert spectra_equal(X, fx, max(1e-12, 1e-6 * np.linalg.norm(X)))
@@ -455,8 +452,8 @@ def test_rho_commutativity_on_semisimple_pairs():
     # the normal-operator commutation transfer behind the involution's claim
     rng = np.random.default_rng(77)
     for _ in range(10):
-        X, Y = sample_commuting_pair(
-            unit_circle_arc(0.0), 3, MatrixClass.SEMISIMPLE, rng
+        (X,), (Y,) = sample_commuting_pair_batch(
+            unit_circle_arc(0.0), 3, MatrixClass.SEMISIMPLE, rng, count=1
         )
         fx, fy = rho(X), rho(Y)
         comm = np.linalg.norm(fx @ fy - fy @ fx)
@@ -464,10 +461,22 @@ def test_rho_commutativity_on_semisimple_pairs():
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_map_json_roundtrip(k):
+def test_map_from_json_builds_each_variant(k):
     rng = np.random.default_rng(200 + k)
     m = _variant_pool(rng)[k]
-    back = map_from_json(map_to_json(m))
+    # the frame _variant_pool draws first, written out as JSON
+    t = matrix_to_json(_random_frame(3, np.random.default_rng(200 + k), 0.4))
+    order = {"variant": "order", "curve": {"kind": "real_interval"}, "T": t}
+    text = json.dumps([
+        {"variant": "conj", "T": t},
+        {"variant": "transpose_conj", "T": t},
+        order,
+        {"variant": "rho"},
+        {"variant": "compose", "parts": [order, {"variant": "rho"},
+                                         {"variant": "conj", "T": t}]},
+    ][k])
+    back = map_from_json(json.loads(text))
+    assert type(back) is type(m)
     X = sample(real_line(), 3, MatrixClass.SEMISIMPLE, rng, Interval(0.0, 1.0))
     assert_allclose(back.apply(X), m.apply(X), atol=1e-12)
 
