@@ -111,9 +111,9 @@ def _simple_draw(domain, rng):
     raise NumericalDomainError("could not draw a simple-spectrum sample")
 
 
-def _simple_samples(domain, rng, count: int, then=lambda: None):
-    """Up to count simple samples as one stack, and the exception that ended
-    the drawing early, or None; then() runs after each draw."""
+def _simple_draws(domain, rng, count: int, then=lambda: None):
+    """Up to count simple draws, and the exception that ended the drawing
+    early, or None; then() runs after each draw."""
     draws, failure = [], None
     for _ in range(count):
         try:
@@ -124,17 +124,17 @@ def _simple_samples(domain, rng, count: int, then=lambda: None):
         then()
     if not draws:
         raise failure
-    return _assemble(*draws)[0], failure
+    return draws, failure
 
 
-def _adjacent_swap(X, dec, curve, j):
-    """Exchange the j-th and (j+1)-th eigenvalues (in curve order) across
-    their eigenspaces, keeping every eigenspace in place."""
-    order = _curve_order(dec, curve)
-    a, b = order[j], order[j + 1]
-    va, vb = dec.distinct_eigenvalues[a], dec.distinct_eigenvalues[b]
-    Pa, Pb = dec.idempotents[a], dec.idempotents[b]
-    return X + (vb - va) * Pa + (va - vb) * Pb
+def _with_swap(draw, curve, j):
+    """The draw and, on its frame, its j-th and (j+1)-th eigenvalues (in
+    curve order) exchanged, as one k = 2 draw: every eigenspace stays."""
+    lam = draw.lam[0, 0]
+    a, b = curve.order(lam)[[j, j + 1]]
+    swapped = lam.copy()
+    swapped[[a, b]] = lam[[b, a]]
+    return draw._replace(lam=np.array([lam, swapped])[:, None])
 
 
 def _eigenlines(FXs: np.ndarray, curve: Curve):
@@ -157,13 +157,13 @@ def _eigenlines(FXs: np.ndarray, curve: Curve):
     return lines, None
 
 
-def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray, tol: float):
+def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray):
     """Per trial, whether the output eigenlines of X (L) and of X with its
     eigenvalues j and j+1 swapped (Lt) show the swapped pattern and the
     fixed pattern.  Every other line must stay in place for either."""
     c = np.minimum(np.abs(L.conj().transpose(0, 2, 1) @ Lt), 1.0)
-    # close[t, a, b]: line a of L and line b of Lt agree within tol
-    close = np.sqrt(np.maximum(0.0, 1.0 - c**2)) <= tol
+    # close[t, a, b]: line a of L and line b of Lt agree within _LINE_TOL
+    close = np.sqrt(np.maximum(0.0, 1.0 - c**2)) <= _LINE_TOL
     t = np.arange(js.size)
     same = np.diagonal(close, axis1=1, axis2=2).copy()
     fixed = same[t, js] & same[t, js + 1]
@@ -173,9 +173,7 @@ def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray, tol: float):
     return others & swapped, others & fixed
 
 
-def equivariance_test(
-    bb: BlackBoxMap, trials: int = 20, rng=None, tol: float = _LINE_TOL
-) -> EquivarianceVerdict:
+def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> EquivarianceVerdict:
     """Decide whether the map tracks eigenspaces or ignores them.
 
     Each trial swaps one adjacent-in-curve-order eigenvalue pair of a
@@ -184,8 +182,9 @@ def equivariance_test(
     unanimous; a trial matching neither pattern, or trials disagreeing,
     is a witness conflict.
 
-    All trials are drawn first.  Their 2 * trials inputs X_1, X'_1, X_2,
-    X'_2, ... go to the map in that order through one
+    All trials are drawn first, and each trial's X and X' are assembled
+    from its draw (see _with_swap).  Their 2 * trials inputs X_1, X'_1,
+    X_2, X'_2, ... go to the map in that order through one
     BlackBoxMap.apply_rows, which hands a map with its own apply_batch the
     whole stack, and one stacked eig decomposes the outputs (see
     _eigenlines).
@@ -198,25 +197,19 @@ def equivariance_test(
         raise ConfigError("equivariance dichotomy needs n >= 3")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    curve = bb.domain.curve
+    if curve.domain is None:
+        raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
     if rng is None:
         rng = np.random.default_rng(0)
-    curve = bb.domain.curve
     # each stage works on the rows before the earliest failure so far, so
     # a failure it meets comes first in trial order
     js = []
-    samples, failure = _simple_samples(
+    draws, failure = _simple_draws(
         bb.domain, rng, trials, lambda: js.append(int(rng.integers(n - 1)))
     )
-    Xs = []
-    for X, j in zip(samples, js):
-        try:
-            Xs += [X, _adjacent_swap(X, spectral_decompose(X), curve, j)]
-        except Exception as exc:
-            failure = exc
-            break
-    if not Xs:
-        raise failure
-    FXs, exc = bb.apply_rows(np.array(Xs))
+    pairs = _assemble(*(_with_swap(d, curve, j) for d, j in zip(draws, js)))
+    FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
     if exc is not None:
         failure = exc
     lines, exc = _eigenlines(FXs[: FXs.shape[0] // 2 * 2], curve)
@@ -224,7 +217,7 @@ def equivariance_test(
         failure = exc
     m = lines.shape[0] // 2
     swapped, fixed = _line_patterns(
-        lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], np.array(js[:m], dtype=int), tol
+        lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], np.array(js[:m], dtype=int)
     )
     if not np.all(swapped != fixed):
         raise MixedWitnessError(
@@ -375,8 +368,8 @@ class PreserverType:
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
     curve = bb.domain.curve
-    Xs, failure = _simple_samples(bb.domain, rng, _FRAME_SAMPLES)
-    FXs, exc = bb.apply_rows(Xs)
+    draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    FXs, exc = bb.apply_rows(_assemble(*draws)[0])
     frame = None
     for FX in FXs:
         F = eigenflag(spectral_decompose(FX), curve)

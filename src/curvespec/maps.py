@@ -56,9 +56,9 @@ def rho(X, cluster_tol=None) -> np.ndarray:
     return (dec.basis_inv.conj().T * d[None, :]) @ dec.basis.conj().T
 
 
-def eigen_conj(X, cluster_tol=None) -> np.ndarray:
+def eigen_conj(X) -> np.ndarray:
     """Conjugate every eigenvalue, keep every spectral idempotent."""
-    dec = spectral_decompose(X, cluster_tol)
+    dec = spectral_decompose(X)
     d = np.conj(dec.expanded())
     return (dec.basis * d[None, :]) @ dec.basis_inv
 

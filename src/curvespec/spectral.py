@@ -461,7 +461,13 @@ def _draw(
         raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
     window = _resolve_window(curve, window)
     ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
-    lam = np.array([curve.eval_array(t.ravel()).reshape(count, n) for t in ts])
+    # refuse a sample whose norm, and so every relative tolerance, would
+    # overflow, before anything downstream warns
+    with np.errstate(all="ignore"):
+        lam = np.array([curve.eval_array(t.ravel()).reshape(count, n) for t in ts])
+        finite = np.isfinite(np.linalg.norm(lam, axis=-1)).all()
+    if not finite:
+        raise NumericalDomainError("sample spectrum norm overflows")
     G = _ginibre(n, count, rng)
     S = None if matrix_class is MatrixClass.NORMAL else _skew_frames(n, count, rng)
     return _Draw(lam, G, S)
@@ -469,14 +475,18 @@ def _draw(
 
 def _assemble(*draws: _Draw) -> np.ndarray:
     """The k sample stacks X (k, count, n, n) of the draws, in order, whose
-    i-th samples share one eigenframe (so they commute)."""
+    i-th samples share one eigenframe (so they commute); overflow as in _draw."""
     lam, G, S = zip(*draws)
     lam, G = np.concatenate(lam, axis=1), np.concatenate(G)
     S = None if S[0] is None else np.concatenate(S)
     Q = _haar_frames(G)
-    X = (Q * lam[:, :, None, :]) @ Q.conj().transpose(0, 2, 1)
-    if S is not None:
-        X = S @ X @ np.linalg.inv(S)
+    with np.errstate(all="ignore"):
+        X = (Q * lam[:, :, None, :]) @ Q.conj().transpose(0, 2, 1)
+        if S is not None:
+            X = S @ X @ np.linalg.inv(S)
+        finite = np.isfinite(np.linalg.norm(X, axis=(-2, -1))).all()
+    if not finite:
+        raise NumericalDomainError("sample norm overflows")
     return X
 
 

@@ -1,10 +1,11 @@
 """Test oracles: independent checks of library results that no entry point needs.
 
-    from oracles import is_orthogonal, read_profile_csv, validate
+    from oracles import idempotent_swap, is_orthogonal, read_profile_csv, validate
 
 validate checks a SpectralDecomposition's structural invariants and its
-reconstruction of X; read_profile_csv reads back what
-regularity.write_profile_csv wrote.
+reconstruction of X; idempotent_swap exchanges two eigenvalues of X by its
+decomposition, the reference for the classifier's swapped samples;
+read_profile_csv reads back what regularity.write_profile_csv wrote.
 """
 
 import csv
@@ -15,7 +16,12 @@ import numpy as np
 
 from curvespec.errors import NumericalDomainError
 from curvespec.regularity import RegularityProfile
-from curvespec.spectral import RECONSTRUCTION_RTOL, _resolve_cluster_tol, as_matrix
+from curvespec.spectral import (
+    RECONSTRUCTION_RTOL,
+    _resolve_cluster_tol,
+    as_matrix,
+    spectral_decompose,
+)
 
 
 def is_orthogonal(dec) -> bool:
@@ -67,6 +73,16 @@ def validate(dec, X, cluster_tol=None) -> None:
     err = np.linalg.norm(reconstruct(dec) - X)
     if err > RECONSTRUCTION_RTOL * max(np.linalg.norm(X), 1e-300):
         raise NumericalDomainError(f"reconstruction error {err:.3g} exceeds tolerance")
+
+
+def idempotent_swap(X, curve, j) -> np.ndarray:
+    """X with its j-th and (j+1)-th eigenvalues in curve order exchanged
+    across their spectral idempotents, every eigenspace kept in place."""
+    dec = spectral_decompose(X)
+    a, b = curve.order(dec.distinct_eigenvalues)[[j, j + 1]]
+    va, vb = dec.distinct_eigenvalues[[a, b]]
+    Pa, Pb = dec.idempotents[[a, b]]
+    return X + (vb - va) * Pa + (va - vb) * Pb
 
 
 def read_profile_csv(fh) -> RegularityProfile:

@@ -163,13 +163,19 @@ class TestCheckCS:
         assert runs[0].to_json() == runs[1].to_json()
 
     def test_overflowing_tolerances_raise_without_warnings(self):
-        # every sample's norm overflows, so every tolerance is inf, and no
-        # comparison with it would flag 2X
+        # a sample whose norm overflows has every tolerance inf, and no
+        # comparison with it would flag 2X: the sampler refuses it, and
+        # check_cs refuses such a row from any other domain
         dom = DomainSpec(Line(0j, 1e300 + 0j), 3, MatrixClass.NORMAL)
+        huge = _FixedPairs([(np.eye(2), np.eye(2))])
+        huge.singles *= 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalDomainError, match="spectrum trial 0"):
+            with pytest.raises(NumericalDomainError,
+                               match="sample spectrum norm overflows"):
                 check_cs(BlackBoxMap(lambda X: 2 * X, dom), 20)
+            with pytest.raises(NumericalDomainError, match="spectrum trial 0"):
+                check_cs(BlackBoxMap(lambda X: 2 * X, huge), 1)
 
     @pytest.mark.parametrize("overflow_first", [True, False])
     def test_overflow_counts_only_before_the_first_violation(self, overflow_first):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import idempotent_swap
 
 import curvespec.classify as classify
 from curvespec.checking import BlackBoxMap, DomainSpec, ExternalProgramMap
@@ -19,7 +20,6 @@ from curvespec.classify import (
     EQUIVARIANT,
     FACTORS_THROUGH_QUOTIENT,
     EquivarianceVerdict,
-    _adjacent_swap,
     _certified_simple,
     _first_line_image,
     _holdout_residual,
@@ -27,6 +27,8 @@ from curvespec.classify import (
     _probe_with_first_line,
     _recover_fixed_frame,
     _simple_draw,
+    _simple_draws,
+    _with_swap,
     circle_obstruction_demo,
     classify_preserver,
     equivariance_test,
@@ -113,6 +115,10 @@ class TestEquivariance:
         with pytest.raises(ConfigError):
             equivariance_test(BlackBoxMap(lambda X: X, _dom(2)), 5)
 
+    def test_closed_curve_rejected(self):
+        with pytest.raises(ClosedCurveError, match="requires a non-closed curve"):
+            equivariance_test(BlackBoxMap(lambda X: X, _dom(3, UnitCircleClosed())), 5)
+
     def test_verdict_validation(self):
         with pytest.raises(ConfigError):
             EquivarianceVerdict("sideways", 3)
@@ -126,20 +132,29 @@ class TestEquivariance:
 
 
 def _simple_sample(bb: BlackBoxMap, rng):
-    """Draw a domain sample with n distinct eigenvalues, plus its decomposition."""
+    """Draw a domain sample with n distinct eigenvalues, plus its draw."""
     n = bb.domain.n
     for _ in range(_SAMPLE_ATTEMPTS):
-        X = bb.domain.sample_batch(rng, 1)[0]
-        dec = spectral_decompose(X)
-        if dec.num_clusters == n:
-            return X, dec
+        draw = bb.domain._draw(rng, 1)
+        X = _assemble(draw)[0, 0]
+        if spectral_decompose(X).num_clusters == n:
+            return X, draw
     raise NumericalDomainError("could not draw a simple-spectrum sample")
 
 
-def _reference_witness(bb, X, dec, j, tol):
+def _swapped_sample(draw, curve, j):
+    """The draw's sample with its j-th and (j+1)-th eigenvalues in curve
+    order exchanged, on the same frame."""
+    lam = draw.lam[0, 0].copy()
+    a, b = curve.order(lam)[[j, j + 1]]
+    lam[a], lam[b] = lam[b], lam[a]
+    return _assemble(_Draw(lam[None, None], draw.G, draw.S))[0, 0]
+
+
+def _reference_witness(bb, X, draw, j, tol):
     curve = bb.domain.curve
     FX = bb.apply(X)
-    FtX = bb.apply(_adjacent_swap(X, dec, curve, j))
+    FtX = bb.apply(_swapped_sample(draw, curve, j))
     L = eigenflag(spectral_decompose(FX), curve)
     Lt = eigenflag(spectral_decompose(FtX), curve)
     n = L.shape[1]
@@ -159,9 +174,9 @@ def _reference_equivariance(bb, trials, rng, tol=1e-6):
     n = bb.domain.n
     counts = {"swap": 0, "fix": 0}
     for _ in range(trials):
-        X, dec = _simple_sample(bb, rng)
+        X, draw = _simple_sample(bb, rng)
         j = int(rng.integers(n - 1))
-        w = _reference_witness(bb, X, dec, j, tol)
+        w = _reference_witness(bb, X, draw, j, tol)
         if w is None:
             raise MixedWitnessError(
                 "witness matched neither the swapped nor the fixed line pattern"
@@ -320,6 +335,34 @@ class TestBatchedEquivarianceOracle:
         _reference_equivariance(bb, 20, ref)
         equivariance_test(bb, 20, new)
         assert ref.bit_generator.state == new.bit_generator.state
+
+
+# the swapped sample is assembled from the draw of X; the oracle exchanges
+# the two eigenvalues of X across its spectral idempotents instead
+
+
+_SWAP_CURVES = {
+    "real-line": real_line(),
+    "arc": unit_circle_arc(0.5),
+    "corner": CornerGraph(-1.0, 2.0),
+}
+
+
+class TestSwapFromTheDraw:
+    @pytest.mark.parametrize("mclass", list(MatrixClass))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("curve", sorted(_SWAP_CURVES))
+    def test_swap_is_the_idempotent_swap(self, curve, n, mclass):
+        curve = _SWAP_CURVES[curve]
+        rng = np.random.default_rng(n)
+        draws, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
+        assert failure is None
+        js = rng.integers(n - 1, size=len(draws))
+        Xs, Xts = _assemble(*(_with_swap(d, curve, j) for d, j in zip(draws, js)))
+        assert np.array_equal(Xs, _assemble(*draws)[0])
+        for X, Xt, j in zip(Xs, Xts, js):
+            assert (np.linalg.norm(Xt - idempotent_swap(X, curve, j))
+                    <= 1e-11 * np.linalg.norm(X))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ PLANTED_MAP = Path(__file__).with_name("planted_map.py")
 # a shear frame, and a finite matrix that it carries past the largest double
 SHEAR_JSON = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
 HUGE_COLUMN_JSON = json.dumps(matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]])))
+# a finite curve that carries every sample past the largest double
+HUGE_LINE_JSON = json.dumps({"kind": "line", "point": [1e308, 0], "direction": [1e308, 0]})
 
 
 class TestParseCurve:
@@ -144,9 +146,8 @@ def test_malformed_arguments_exit_two(capsys, argv):
      "--n", "3", "--seed", "1", "--trials", "50", "--expect-pass",
      "--map-cmd", shlex.join([sys.executable, str(PLANTED_MAP), "flip"])],
     # a finite curve that carries a sample past the largest double
-    ["sample", "--curve", json.dumps({"kind": "line", "point": [1e308, 0],
-                                      "direction": [1e308, 0]}),
-     "--n", "3", "--seed", "1"],
+    *[[cmd, "--curve", HUGE_LINE_JSON, "--n", "3", "--seed", "1", *more]
+      for cmd, more in (("sample", ()), ("check", ("--map", RHO_JSON)))],
 ])
 def test_numerical_failures_exit_three(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -373,6 +374,18 @@ class TestClassify:
         assert code == 0
         obj = json.loads(text)
         assert obj["type"] == "ordering_map" and obj["residual"] <= 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_overflowing_samples_are_unknown_without_warnings(self, capsys, seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, err = _run(capsys, "classify", "--curve", HUGE_LINE_JSON,
+                                   "--n", "3", "--seed", str(seed), "--map", RHO_JSON)
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 0 and err == ""
+        obj = json.loads(text)
+        assert obj["type"] == "unknown"
+        assert obj["reason"] == "sample spectrum norm overflows"
 
     def test_expect_pass_on_unknown(self, capsys):
         prog = ("import sys, json\n"
