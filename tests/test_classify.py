@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import idempotent_swap
 
 import curvespec.classify as classify
 from curvespec.checking import BlackBoxMap, DomainSpec, ExternalProgramMap
@@ -67,6 +66,7 @@ from curvespec.subspaces import (
     subspace_intersection,
     subspace_sum,
 )
+from oracles import idempotent_swap
 
 
 def _dom(n=3, curve=None):
