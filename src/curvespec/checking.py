@@ -37,7 +37,7 @@ import numpy as np
 from .curves import Curve, Interval, curve_to_json
 from .errors import ConfigError, MapProtocolError, NumericalDomainError
 from .maps import rho
-from .regularity import DB_SCALES, DC_SCALES, RegularityProfile, db_profile, dc_probe
+from .regularity import RegularityProfile, db_profile, dc_probe
 from .spectral import (
     MatrixClass,
     _batch_greedy_match_max,
@@ -653,7 +653,6 @@ def rho_continuity_experiment(
     curve: Curve,
     n: int = 3,
     corner_param: float = 0.0,
-    scales=None,
     samples: int = 101,
     rng=None,
 ) -> RhoContinuityReport:
@@ -671,10 +670,8 @@ def rho_continuity_experiment(
     if rng is None:
         rng = np.random.default_rng(0)
     center = curve.eval(float(corner_param))
-    db_scales = tuple(scales) if scales is not None else DB_SCALES
-    dc_scales = tuple(scales) if scales is not None else DC_SCALES
-    db = db_profile(curve, np.conj, n, center, scales=db_scales, rng=rng)
-    dc = dc_probe(curve, np.conj, n, center, scales=dc_scales, rng=rng)
+    db = db_profile(curve, np.conj, n, center, rng=rng)
+    dc = dc_probe(curve, np.conj, n, center, rng=rng)
 
     window = default_window(curve)
     domain = DomainSpec(curve, n, MatrixClass.SEMISIMPLE, window)

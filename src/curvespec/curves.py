@@ -10,15 +10,14 @@ The closed unit circle is special: it is the only kind without a global
 order, and order-dependent operations refuse it.
 
 All parameters are plain real numbers; angles are radians.  ``tol`` governs
-spatial membership.
+spatial membership.  A curve's JSON descriptor is its ``kind`` and its
+dataclass fields, each in the JSON form of its declared type.
 """
-
-from __future__ import annotations
 
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -132,6 +131,24 @@ def _c2j(z: complex) -> list:
 
 def _j2c(v) -> complex:
     return complex(float(v[0]), float(v[1]))
+
+
+# A kind's JSON is its parameter fields: the (write, read) pair of each
+# field's declared type.
+_FIELD_JSON = {
+    complex: (_c2j, _j2c),
+    float: (float, float),
+    Interval: (Interval.to_json, Interval.from_json),
+    tuple: (
+        lambda vs: [_c2j(v) for v in vs],
+        lambda vs: tuple(_j2c(v) for v in vs),
+    ),
+}
+
+
+def _params(cls) -> tuple:
+    """The parameter fields of a kind: every field but orientation and tol."""
+    return tuple(f for f in fields(cls) if f.name not in ("orientation", "tol"))
 
 
 def _finite(z, what: str) -> complex:
@@ -255,12 +272,10 @@ class Curve:
 
     # -- serialization ----------------------------------------------------
 
-    def _params_json(self) -> dict:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        out.update(self._params_json())
+        for f in _params(type(self)):
+            out[f.name] = _FIELD_JSON[f.type][0](getattr(self, f.name))
         out["orientation"] = self.orientation
         out["tol"] = self.tol
         return out
@@ -283,9 +298,6 @@ class RealInterval(Curve):
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         return np.clip(zs.real, self.interval.lower, self.interval.upper)
-
-    def _params_json(self) -> dict:
-        return {"interval": self.interval.to_json()}
 
 
 @dataclass(frozen=True)
@@ -314,9 +326,6 @@ class Segment(Curve):
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         return _segment_nearest(zs, self.z0, self.z1 - self.z0)[0]
 
-    def _params_json(self) -> dict:
-        return {"z0": _c2j(self.z0), "z1": _c2j(self.z1)}
-
 
 @dataclass(frozen=True)
 class Line(Curve):
@@ -343,9 +352,6 @@ class Line(Curve):
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         return _line_params(zs, self.point, self.direction)
-
-    def _params_json(self) -> dict:
-        return {"point": _c2j(self.point), "direction": _c2j(self.direction)}
 
 
 @dataclass(frozen=True)
@@ -395,13 +401,6 @@ class CircleArc(Curve):
         # Center is equidistant from the whole arc; pick the lowest parameter.
         return np.where(v == 0, lo, t)
 
-    def _params_json(self) -> dict:
-        return {
-            "center": _c2j(self.center),
-            "radius": self.radius,
-            "angles": self.angles.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class UnitCircleClosed(Curve):
@@ -418,9 +417,6 @@ class UnitCircleClosed(Curve):
 
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         return np.where(zs == 0, 0.0, _atan2(zs.imag, zs.real) % TAU)
-
-    def _params_json(self) -> dict:
-        return {}
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -457,7 +453,7 @@ class Polyline(Curve):
     Construction rejects paths that self-intersect within tol.
     """
 
-    vertices: tuple = ()
+    vertices: tuple
 
     kind = "polyline"
 
@@ -508,9 +504,6 @@ class Polyline(Curve):
             best_t = np.where(closer, i + s, best_t)
         return best_t
 
-    def _params_json(self) -> dict:
-        return {"vertices": [_c2j(v) for v in self.vertices]}
-
 
 @dataclass(frozen=True)
 class CornerGraph(Curve):
@@ -555,9 +548,6 @@ class CornerGraph(Curve):
         # Ties go to the left branch (smaller parameter).
         return np.where(dist_r < dist_l, tr, tl)
 
-    def _params_json(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 # -- factories ------------------------------------------------------------
 
@@ -586,13 +576,9 @@ def punctured_unit_circle(cut: float, tol: float = DEFAULT_TOL) -> CircleArc:
 # -- serialization --------------------------------------------------------
 
 _KINDS = {
-    "real_interval": RealInterval,
-    "segment": Segment,
-    "line": Line,
-    "circle_arc": CircleArc,
-    "unit_circle": UnitCircleClosed,
-    "polyline": Polyline,
-    "corner_graph": CornerGraph,
+    cls.kind: cls
+    for cls in (RealInterval, Segment, Line, CircleArc, UnitCircleClosed,
+                Polyline, CornerGraph)
 }
 
 
@@ -607,47 +593,26 @@ def curve_from_json(obj) -> Curve:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("curve descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
-    cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown curve kind {kind!r}")
+    cls = _KINDS[kind]
     orientation = obj.get("orientation", 1)
     # not bool or float, although True == 1 and -1.0 == -1
     if type(orientation) is not int or orientation not in (-1, 1):
         raise ConfigError(f"orientation must be the integer 1 or -1, got {orientation!r}")
     try:
-        common = {
-            "orientation": orientation,
-            "tol": float(obj.get("tol", DEFAULT_TOL)),
-        }
-        if cls is RealInterval:
-            iv = obj.get("interval")
-            interval = Interval.from_json(iv) if iv is not None else Interval()
-            return RealInterval(interval, **common)
-        if cls is Segment:
-            return Segment(_j2c(obj["z0"]), _j2c(obj["z1"]), **common)
-        if cls is Line:
-            return Line(_j2c(obj["point"]), _j2c(obj["direction"]), **common)
-        if cls is CircleArc:
-            angles = obj.get("angles")
-            kw = {}
-            if angles is not None:
-                kw["angles"] = Interval.from_json(angles)
-            return CircleArc(
-                _j2c(obj.get("center", [0.0, 0.0])),
-                float(obj.get("radius", 1.0)),
-                **kw,
-                **common,
-            )
-        if cls is UnitCircleClosed:
-            return UnitCircleClosed(**common)
-        if cls is Polyline:
-            return Polyline(tuple(_j2c(v) for v in obj["vertices"]), **common)
-        if cls is CornerGraph:
-            return CornerGraph(float(obj["a"]), float(obj["b"]), **common)
+        kw = {"orientation": orientation, "tol": float(obj.get("tol", DEFAULT_TOL))}
+        # interval fields first, so that their errors are the ones reported;
+        # null means the default for them alone
+        for f in sorted(_params(cls), key=lambda f: f.type is not Interval):
+            if f.name in obj and not (f.type is Interval and obj[f.name] is None):
+                kw[f.name] = _FIELD_JSON[f.type][1](obj[f.name])
+            elif f.default is MISSING:
+                raise KeyError(f.name)
+        return cls(**kw)
     except KeyError as exc:
         raise ConfigError(f"curve descriptor for {kind!r} missing field {exc}") from exc
     except ConfigError:  # a ValueError too, but already says what is wrong
         raise
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed curve descriptor for {kind!r}: {exc}") from exc
-    raise ConfigError(f"unhandled curve kind {kind!r}")

@@ -131,14 +131,7 @@ def divided_difference(f, points, curve: Curve | None = None) -> complex:
     symmetric in the points; when a curve is available they are pre-sorted
     by its parameter to tame cancellation.
     """
-    if isinstance(points, ConfigurationTuple):
-        cfg = points
-        if curve is None:
-            curve = cfg.curve
-        if cfg.curve is None and curve is not None:
-            cfg = ConfigurationTuple(cfg.points, curve)
-    else:
-        cfg = ConfigurationTuple(tuple(points), curve)
+    cfg = ConfigurationTuple(tuple(points), curve)
     pts = np.array(cfg.sorted_points())[None, :]
     fv = _call_f(f, pts)
     return complex(_quotient_table_err(fv, pts)[0][0])

@@ -86,8 +86,7 @@ def as_matrix(X, *, name: str = "matrix") -> np.ndarray:
 
 def matrix_to_json(X: np.ndarray) -> dict:
     X = np.asarray(X, dtype=complex)
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in X]
-    return {"n": int(X.shape[0]), "entries": entries}
+    return {"n": int(X.shape[0]), "entries": np.stack((X.real, X.imag), -1).tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -211,7 +210,11 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     exists.
     """
     X = as_matrix(X)
-    norm_x = np.linalg.norm(X)
+    with np.errstate(over="ignore"):
+        norm_x = np.linalg.norm(X)
+    if not np.isfinite(norm_x):
+        # every relative tolerance below would be infinite or NaN
+        raise NumericalDomainError("matrix norm overflows")
     tol = _resolve_cluster_tol(cluster_tol, norm_x)
 
     if _is_normal(X, norm_x):
@@ -315,15 +318,18 @@ def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True)
     vectors the eigenvectors and their inverses on the fast rows.
     """
     n = Xs.shape[-1]
-    norms = np.linalg.norm(Xs, axis=(1, 2))
     if vectors:
         w, V = np.linalg.eig(Xs)
     else:
         w, V = np.linalg.eigvals(Xs), None
     D = np.abs(w[:, :, None] - w[:, None, :])
     D[:, np.arange(n), np.arange(n)] = np.inf
-    fast = D.min(axis=(1, 2)) > CLUSTER_RTOL * np.maximum(1.0, norms)
-    departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
+    # a row whose norm overflows is never fast: spectral_decompose refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(Xs, axis=(1, 2))
+        departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
+    fast = np.isfinite(norms) & (
+        D.min(axis=(1, 2)) > CLUSTER_RTOL * np.maximum(1.0, norms))
     near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
     Vinv = None
     if V is None:

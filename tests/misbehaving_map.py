@@ -4,6 +4,7 @@
     python misbehaving_map.py linger   # ignores SIGTERM, stays alive after stdin closes
     python misbehaving_map.py mute     # replies once, closes its stdout, stays alive
     python misbehaving_map.py hang     # replies twice, then sleeps with both pipes open
+    python misbehaving_map.py huge     # replies 1e200 * X^t, whose norm overflows
 
 Used by the CLI tests of `check --map-cmd`; imports nothing heavier than json.
 """
@@ -22,6 +23,8 @@ for count, line in enumerate(sys.stdin):
         time.sleep(600)
     m = json.loads(line)
     m["entries"] = [list(col) for col in zip(*m["entries"])]
+    if mode == "huge":
+        m["entries"] = [[[1e200 * x for x in e] for e in row] for row in m["entries"]]
     print(json.dumps(m), flush=True)
     if mode == "chatty":
         sys.stderr.write("x" * 4095 + "\n")

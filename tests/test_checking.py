@@ -132,6 +132,28 @@ class TestCheckCS:
         # every chunk is drawn and mapped, judged or not
         assert len(calls) == 3 * 1500
 
+    @pytest.mark.parametrize("kind,f,trial", [
+        ("spectrum", lambda X: X + np.eye(3), 0),
+        # swaps the first two coordinates of some inputs: keeps spectra
+        ("commutativity", lambda X: X[[1, 0, 2]][:, [1, 0, 2]] if X[0, 1].real > 0 else X, 2),
+    ])
+    def test_chunk_after_the_violation_is_drawn_and_mapped_unjudged(self, kind, f, trial):
+        # the first violation is in the first chunk of 1,024: the second
+        # chunk is drawn and mapped all the same, so the rng ends where a
+        # passing run's does
+        calls = []
+
+        def counted(X):
+            calls.append(None)
+            return f(X)
+
+        rngs = [np.random.default_rng(6) for _ in range(2)]
+        v = check_cs(BlackBoxMap(counted, _domain(3)), 1500, 1e-6, rngs[0])
+        assert v.counterexample.kind == kind and v.counterexample.trial == trial
+        assert len(calls) == 3 * 1500
+        assert check_cs(BlackBoxMap(Conj(np.eye(3)), _domain(3)), 1500, 1e-6, rngs[1]).ok
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("cls", [MatrixClass.NORMAL, MatrixClass.SEMISIMPLE])
     @pytest.mark.parametrize("planted", [

@@ -748,6 +748,17 @@ class TestClassifyPreserver:
         for j in range(3):
             assert line_distance(pt.T[:, j], Q[:, j]) <= 1e-6
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ordering_maps_with_frames_sharing_no_column_are_unknown(self, seed):
+        # the frame is I or a cyclic permutation of it, by the sign of the trace
+        eye = np.eye(3)
+        maps = OrderMap(real_line(), eye), OrderMap(real_line(), eye[:, [1, 2, 0]])
+        pt = classify_preserver(
+            BlackBoxMap(lambda X: maps[int(np.trace(X).real < 0)].apply(X), _dom()),
+            np.random.default_rng(seed))
+        assert pt.kind == "unknown" and pt.T is None
+        assert pt.reason == "output frames do not share columns"
+
     @pytest.mark.parametrize("mutant", [
         lambda X: X + np.eye(3),
         lambda X: 2 * X,

@@ -29,6 +29,8 @@ PLANTED_MAP = Path(__file__).with_name("planted_map.py")
 # a shear frame, and a finite matrix that it carries past the largest double
 SHEAR_JSON = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
 HUGE_COLUMN_JSON = json.dumps(matrix_to_json(np.array([[1e308, 0.0], [1e308, 1.0]])))
+# a finite matrix whose norm overflows
+HUGE_DIAG_JSON = json.dumps(matrix_to_json(np.diag([1e200, 2e200, 3e200])))
 # a finite curve that carries every sample past the largest double
 HUGE_LINE_JSON = json.dumps({"kind": "line", "point": [1e308, 0], "direction": [1e308, 0]})
 
@@ -145,6 +147,11 @@ def test_malformed_arguments_exit_two(capsys, argv):
                                      "direction": [1e200, 0]}),
      "--n", "3", "--seed", "1", "--trials", "50", "--expect-pass",
      "--map-cmd", shlex.join([sys.executable, str(PLANTED_MAP), "flip"])],
+    # a finite input whose norm overflows every tolerance of the spectral maps
+    ["apply", "--map", RHO_JSON, "--matrix", HUGE_DIAG_JSON],
+    ["apply", "--map", json.dumps({"variant": "order", "curve": {"kind": "real_interval"},
+                                   "T": matrix_to_json(np.eye(3))}),
+     "--matrix", HUGE_DIAG_JSON],
     # a finite curve that carries a sample past the largest double
     *[[cmd, "--curve", HUGE_LINE_JSON, "--n", "3", "--seed", "1", *more]
       for cmd, more in (("sample", ()), ("check", ("--map", RHO_JSON)))],
@@ -386,6 +393,18 @@ class TestClassify:
         obj = json.loads(text)
         assert obj["type"] == "unknown"
         assert obj["reason"] == "sample spectrum norm overflows"
+
+    def test_overflowing_replies_are_unknown_without_warnings(self, capsys):
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), "huge"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, err = _run(capsys, "classify", "--curve", "real-line",
+                                   "--n", "3", "--seed", "1", "--map-cmd", cmd)
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 0 and err == ""
+        obj = json.loads(text)
+        assert obj["type"] == "unknown"
+        assert obj["reason"] == "matrix norm overflows"
 
     def test_expect_pass_on_unknown(self, capsys):
         prog = ("import sys, json\n"

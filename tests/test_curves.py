@@ -1,6 +1,7 @@
 """Tests for the curve geometry layer."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -183,6 +184,67 @@ def test_curve_from_json_rejects_garbage():
         curve_from_json({"kind": "segment", "z0": [0, 0]})
     with pytest.raises(ConfigError, match="^segment endpoints must be distinct$"):
         curve_from_json({"kind": "segment", "z0": [1, 0], "z1": [1, 0]})
+
+
+@pytest.mark.parametrize("curve,text", [
+    (real_line(),
+     '{"kind": "real_interval", "interval": {"lower": null, "upper": null, '
+     '"lower_closed": false, "upper_closed": false}, "orientation": 1, "tol": 1e-09}'),
+    (CircleArc(1 + 1j, 2.0, Interval(0.5, 2.5)),
+     '{"kind": "circle_arc", "center": [1.0, 1.0], "radius": 2.0, "angles": '
+     '{"lower": 0.5, "upper": 2.5, "lower_closed": true, "upper_closed": true}, '
+     '"orientation": 1, "tol": 1e-09}'),
+    (Polyline((0j, 1 + 0j, 1 + 1j)),
+     '{"kind": "polyline", "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], '
+     '"orientation": 1, "tol": 1e-09}'),
+    (CornerGraph(0.0, 2.5, orientation=-1, tol=1e-8),
+     '{"kind": "corner_graph", "a": 0.0, "b": 2.5, "orientation": -1, "tol": 1e-08}'),
+], ids=lambda v: getattr(v, "kind", ""))
+def test_json_text_is_kind_fields_orientation_tol(curve, text):
+    assert json.dumps(curve_to_json(curve)) == text
+
+
+# The first error of a malformed descriptor, word for word.  Interval
+# fields are read first, then the others in field order; null is the
+# default for interval fields alone.
+@pytest.mark.parametrize("desc,message", [
+    ({"kind": "real_interval", "interval": 5}, "interval must be an object, got 5"),
+    ({"kind": "real_interval", "interval": {"lower": [1]}},
+     "malformed curve descriptor for 'real_interval': float() argument must be "
+     "a string or a real number, not 'list'"),
+    ({"kind": "segment", "z0": [0, 0]},
+     "curve descriptor for 'segment' missing field 'z1'"),
+    ({"kind": "segment", "z0": None, "z1": [1, 1]},
+     "malformed curve descriptor for 'segment': 'NoneType' object is not subscriptable"),
+    ({"kind": "segment", "z0": {"0": 1}, "z1": [1, 1]},
+     "curve descriptor for 'segment' missing field 0"),
+    ({"kind": "line", "point": [0, 0], "direction": [1]},
+     "malformed curve descriptor for 'line': list index out of range"),
+    ({"kind": "circle_arc", "center": None},
+     "malformed curve descriptor for 'circle_arc': 'NoneType' object is not subscriptable"),
+    ({"kind": "circle_arc", "radius": None},
+     "malformed curve descriptor for 'circle_arc': float() argument must be "
+     "a string or a real number, not 'NoneType'"),
+    ({"kind": "circle_arc", "radius": "x", "center": [0]},
+     "malformed curve descriptor for 'circle_arc': list index out of range"),
+    ({"kind": "circle_arc", "angles": 5, "center": "x"},
+     "interval must be an object, got 5"),
+    ({"kind": "circle_arc", "center": [0], "angles": {"lower": 1, "upper": 0}},
+     "interval requires lower < upper, got [1.0, 0.0]"),
+    ({"kind": "unit_circle", "tol": "x"},
+     "malformed curve descriptor for 'unit_circle': could not convert string to float: 'x'"),
+    ({"kind": "polyline"}, "curve descriptor for 'polyline' missing field 'vertices'"),
+    ({"kind": "polyline", "vertices": None},
+     "malformed curve descriptor for 'polyline': 'NoneType' object is not iterable"),
+    ({"kind": "corner_graph", "a": 1},
+     "curve descriptor for 'corner_graph' missing field 'b'"),
+    ({"kind": "corner_graph", "b": [1], "tol": "y"},
+     "malformed curve descriptor for 'corner_graph': could not convert string to float: 'y'"),
+])
+def test_malformed_descriptor_messages(desc, message):
+    with pytest.raises(ConfigError) as info:
+        curve_from_json(desc)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, [], {}])

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvespec.curves import CornerGraph, Interval, Line, RealInterval, unit_circle_arc
+from curvespec.curves import (
+    CornerGraph,
+    Interval,
+    Line,
+    RealInterval,
+    Segment,
+    unit_circle_arc,
+)
 from curvespec.errors import (
     CoincidentPointsError,
     ConfigError,
@@ -177,6 +184,18 @@ def test_db_profile_order_two_sup_is_one_everywhere():
         p = db_profile(curve, np.conj, 2, center, rng=np.random.default_rng(16))
         assert p.verdict_db == "bounded"
         assert all(abs(s - 1.0) <= 1e-9 for s in p.sup_values)
+
+
+def test_scale_without_room_for_a_tuple_is_vacuous():
+    # at scale 10 the segment leaves offsets in [-0.05, 0.05], too narrow
+    # for three points 5% apart: the scale reads 0 and draws nothing
+    rngs = [np.random.default_rng(0) for _ in range(2)]
+    p = db_profile(Segment(0, 1), np.conj, 3, 0.5, scales=(10, 1), rng=rngs[0])
+    fine = db_profile(Segment(0, 1), np.conj, 3, 0.5, scales=(1,), rng=rngs[1])
+    assert (p.sup_values[0], p.means[0], p.dispersions[0]) == (0.0, 0j, 0.0)
+    assert (p.sup_values[1:], p.means[1:], p.dispersions[1:]) == (
+        fine.sup_values, fine.means, fine.dispersions)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_dc_probe_line_constant_limit():

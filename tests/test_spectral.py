@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -301,6 +302,21 @@ def test_matrix_json_roundtrip():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert_allclose(matrix_from_json(matrix_to_json(X)), X)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_matrix_json_text_is_the_entrywise_pairs(n):
+    # the reference writes each entry as [re, im] Python floats
+    rng = np.random.default_rng(n)
+    odd = np.array([0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan, 1e308, 1 / 3])
+    for X in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+              rng.choice(odd, (n, n)),
+              rng.choice(odd, (n, n, 2)).view(complex)[..., 0]):
+        want = {"n": n, "entries": [[[float(z.real), float(z.imag)] for z in row]
+                                    for row in np.asarray(X, dtype=complex)]}
+        for sort_keys in (False, True):
+            assert (json.dumps(matrix_to_json(X), sort_keys=sort_keys)
+                    == json.dumps(want, sort_keys=sort_keys))
 
 
 def test_matrix_json_malformed():
