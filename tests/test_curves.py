@@ -199,7 +199,7 @@ def test_curve_from_json_rejects_garbage():
      '"orientation": 1, "tol": 1e-09}'),
     (CornerGraph(0.0, 2.5, orientation=-1, tol=1e-8),
      '{"kind": "corner_graph", "a": 0.0, "b": 2.5, "orientation": -1, "tol": 1e-08}'),
-], ids=lambda v: getattr(v, "kind", ""))
+], ids=["real_interval", "circle_arc", "polyline", "corner_graph"])
 def test_json_text_is_kind_fields_orientation_tol(curve, text):
     assert json.dumps(curve_to_json(curve)) == text
 
