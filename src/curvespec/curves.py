@@ -119,10 +119,18 @@ class Interval:
             if f is not None and not isinstance(f, bool):
                 raise ConfigError(f"closedness must be true, false or null, got {f!r}")
         return cls(
-            -math.inf if lo is None else float(lo),
-            math.inf if hi is None else float(hi),
+            -math.inf if lo is None else _real(lo),
+            math.inf if hi is None else _real(hi),
             *flags,
         )
+
+
+def _real(v) -> float:
+    """A JSON number as a float: an int or a float, not a bool or a string."""
+    x = float(v)  # float's own error for what reads as no number at all
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"expected a JSON number, got {v!r}")
+    return x
 
 
 def _c2j(z: complex) -> list:
@@ -130,14 +138,14 @@ def _c2j(z: complex) -> list:
 
 
 def _j2c(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
+    return complex(_real(v[0]), _real(v[1]))
 
 
 # A kind's JSON is its parameter fields: the (write, read) pair of each
 # field's declared type.
 _FIELD_JSON = {
     complex: (_c2j, _j2c),
-    float: (float, float),
+    float: (float, _real),
     Interval: (Interval.to_json, Interval.from_json),
     tuple: (
         lambda vs: [_c2j(v) for v in vs],
@@ -601,7 +609,7 @@ def curve_from_json(obj) -> Curve:
     if type(orientation) is not int or orientation not in (-1, 1):
         raise ConfigError(f"orientation must be the integer 1 or -1, got {orientation!r}")
     try:
-        kw = {"orientation": orientation, "tol": float(obj.get("tol", DEFAULT_TOL))}
+        kw = {"orientation": orientation, "tol": _real(obj.get("tol", DEFAULT_TOL))}
         # interval fields first, so that their errors are the ones reported;
         # null means the default for them alone
         for f in sorted(_params(cls), key=lambda f: f.type is not Interval):
@@ -614,5 +622,5 @@ def curve_from_json(obj) -> Curve:
         raise ConfigError(f"curve descriptor for {kind!r} missing field {exc}") from exc
     except ConfigError:  # a ValueError too, but already says what is wrong
         raise
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed curve descriptor for {kind!r}: {exc}") from exc

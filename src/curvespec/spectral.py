@@ -23,6 +23,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,7 +95,9 @@ def matrix_to_json(X: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:  # not bool or float, although True == 1
+            raise TypeError(f"n must be an integer, got {n!r}")
         rows = obj["entries"]
         A = np.array(
             [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
@@ -262,21 +268,41 @@ def _no_sort(x):
 
 
 @functools.cache
+def _zgees():
+    """LAPACK zgees, from scipy's compiled extension scipy.linalg._flapack.
+
+    The extension is loaded on its own, under its full name, unless it is
+    loaded already.  A later import of scipy.linalg reuses that module, so
+    its lapack.zgees is this same function.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        found = importlib.machinery.PathFinder.find_spec(
+            "_flapack", [os.path.join(d, "linalg") for d in scipy_dirs])
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].zgees
+
+
+@functools.cache
 def _zgees_lwork(n: int) -> int:
     """zgees's optimal workspace size, which depends on n alone."""
-    from scipy.linalg.lapack import zgees
-    return int(zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
+    return int(_zgees()(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
 
 
 def _schur(X: np.ndarray):
     """Complex Schur form (T, Z) of X, as scipy.linalg.schur(X, output="complex").
 
     Calls LAPACK zgees once, with the workspace size queried once per n,
-    where scipy.linalg.schur queries it on every call.
+    where scipy.linalg.schur queries it on every call.  zgees comes from
+    _zgees and not from scipy's lapack wrapper module: importing that runs
+    the whole scipy.linalg package, 85 modules that cost about 0.3 s and
+    26 MiB per process, for this one routine.
     """
-    # deferred, so that importing the package stays scipy-free
-    from scipy.linalg.lapack import zgees
-    T, _, _, Z, _, info = zgees(_no_sort, X, lwork=_zgees_lwork(X.shape[0]))
+    T, _, _, Z, _, info = _zgees()(_no_sort, X, lwork=_zgees_lwork(X.shape[0]))
     if info != 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return T, Z

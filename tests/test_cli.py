@@ -96,7 +96,19 @@ class TestParseCurve:
         '{"kind": "real_interval", "interval": '
         '{"lower": 0, "upper": 1, "lower_closed": "false"}}',
         '{"kind": "real_interval", "orientation": -1.7}',
+        # a number is a JSON number: not a string, not a boolean
+        '{"kind": "circle_arc", "radius": "2.5"}',
+        '{"kind": "segment", "z0": [true, false], "z1": [2, 0]}',
+        # an integer too large for a float
+        '{"kind": "circle_arc", "radius": 1%s}' % ("0" * 400),
     )],
+    # a matrix's n is a JSON integer: not a fraction, a string or a boolean
+    # (int() reads the first two as 2; true reads as 1, a size no map takes)
+    *[["apply", "--map", RHO_JSON, "--matrix",
+       '{"n": %s, "entries": %s}' % (n, entries)]
+      for n, entries in (("2.9", "[[[1,0],[0,0]],[[0,0],[2,0]]]"),
+                         ('"2"', "[[[1,0],[0,0]],[[0,0],[2,0]]]"),
+                         ("true", "[[[1,0]]]"))],
     # the sampled classes are normal and semisimple
     ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
      "--class", "general"],

@@ -240,6 +240,19 @@ def test_json_text_is_kind_fields_orientation_tol(curve, text):
      "curve descriptor for 'corner_graph' missing field 'b'"),
     ({"kind": "corner_graph", "b": [1], "tol": "y"},
      "malformed curve descriptor for 'corner_graph': could not convert string to float: 'y'"),
+    # a number is a JSON number, never a string or a boolean that float() reads
+    ({"kind": "circle_arc", "radius": "2.5"},
+     "malformed curve descriptor for 'circle_arc': expected a JSON number, got '2.5'"),
+    ({"kind": "segment", "z0": [True, False], "z1": [2, 0]},
+     "malformed curve descriptor for 'segment': expected a JSON number, got True"),
+    ({"kind": "real_interval", "interval": {"lower": 0, "upper": False}},
+     "malformed curve descriptor for 'real_interval': expected a JSON number, got False"),
+    ({"kind": "real_interval", "tol": "1e-9"},
+     "malformed curve descriptor for 'real_interval': expected a JSON number, got '1e-9'"),
+    ({"kind": "polyline", "vertices": [[0, 0], [1, "0"]]},
+     "malformed curve descriptor for 'polyline': expected a JSON number, got '0'"),
+    ({"kind": "corner_graph", "a": 1, "b": 10 ** 400},
+     "malformed curve descriptor for 'corner_graph': int too large to convert to float"),
 ])
 def test_malformed_descriptor_messages(desc, message):
     with pytest.raises(ConfigError) as info:
@@ -272,6 +285,7 @@ def test_orientation_must_be_the_integer_one_or_minus_one(orientation):
 def test_orientation_json_values(orientation):
     curve = curve_from_json({"kind": "real_interval", "orientation": orientation})
     assert curve.orientation == orientation
+
 
 
 # -- parametrization properties ---------------------------------------------

@@ -1,8 +1,10 @@
-"""Import surface: exported names resolve, the scripts run, and the package
-and the check path load no scipy module."""
+"""Import surface: exported names resolve, the scripts run, the package and
+the check path load no scipy module, and the Schur route loads scipy's
+LAPACK extension alone."""
 
 import importlib
 import json
+import os
 import pkgutil
 import shlex
 import sys
@@ -15,21 +17,36 @@ import curvespec
 TRANSPOSE_MAP = Path(__file__).with_name("transpose_map.py")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
+# Runs the subcommand given as a JSON argv in process, and prints the scipy
+# modules loaded after the import and after the run.
 _CHILD = """
-import json, os, sys
+import json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import curvespec, curvespec.cli
 after_import = scipy_modules()
-code = curvespec.cli.run([
-    "check", "--curve", "real-line", "--n", "3", "--trials", "30",
-    "--seed", "1", "-o", os.devnull, "--map-cmd", sys.argv[1],
-])
+code = curvespec.cli.run(json.loads(sys.argv[1]))
 print(json.dumps({"after_import": after_import, "exit": code,
-                  "after_check": scipy_modules()}))
+                  "after_run": scipy_modules()}))
 """
+
+# The Schur route's zgees is scipy's own, whether scipy.linalg is imported
+# before or after the first decomposition.
+_ZGEES_CHILD = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from curvespec import spectral
+spectral._schur(np.diag([1.0, 2.0, 3.0]).astype(complex))
+import scipy.linalg, scipy.linalg.lapack
+T = scipy.linalg.schur(np.triu(np.ones((3, 3))), output="complex")[0]
+print(spectral._zgees() is scipy.linalg.lapack.zgees, bool(np.allclose(np.diag(T), 1)))
+"""
+
+MAP_CMD = shlex.join([sys.executable, str(TRANSPOSE_MAP)])
 
 
 def _run_child(run_in_group, *args):
@@ -39,13 +56,34 @@ def _run_child(run_in_group, *args):
     return out
 
 
-def test_import_and_map_cmd_check_load_no_scipy(run_in_group):
-    out = _run_child(run_in_group, "-c", _CHILD,
-                     shlex.join([sys.executable, str(TRANSPOSE_MAP)]))
+def _scipy_modules_of_run(run_in_group, argv):
+    out = _run_child(run_in_group, "-W", "error", "-c", _CHILD, json.dumps(argv))
     got = json.loads(out.strip().splitlines()[-1])
     assert got["exit"] == 0
     assert got["after_import"] == []
-    assert got["after_check"] == []
+    return got["after_run"]
+
+
+def test_import_and_map_cmd_check_load_no_scipy(run_in_group):
+    argv = ["check", "--curve", "real-line", "--n", "3", "--trials", "30",
+            "--seed", "1", "-o", os.devnull, "--map-cmd", MAP_CMD]
+    assert _scipy_modules_of_run(run_in_group, argv) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--curve", "real-line", "--n", "3", "--seed", "1",
+     "--map-cmd", MAP_CMD],
+    ["rho-continuity", "--curve", "corner-graph:-1,1", "--n", "3",
+     "--corner", "0", "--seed", "13"],
+], ids=["classify", "rho-continuity"])
+def test_schur_route_loads_only_the_lapack_extension(run_in_group, argv):
+    assert _scipy_modules_of_run(run_in_group, argv) == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_schur_zgees_is_scipys(run_in_group, order):
+    out = _run_child(run_in_group, "-W", "error", "-c", _ZGEES_CHILD, order)
+    assert out.split() == ["True", "True"]
 
 
 def test_every_exported_name_resolves():

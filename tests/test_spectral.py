@@ -326,6 +326,9 @@ def test_matrix_json_malformed():
         matrix_from_json({"entries": []})
     with pytest.raises(ConfigError):  # json.loads reads "n": 1e999 as this
         matrix_from_json({"n": float("inf"), "entries": []})
+    for n in (2.0, 2.9, "2", True):  # n is a JSON integer, nothing else
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            matrix_from_json({"n": n, "entries": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]})
 
 
 _CURVES = [real_line(), UnitCircleClosed(), Segment(-1.0 + 0.0j, 1.0 + 1.0j), CornerGraph(-1.0, 1.0)]
