@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from curvespec.checking import rho_continuity_experiment
 from curvespec.curves import CornerGraph, real_line, unit_circle_arc
+from curvespec.regularity import rho_continuity_experiment
 
 
 def build_cases(corner_slopes):

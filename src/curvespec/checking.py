@@ -1,4 +1,4 @@
-"""Randomized preserver checks, continuity probes, and the involution experiment.
+"""Randomized preserver checks and the continuity probe.
 
 check_cs throws sampled single matrices and exactly-commuting pairs at an
 arbitrary matrix map and tests spectrum preservation and commutativity
@@ -12,14 +12,11 @@ rows after the one whose reply fails; and an opaque callable is applied
 one matrix at a time, through BlackBoxMap.apply, inside the same
 pipeline.  Both properties share one chunk loop (_first_violation).
 
-continuity_probe estimates a modulus of continuity along a matrix path and
-raises a heuristic discontinuity flag when the output oscillation refuses
-to decay at the finest grid separation even though the input path steps
-have contracted.  The involution experiment wires this to collision paths
-whose spectra slide into a curve point from both sides while an
-off-diagonal coupling keeps the output pinned; near a corner the coupled
-quotient stays order one and the flag trips, matching the boundedness
-verdict of the difference-quotient probe on the same curve.
+continuity_probe estimates a modulus of continuity of any map along a
+matrix path and raises a heuristic discontinuity flag when the output
+oscillation refuses to decay at the finest grid separation even though
+the input path steps have contracted.  The involution experiment that
+runs it on collision paths is regularity.rho_continuity_experiment.
 """
 
 from __future__ import annotations
@@ -30,14 +27,12 @@ import selectors
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, Interval, curve_to_json
+from .curves import Curve, Interval
 from .errors import ConfigError, MapProtocolError, NumericalDomainError
-from .maps import rho
-from .regularity import RegularityProfile, db_profile, dc_probe
 from .spectral import (
     MatrixClass,
     _batch_greedy_match_max,
@@ -60,9 +55,6 @@ __all__ = [
     "check_cs",
     "ContinuityTable",
     "continuity_probe",
-    "collision_path",
-    "RhoContinuityReport",
-    "rho_continuity_experiment",
 ]
 
 _CHUNK = 1024
@@ -551,147 +543,4 @@ def continuity_probe(bb: BlackBoxMap, path, samples: int = 101) -> ContinuityTab
         input_sups=tuple(in_sups),
         flag=flag,
         ratio=float(ratio),
-    )
-
-
-# ---------------------------------------------------------------------------
-# collision paths and the involution experiment
-
-# the spread of a collision path's spectrum at t = 0
-_COLLISION_EPS = 2e-5
-
-
-def collision_path(
-    curve: Curve, n: int, corner_param: float, style: str = "straddle-sym"
-):
-    """Path t -> X_t of semisimple matrices whose spectrum collapses onto
-    the curve point at corner_param as t -> 1.
-
-    X_t is upper bidiagonal: the diagonal holds n curve points spread
-    eps_t = (1-t) * _COLLISION_EPS around the center, the superdiagonal holds the
-    coupling eps_t^((n-2)/(n-1)).  That exponent balances the coupling
-    product against the growth of the order-(n-1) difference quotient, so
-    a corner in the curve keeps one output entry of the involution pinned
-    at order one while the input collapses to a scalar.
-
-    Styles place the diagonal offsets: 'straddle-sym' symmetric about the
-    center, 'straddle-skew' asymmetric about it, 'one-sided' entirely on
-    one side (which never straddles a corner, a control case).  The
-    one-sided control takes a gentler coupling exponent: its narrower
-    eigenvalue spread would otherwise push the eigenbasis conditioning
-    near the defective-detection limit, and no pinning is expected there
-    anyway.
-    """
-    if n < 2:
-        raise ConfigError("collision paths need n >= 2")
-    alpha = (n - 2) / (n - 1) if n >= 3 else 0.5
-    if style == "straddle-sym":
-        offsets = np.linspace(-1.0, 1.0, n)
-    elif style == "straddle-skew":
-        offsets = np.linspace(-0.4, 1.0, n)
-    elif style == "one-sided":
-        offsets = np.linspace(0.3, 1.0, n)
-        alpha = alpha + (1.0 - alpha) / 2.0
-    else:
-        raise ConfigError(f"unknown collision path style {style!r}")
-    t_c = float(corner_param)
-
-    def path(t: float) -> np.ndarray:
-        eps = (1.0 - float(t)) * _COLLISION_EPS
-        diag = curve.eval_array(t_c + eps * offsets)
-        X = np.diag(diag)
-        s = eps**alpha
-        for i in range(n - 1):
-            X[i, i + 1] = s
-        return X
-
-    return path
-
-
-_PATH_STYLES = ("straddle-sym", "straddle-skew", "one-sided")
-
-# The collision spectra run eigengaps down to ~1.4e-7 near the endpoint;
-# the involution is applied with a fixed fine cluster tolerance so those
-# gaps are never merged before the projectors are formed.
-_RHO_PATH_CLUSTER_TOL = 1e-8
-
-
-@dataclass
-class RhoContinuityReport:
-    """Boundedness/limit verdicts next to continuity flags on collision paths."""
-
-    curve_json: dict
-    n: int
-    corner_param: float
-    db: RegularityProfile
-    dc: RegularityProfile
-    path_tables: dict = field(default_factory=dict)
-    concordant: bool = True
-
-    @property
-    def any_flag(self) -> bool:
-        return any(t.flag for t in self.path_tables.values())
-
-    def to_json(self) -> dict:
-        return {
-            "curve": self.curve_json,
-            "n": self.n,
-            "corner_param": self.corner_param,
-            "db_verdict": self.db.verdict_db,
-            "db_slope": self.db.slope,
-            "dc_verdict": self.dc.verdict_dc,
-            "dc_limit": None
-            if self.dc.dc_limit is None
-            else [self.dc.dc_limit.real, self.dc.dc_limit.imag],
-            "paths": {k: v.to_json() for k, v in self.path_tables.items()},
-            "any_discontinuity_flag": self.any_flag,
-            "concordant": self.concordant,
-        }
-
-
-def rho_continuity_experiment(
-    curve: Curve,
-    n: int = 3,
-    corner_param: float = 0.0,
-    samples: int = 101,
-    rng=None,
-) -> RhoContinuityReport:
-    """Difference-quotient verdicts vs involution continuity at one curve point.
-
-    Runs the boundedness and limit probes for complex conjugation at order
-    n around the point, then probes the involution for continuity along
-    collision paths collapsing onto that point, and reports whether the
-    verdicts agree in the predicted direction: a bounded quotient should
-    mean no discontinuity flag on any path, a diverging one should trip a
-    flag on some straddling path.
-    """
-    if n < 2:
-        raise ConfigError("experiment needs n >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    center = curve.eval(float(corner_param))
-    db = db_profile(curve, np.conj, n, center, rng=rng)
-    dc = dc_probe(curve, np.conj, n, center, rng=rng)
-
-    window = default_window(curve)
-    domain = DomainSpec(curve, n, MatrixClass.SEMISIMPLE, window)
-    bb = BlackBoxMap(
-        lambda X: rho(X, cluster_tol=_RHO_PATH_CLUSTER_TOL), domain, name="rho"
-    )
-    tables = {}
-    for style in _PATH_STYLES:
-        path = collision_path(curve, n, corner_param, style)
-        tables[style] = continuity_probe(bb, path, samples=samples)
-
-    any_flag = any(t.flag for t in tables.values())
-    bounded = db.verdict_db == "bounded"
-    concordant = bounded == (not any_flag)
-    return RhoContinuityReport(
-        curve_json=curve_to_json(curve),
-        n=n,
-        corner_param=float(corner_param),
-        db=db,
-        dc=dc,
-        path_tables=tables,
-        concordant=concordant,
     )

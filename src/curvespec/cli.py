@@ -19,15 +19,7 @@ import sys
 
 import numpy as np
 
-from . import maps
-from .checking import (
-    BlackBoxMap,
-    DomainSpec,
-    ExternalProgramMap,
-    check_cs,
-    rho_continuity_experiment,
-)
-from .classify import circle_obstruction_demo, classify_preserver
+# what parsing the arguments needs; each command imports the modules it runs
 from .curves import (
     CornerGraph,
     Interval,
@@ -37,16 +29,7 @@ from .curves import (
     unit_circle_arc,
 )
 from .errors import ConfigError, NumericalDomainError
-from .maps import Conj, OrderMap, Rho, map_from_json
-from .regularity import db_profile, dc_probe, divided_difference, write_profile_csv
-from .spectral import (
-    MatrixClass,
-    matrix_from_json,
-    matrix_to_json,
-    random_unitary,
-    sample,
-    spectra_equal,
-)
+from .spectral import MatrixClass
 
 __all__ = ["run", "main"]
 
@@ -119,10 +102,6 @@ def _read_json(text: str):
         return json.load(fh)
 
 
-def _parse_matrix_arg(text: str) -> np.ndarray:
-    return matrix_from_json(json.load(sys.stdin) if text == "-" else _read_json(text))
-
-
 def _finite(X: np.ndarray, what: str) -> np.ndarray:
     """X, refused when an overflow has left non-finite entries in it."""
     if not np.all(np.isfinite(X)):
@@ -131,9 +110,13 @@ def _finite(X: np.ndarray, what: str) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _black_box(args, domain: DomainSpec):
+def _black_box(args, domain):
     """The map under test; an external program is closed on the way out."""
+    from .checking import BlackBoxMap, ExternalProgramMap
+
     if getattr(args, "map", None) is not None:
+        from .maps import map_from_json
+
         yield BlackBoxMap(map_from_json(_read_json(args.map)), domain, name="canonical")
     elif getattr(args, "map_cmd", None) is not None:
         with ExternalProgramMap(shlex.split(args.map_cmd), args.map_timeout) as ext:
@@ -238,6 +221,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sample(args) -> int:
+    from .spectral import matrix_to_json, sample
+
     X = sample(parse_curve(args.curve), args.n, MatrixClass(args.mclass),
                np.random.default_rng(args.seed), _parse_window(args.window))
     _emit_json(matrix_to_json(X), args.output)
@@ -245,8 +230,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .maps import map_from_json
+    from .spectral import matrix_from_json, matrix_to_json
+
     m = map_from_json(_read_json(args.map))
-    X = _parse_matrix_arg(args.matrix)
+    X = matrix_from_json(
+        json.load(sys.stdin) if args.matrix == "-" else _read_json(args.matrix))
     # a finite input can overflow inside a map: report that, not NaN
     with np.errstate(all="ignore"):
         Y = m.apply(X)
@@ -255,6 +244,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checking import DomainSpec, check_cs
+
     curve = parse_curve(args.curve)
     domain = DomainSpec(curve, args.n, MatrixClass(args.mclass),
                         _parse_window(args.window))
@@ -268,6 +259,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .checking import DomainSpec
+    from .classify import classify_preserver
+
     curve = parse_curve(args.curve)
     domain = DomainSpec(curve, args.n, MatrixClass.NORMAL,
                         _parse_window(args.window))
@@ -281,6 +275,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
+    from .regularity import db_profile, dc_probe, write_profile_csv
+
     curve = parse_curve(args.curve)
     center = curve.eval(args.center)
     probe = db_profile if args.mode == "db" else dc_probe
@@ -297,6 +293,8 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_rho_continuity(args) -> int:
+    from .regularity import rho_continuity_experiment
+
     curve = parse_curve(args.curve)
     report = rho_continuity_experiment(curve, args.n, args.corner,
                                        rng=np.random.default_rng(args.seed))
@@ -305,6 +303,8 @@ def _cmd_rho_continuity(args) -> int:
 
 
 def _cmd_demo_circle(args) -> int:
+    from .classify import circle_obstruction_demo
+
     spectrum = [np.exp(1j * a) for a in _floats(args.spectrum, "spectrum")]
     cuts = [np.exp(1j * a) for a in _floats(args.cuts, "cuts")]
     report = circle_obstruction_demo(args.n, spectrum, cuts)
@@ -356,6 +356,13 @@ def main() -> int:
 
 
 def _selftest_checks(quick: bool):
+    from . import maps
+    from .checking import BlackBoxMap, DomainSpec, check_cs
+    from .classify import circle_obstruction_demo, classify_preserver
+    from .maps import Conj, OrderMap, Rho
+    from .regularity import divided_difference, rho_continuity_experiment
+    from .spectral import random_unitary, sample, spectra_equal
+
     # maps.rho is read at each call, so the checks test the rho Rho falls back on
     rl = real_line()
 

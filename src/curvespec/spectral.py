@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import Curve, Interval, TAU
+from .curves import Curve, Interval, TAU, _real
 from .errors import (
     ClosedCurveError,
     ConfigError,
@@ -99,9 +99,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if type(n) is not int:  # not bool or float, although True == 1
             raise TypeError(f"n must be an integer, got {n!r}")
         rows = obj["entries"]
-        A = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-        )
+        # each entry is exactly two JSON numbers, [re, im]
+        A = np.array([[complex(_real(re), _real(im)) for re, im in row]
+                      for row in rows], dtype=complex)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed matrix JSON: {exc}") from None
     if A.shape != (n, n):
@@ -211,9 +211,13 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     """Spectral decomposition of a semisimple-at-tolerance matrix.
 
     Eigenvalues are merged by single linkage at cluster_tol (default
-    1e-7 * max(1, ||X||)); one idempotent is produced per cluster.  Raises
-    DefectiveMatrixError when no adequately conditioned diagonalization
-    exists.
+    1e-7 * max(1, ||X||)); one idempotent is produced per cluster.  A merge
+    moves X by about the gap it closes, which on a small X can exceed the
+    reconstruction tolerance 1e-7 * ||X||; the thresholds
+    min(cluster_tol, 1e-7 * ||X||) and 0 are then tried in turn, and the
+    first decomposition that passes every guard is returned.  Raises the
+    first threshold's DefectiveMatrixError when none does, that is when no
+    adequately conditioned diagonalization exists.
     """
     X = as_matrix(X)
     with np.errstate(over="ignore"):
@@ -222,7 +226,18 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
         # every relative tolerance below would be infinite or NaN
         raise NumericalDomainError("matrix norm overflows")
     tol = _resolve_cluster_tol(cluster_tol, norm_x)
+    first = None
+    # each distinct threshold once, in this order
+    for t in dict.fromkeys((tol, min(tol, RECONSTRUCTION_RTOL * norm_x), 0.0)):
+        try:
+            return _decompose(X, t, norm_x)
+        except DefectiveMatrixError as exc:
+            first = first or exc
+    raise first
 
+
+def _decompose(X: np.ndarray, tol: float, norm_x: float) -> SpectralDecomposition:
+    """spectral_decompose(X) with eigenvalues merged at tol."""
     if _is_normal(X, norm_x):
         out = _schur_decompose(X, tol, norm_x)
         if out is not None:

@@ -5,6 +5,7 @@
     python misbehaving_map.py mute     # replies once, closes its stdout, stays alive
     python misbehaving_map.py hang     # replies twice, then sleeps with both pipes open
     python misbehaving_map.py huge     # replies 1e200 * X^t, whose norm overflows
+    python misbehaving_map.py bool     # replies X^t with each number x written as x != 0
 
 Used by the CLI tests of `check --map-cmd`; imports nothing heavier than json.
 """
@@ -25,6 +26,8 @@ for count, line in enumerate(sys.stdin):
     m["entries"] = [list(col) for col in zip(*m["entries"])]
     if mode == "huge":
         m["entries"] = [[[1e200 * x for x in e] for e in row] for row in m["entries"]]
+    if mode == "bool":
+        m["entries"] = [[[x != 0 for x in e] for e in row] for row in m["entries"]]
     print(json.dumps(m), flush=True)
     if mode == "chatty":
         sys.stderr.write("x" * 4095 + "\n")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from curvespec.checking import BlackBoxMap, DomainSpec, check_cs, rho_continuity_experiment
+from curvespec.checking import BlackBoxMap, DomainSpec, check_cs
 from curvespec.classify import (
     EQUIVARIANT,
     FACTORS_THROUGH_QUOTIENT,
@@ -22,7 +22,12 @@ from curvespec.classify import (
 )
 from curvespec.curves import CornerGraph, Line, real_line, unit_circle_arc
 from curvespec.maps import Compose, Conj, OrderMap, Rho, TransposeConj, eigen_conj, rho
-from curvespec.regularity import db_profile, dc_probe, divided_difference
+from curvespec.regularity import (
+    db_profile,
+    dc_probe,
+    divided_difference,
+    rho_continuity_experiment,
+)
 from curvespec.spectral import MatrixClass, random_unitary, sample
 from curvespec.subspaces import (
     line_distance,

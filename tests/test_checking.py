@@ -16,11 +16,9 @@ from curvespec.checking import (
     ExternalProgramMap,
     PreserverVerdict,
     check_cs,
-    collision_path,
     continuity_probe,
-    rho_continuity_experiment,
 )
-from curvespec.curves import CornerGraph, Line, real_line, unit_circle_arc
+from curvespec.curves import CornerGraph, Interval, Line, real_line, unit_circle_arc
 from curvespec.errors import ConfigError, MapProtocolError, NumericalDomainError
 from curvespec.maps import (
     CanonicalMap,
@@ -32,7 +30,11 @@ from curvespec.maps import (
     eigen_conj,
     rho,
 )
-from curvespec.regularity import divided_difference
+from curvespec.regularity import (
+    collision_path,
+    divided_difference,
+    rho_continuity_experiment,
+)
 from curvespec.spectral import (
     MatrixClass,
     matrix_to_json,
@@ -84,6 +86,18 @@ class TestCheckCS:
         v = check_cs(BlackBoxMap(make(4, arc), dom), 100, 1e-6,
                      np.random.default_rng(9))
         assert v.ok
+
+    @pytest.mark.parametrize("cls", list(MatrixClass), ids=lambda c: c.value)
+    @pytest.mark.parametrize("make", [lambda: Rho(), lambda: OrderMap(real_line(), _frame(3, 5))],
+                             ids=["Rho", "OrderMap"])
+    def test_spectral_maps_pass_on_a_small_window(self, make, cls):
+        # the samples of [0, 1e-2] are small matrices, where a merge of the
+        # default cluster threshold failed to reconstruct and both maps raised
+        dom = DomainSpec(real_line(), 3, cls, Interval(0.0, 1e-2))
+        for seed in range(5):
+            v = check_cs(BlackBoxMap(make(), dom), 2000, 1e-6,
+                         np.random.default_rng(seed))
+            assert v.ok, seed
 
     @pytest.mark.parametrize("mutant", [
         lambda X: X + np.eye(X.shape[0]),

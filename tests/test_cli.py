@@ -109,6 +109,12 @@ class TestParseCurve:
       for n, entries in (("2.9", "[[[1,0],[0,0]],[[0,0],[2,0]]]"),
                          ('"2"', "[[[1,0],[0,0]],[[0,0],[2,0]]]"),
                          ("true", "[[[1,0]]]"))],
+    # a matrix entry is exactly two JSON numbers: no boolean, string or third
+    # element (complex() read the first as diag(1, 2) and dropped the "junk")
+    *[["apply", "--map", RHO_JSON, "--matrix", '{"n": 2, "entries": %s}' % entries]
+      for entries in ('[[[true,0],[0,0,"junk"]],[[0,0],[2,false]]]',
+                      "[[[true,0],[0,0]],[[0,0],[2,0]]]",
+                      '[[[1,0],[0,0,"junk"]],[[0,0],[2,0]]]')],
     # the sampled classes are normal and semisimple
     ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
      "--class", "general"],
@@ -255,6 +261,15 @@ class TestApply:
             "error": "numerical-domain",
             "message": "part 1 of 2 of the composition returned non-finite entries"}
 
+    def test_small_normal_matrix_is_its_own_rho(self, capsys):
+        # merging two eigenvalues of a matrix this small would move it by
+        # more than the reconstruction tolerance: rho refused it
+        X = matrix_to_json(np.diag([1e-8, 2e-8, 3e-8]))
+        code, text, err = _run(capsys, "apply", "--map", RHO_JSON,
+                               "--matrix", json.dumps(X))
+        assert code == 0 and err == ""
+        assert json.loads(text) == X
+
     def test_defective_matrix_exits_three(self, capsys):
         nil = '{"n": 2, "entries": [[[0,0],[1,0]],[[0,0],[0,0]]]}'
         code, _, err = _run(capsys, "apply", "--map", RHO_JSON,
@@ -285,6 +300,28 @@ class TestCheck:
         # without --expect-pass the violation is reported but exit stays 0
         code, text, _ = _run(capsys, *argv)
         assert code == 0 and json.loads(text)["spectrum_ok"] is False
+
+    def test_small_window_passes_rho(self, capsys):
+        # the samples of [0, 1e-2] have norms below 1/sqrt(2), where rho
+        # refused pairs of eigenvalues that its default tolerance merges
+        code, text, err = _run(capsys, "check", "--curve", "real-line",
+                               "--window", "0,1e-2", "--n", "3", "--map", RHO_JSON,
+                               "--trials", "2000", "--seed", "1", "--expect-pass")
+        assert code == 0 and err == ""
+        assert json.loads(text)["counterexample"] is None
+
+    def test_boolean_reply_is_malformed(self, run_in_group):
+        cmd = shlex.join([sys.executable, str(MISBEHAVING_MAP), "bool"])
+        code, out, err, _, lingered = run_in_group(
+            ["-m", "curvespec.cli", "check", "--curve", "real-line", "--n", "3",
+             "--trials", "5", "--seed", "1", "--map-cmd", cmd], timeout=20.0)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "numerical-domain"
+        assert report["message"].startswith("external map reply malformed:")
+        assert not lingered, "a process of the run outlived it"
 
     def test_map_source_required(self, capsys):
         code, _, err = _run(capsys, "check", "--curve", "real-line", "--n", "3",
@@ -360,12 +397,13 @@ class TestCheck:
         assert not lingered, "a process of the run outlived it"
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
-        import curvespec.cli
+        import curvespec.checking
 
         def broken(*args, **kwargs):
             raise KeyError("boom")
 
-        monkeypatch.setattr(curvespec.cli, "check_cs", broken)
+        # the check command looks check_cs up in its module at each run
+        monkeypatch.setattr(curvespec.checking, "check_cs", broken)
         code, out, err = _run(capsys, "check", "--curve", "real-line", "--n", "3",
                               "--trials", "5", "--seed", "1", "--map", RHO_JSON)
         assert code == 3 and out == ""

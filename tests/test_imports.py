@@ -1,6 +1,7 @@
-"""Import surface: exported names resolve, the scripts run, the package and
-the check path load no scipy module, and the Schur route loads scipy's
-LAPACK extension alone."""
+"""Import surface: exported names resolve, the scripts run, each subcommand
+loads only the curvespec modules it runs, the package and the check path
+load no scipy module, and the Schur route loads scipy's LAPACK extension
+alone."""
 
 import importlib
 import json
@@ -18,18 +19,32 @@ TRANSPOSE_MAP = Path(__file__).with_name("transpose_map.py")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # Runs the subcommand given as a JSON argv in process, and prints the scipy
-# modules loaded after the import and after the run.
+# modules loaded after the import and after the run, and the curvespec
+# modules loaded after the run.
 _CHILD = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 import curvespec, curvespec.cli
-after_import = scipy_modules()
+after_import = modules("scipy")
 code = curvespec.cli.run(json.loads(sys.argv[1]))
 print(json.dumps({"after_import": after_import, "exit": code,
-                  "after_run": scipy_modules()}))
+                  "after_run": modules("scipy"), "curvespec": modules("curvespec")}))
+"""
+
+# Imports the package alone, prints the curvespec modules that loaded, then
+# resolves every exported name and every submodule from the package.
+_RESOLVE_CHILD = """
+import json, pkgutil, sys
+import curvespec
+loaded = sorted(m for m in sys.modules if m.startswith("curvespec"))
+submodules = sorted(m.name for m in pkgutil.iter_modules(curvespec.__path__))
+missing = [n for n in curvespec.__all__ + submodules if not hasattr(curvespec, n)]
+wrong = [n for n in submodules if getattr(curvespec, n) is not sys.modules["curvespec." + n]]
+print(json.dumps({"loaded": loaded, "missing": missing, "wrong": wrong,
+                  "in_dir": all(n in dir(curvespec) for n in curvespec.__all__ + submodules)}))
 """
 
 # The Schur route's zgees is scipy's own, whether scipy.linalg is imported
@@ -56,12 +71,46 @@ def _run_child(run_in_group, *args):
     return out
 
 
-def _scipy_modules_of_run(run_in_group, argv):
+def _modules_of_run(run_in_group, argv):
     out = _run_child(run_in_group, "-W", "error", "-c", _CHILD, json.dumps(argv))
     got = json.loads(out.strip().splitlines()[-1])
     assert got["exit"] == 0
     assert got["after_import"] == []
-    return got["after_run"]
+    return got
+
+
+def _scipy_modules_of_run(run_in_group, argv):
+    return _modules_of_run(run_in_group, argv)["after_run"]
+
+
+def _curvespec_modules_of_run(run_in_group, argv):
+    return {m.removeprefix("curvespec.")
+            for m in _modules_of_run(run_in_group, argv)["curvespec"]}
+
+
+def test_map_cmd_check_loads_only_the_modules_it_runs(run_in_group):
+    argv = ["check", "--curve", "real-line", "--n", "3", "--trials", "30",
+            "--seed", "1", "-o", os.devnull, "--map-cmd", MAP_CMD]
+    assert _curvespec_modules_of_run(run_in_group, argv) == {
+        "curvespec", "cli", "checking", "curves", "errors", "spectral"}
+
+
+def test_classify_loads_no_regularity(run_in_group):
+    argv = ["classify", "--curve", "real-line", "--n", "3", "--seed", "1",
+            "-o", os.devnull, "--map-cmd", MAP_CMD]
+    assert "regularity" not in _curvespec_modules_of_run(run_in_group, argv)
+
+
+def test_regularity_loads_no_classifier(run_in_group):
+    argv = ["regularity", "--curve", "corner-graph:-1,1", "--center", "0",
+            "--order", "3", "--samples", "20", "--seed", "1", "-o", os.devnull]
+    loaded = _curvespec_modules_of_run(run_in_group, argv)
+    assert not loaded & {"classify", "subspaces"}, loaded
+
+
+def test_package_import_loads_no_submodule_and_resolves_every_name(run_in_group):
+    got = json.loads(_run_child(run_in_group, "-W", "error", "-c", _RESOLVE_CHILD))
+    assert got == {"loaded": ["curvespec"], "missing": [], "wrong": [], "in_dir": True}
 
 
 def test_import_and_map_cmd_check_load_no_scipy(run_in_group):

@@ -95,6 +95,35 @@ def test_rho_defective_input_rejected():
         rho(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(3, 5),
+    mclass=st.sampled_from(list(MatrixClass)),
+    k=st.integers(-12, 6),
+    log_gap=st.none() | st.floats(-9.0, -5.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_rho_and_order_map_commute_with_scaling(seed, n, mclass, k, log_gap):
+    # rho and the ordering map are homogeneous of degree one on their whole
+    # domain, small matrices included; a pair at gap 10**log_gap straddles
+    # the merge threshold 1e-7 * max(1, ||X||) on one side of the scaling
+    # and the reconstruction tolerance 1e-7 * ||X|| on the other
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0, n)
+    if log_gap is not None:
+        lam[1] = lam[0] + 10**log_gap
+    Q = random_unitary(n, rng)
+    X = (Q * lam) @ Q.conj().T
+    if mclass is MatrixClass.SEMISIMPLE:
+        R = (Q * rng.uniform(0.5, 2.0, n)) @ Q.conj().T
+        X = R @ X @ np.linalg.inv(R)
+    c = 10.0**k
+    for m in (Rho(), OrderMap(real_line(), random_unitary(n, rng))):
+        want = c * m.apply(X)
+        got = m.apply(c * X)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), type(m).__name__
+
+
 def test_eigen_conj_fixes_hermitian():
     rng = np.random.default_rng(2)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

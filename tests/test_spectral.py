@@ -35,6 +35,7 @@ from curvespec.spectral import (
     _haar_frames,
     _matchable,
     _schur,
+    RECONSTRUCTION_RTOL,
     MatrixClass,
     default_window,
     eigenflag,
@@ -90,6 +91,24 @@ def test_decomposition_carries_its_basis(cls):
         assert P.tobytes() == (B[:, a:b] @ Binv[a:b, :]).tobytes()
     assert dec.idempotents is dec.idempotents
     assert is_orthogonal(dec) == (cls is MatrixClass.NORMAL)
+
+
+@pytest.mark.parametrize("lam,cluster_tol", [
+    ([1e-8, 2e-8, 3e-8], None),
+    ([-0.3, -0.3 + 9e-8, 0.18], None),
+    # an explicit threshold is retried alike
+    ([-0.3, -0.3 + 9e-8, 0.18], 1e-6),
+])
+def test_small_normal_matrix_merges_less_until_it_reconstructs(lam, cluster_tol):
+    # merging the closest pair moves X by about its gap, more than the
+    # reconstruction tolerance 1e-7 * ||X||: the pair stays two clusters
+    Q = random_unitary(3, np.random.default_rng(4))
+    X = (Q * np.array(lam)) @ Q.conj().T
+    dec = spectral_decompose(X, cluster_tol)
+    assert dec.multiplicities == (1, 1, 1)
+    assert_allclose(np.sort(dec.distinct_eigenvalues.real), lam, rtol=1e-8, atol=0)
+    # the threshold of the first retry, min(cluster_tol, 1e-7 * ||X||)
+    validate(dec, X, RECONSTRUCTION_RTOL * np.linalg.norm(X))
 
 
 def test_nilpotent_jordan_block_is_defective():
@@ -329,6 +348,10 @@ def test_matrix_json_malformed():
     for n in (2.0, 2.9, "2", True):  # n is a JSON integer, nothing else
         with pytest.raises(ConfigError, match="n must be an integer"):
             matrix_from_json({"n": n, "entries": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]})
+    # an entry is exactly two JSON numbers, as a reply of a --map-cmd program too
+    for entry in ([True, 0], [0, False], ["2", 0], [1, 0, "junk"], [1], 1, None):
+        with pytest.raises(ConfigError, match="malformed matrix JSON"):
+            matrix_from_json({"n": 2, "entries": [[[1, 0], entry], [[0, 0], [2, 0]]]})
 
 
 _CURVES = [real_line(), UnitCircleClosed(), Segment(-1.0 + 0.0j, 1.0 + 1.0j), CornerGraph(-1.0, 1.0)]
