@@ -392,6 +392,7 @@ def _selftest_checks(quick: bool):
             assert np.linalg.norm(maps.rho(maps.rho(X)) - X) <= 1e-6 * np.linalg.norm(X)
             N = sample(rl, 3, MatrixClass.NORMAL, rng)
             assert np.linalg.norm(maps.rho(N) - N) <= 1e-8 * max(1.0, np.linalg.norm(N))
+            assert np.array_equal(Rho().apply(N), N)
 
     def quotient_corner_blowup():
         cg = CornerGraph(-1.0, 1.0)

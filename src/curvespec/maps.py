@@ -10,7 +10,9 @@ apply_batch on the one-row stack X[None], so the two agree bit for bit,
 and a stack raises what its first failing row raises alone.  The spectral
 maps take the batch route of spectral._batch_eig, one stacked eigensolve,
 on the rows that the per-matrix decomposition would accept; every other
-row takes the per-matrix route and its guards.
+row takes the per-matrix route and its guards.  The involution fixes
+normal matrices, so Rho returns a row that Henrici's bound certifies
+normal unchanged, before any eigensolve.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .curves import Curve, curve_from_json
 from .errors import ClosedCurveError, ConfigError, NumericalDomainError
 from .spectral import (
     _batch_eig,
+    _certified_normal,
     as_matrix,
     matrix_from_json,
     spectral_decompose,
@@ -167,21 +170,25 @@ class OrderMap(_Framed):
 class Rho(CanonicalMap):
     """The eigenvalue-conjugation involution; see rho().
 
-    rho() serves the rows that the batch route turns away.  On a
-    near-normal row it takes the Schur route, whose result differs from
-    the batch eigenvector route's by the departure from normality, which
-    may reach the reconstruction tolerance: rho(X) and apply(X) may differ
-    by that much.
+    rho fixes every normal matrix, so a row that Henrici's bound certifies
+    normal to within the reconstruction tolerance
+    (spectral._certified_normal) is returned unchanged, with no
+    eigensolve.  Every other row takes the batch eigenvector route, and
+    rho() serves the rows that route turns away.  On a near-normal row
+    rho() takes the Schur route, whose result differs from X, and from the
+    batch route's, by the departure from normality, which may reach the
+    reconstruction tolerance: rho(X) and apply(X) may differ by that much.
     """
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
-        fast, w, V, Vinv = _batch_eig(Xs)
-        out = np.empty_like(Xs)
-        out[fast] = (
+        out = Xs.copy()
+        rest = np.flatnonzero(~_certified_normal(Xs))
+        fast, w, V, Vinv = _batch_eig(Xs[rest])
+        out[rest[fast]] = (
             Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
         ) @ V[fast].conj().transpose(0, 2, 1)
-        for i in np.flatnonzero(~fast):
+        for i in rest[~fast]:
             out[i] = rho(Xs[i])
         return out
 

@@ -59,8 +59,9 @@ class _FixedPairs:
         self.pairs = np.array(pairs, dtype=complex)
         self.singles = np.array([np.diag([1.0, 2.0])] * len(pairs), dtype=complex)
 
-    def sample_batch(self, rng, count):
-        return self.singles[:count]
+    def sample_batch_with_spectra(self, rng, count):
+        singles = self.singles[:count]
+        return singles, np.diagonal(singles, axis1=1, axis2=2)
 
     def sample_pair_batch(self, rng, count):
         return self.pairs[:count, 0], self.pairs[:count, 1]
@@ -182,6 +183,30 @@ class TestCheckCS:
         assert ce.magnitude == spectral_bottleneck_distance(ce.inputs[0],
                                                             ce.outputs[0])
         assert ce.magnitude > ce.tolerance
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    @pytest.mark.parametrize("cls", list(MatrixClass), ids=lambda c: c.value)
+    @pytest.mark.parametrize("c", [1 - 1e-6, 1 + 1e-6])
+    def test_spectrum_screen_at_the_tolerance(self, c, cls, n):
+        # X + c tol ||X|| I moves every eigenvalue by c times the tolerance:
+        # one side of it passes, and on the other trial 0 fails, measured
+        # by the eigenvalues of X, not by the drawn spectrum that screens it
+        tol = 1e-6
+
+        def shift(X):
+            return X + c * tol * np.linalg.norm(X) * np.eye(n)
+
+        dom = DomainSpec(real_line(), n, cls)
+        v = check_cs(BlackBoxMap(shift, dom), 300, tol, np.random.default_rng(n))
+        assert v.commutativity_ok
+        if c < 1:
+            assert v.ok
+        else:
+            ce = v.counterexample
+            assert ce.kind == "spectrum" and ce.trial == 0
+            assert ce.magnitude == spectral_bottleneck_distance(ce.inputs[0],
+                                                                ce.outputs[0])
+            assert ce.magnitude > ce.tolerance
 
     def test_first_violation_in_trial_order(self):
         v1 = check_cs(BlackBoxMap(lambda X: 2 * X, _domain()), 30, 1e-6,

@@ -167,6 +167,11 @@ def test_malformed_arguments_exit_two(capsys, argv):
      "--map-cmd", shlex.join([sys.executable, str(PLANTED_MAP), "flip"])],
     # a finite input whose norm overflows every tolerance of the spectral maps
     ["apply", "--map", RHO_JSON, "--matrix", HUGE_DIAG_JSON],
+    # a Jordan block, which no normality certificate takes, at two scales
+    *[["apply", "--map", RHO_JSON, "--matrix",
+       json.dumps(matrix_to_json(c * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                               [0.0, 0.0, 2.0]])))]
+      for c in (1.0, 1e150)],
     ["apply", "--map", json.dumps({"variant": "order", "curve": {"kind": "real_interval"},
                                    "T": matrix_to_json(np.eye(3))}),
      "--matrix", HUGE_DIAG_JSON],
@@ -269,6 +274,14 @@ class TestApply:
                                "--matrix", json.dumps(X))
         assert code == 0 and err == ""
         assert json.loads(text) == X
+
+    def test_hermitian_matrix_is_its_own_rho_byte_for_byte(self, capsys):
+        # a normal input is returned unchanged, so its JSON comes back as is
+        g = np.random.default_rng(12).standard_normal((4, 8)).view(complex)
+        H = json.dumps(matrix_to_json(g + g.conj().T), sort_keys=True)
+        code, text, err = _run(capsys, "apply", "--map", RHO_JSON, "--matrix", H)
+        assert code == 0 and err == ""
+        assert text == H
 
     def test_defective_matrix_exits_three(self, capsys):
         nil = '{"n": 2, "entries": [[[0,0],[1,0]],[[0,0],[0,0]]]}'
@@ -564,3 +577,13 @@ class TestSelftest:
         assert "FAIL  rho skew conjugation" in out
         # the mutant still fixes normals, so that line alone stays green
         assert "PASS  rho involution and fixed points" in out
+
+    def test_rho_that_moves_a_normal_matrix_fails(self, capsys, monkeypatch):
+        import curvespec.maps
+
+        # without the certificate Rho takes the eigenvector route, whose
+        # result differs from a normal input in its last bits
+        monkeypatch.setattr(curvespec.maps, "_certified_normal",
+                            lambda Xs: np.zeros(len(Xs), dtype=bool))
+        assert _selftest(quick=True) == 1
+        assert "FAIL  rho involution and fixed points" in capsys.readouterr().out

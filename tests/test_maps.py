@@ -31,7 +31,11 @@ from curvespec.maps import (
     rho,
 )
 from curvespec.spectral import (
+    MAX_DIM,
+    MIN_DIM,
     RECONSTRUCTION_RTOL,
+    _batch_eig,
+    _certified_normal,
     MatrixClass,
     default_window,
     matrix_to_json,
@@ -93,6 +97,88 @@ def test_rho_preserves_spectrum():
 def test_rho_defective_input_rejected():
     with pytest.raises(DefectiveMatrixError):
         rho(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _eig_route_rho(Xs):
+    """Rho.apply_batch without the normality certificate: the batch
+    eigenvector route, and rho() on the rows it turns away."""
+    fast, w, V, Vinv = _batch_eig(Xs)
+    out = np.empty_like(Xs)
+    out[fast] = (
+        Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
+    ) @ V[fast].conj().transpose(0, 2, 1)
+    for i in np.flatnonzero(~fast):
+        out[i] = rho(Xs[i])
+    return out
+
+
+@pytest.mark.parametrize("curve", [real_line(), unit_circle_arc(0.0)], ids=["line", "arc"])
+@pytest.mark.parametrize("n", range(MIN_DIM, MAX_DIM + 1))
+def test_rho_returns_sampled_normal_rows_bit_for_bit(curve, n):
+    Xs = sample_batch(curve, n, MatrixClass.NORMAL, np.random.default_rng(600 + n),
+                      count=200)
+    out = Rho().apply_batch(Xs)
+    assert np.array_equal(out, Xs) and out is not Xs
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_rho_takes_the_eig_route_on_semisimple_rows_of_a_mixed_stack(n):
+    rng = np.random.default_rng(650 + n)
+    normal = sample_batch(real_line(), n, MatrixClass.NORMAL, rng, count=30)
+    semi = sample_batch(real_line(), n, MatrixClass.SEMISIMPLE, rng, count=30)
+    Xs = np.empty((60, n, n), dtype=complex)
+    Xs[0::2], Xs[1::2] = normal, semi
+    out = Rho().apply_batch(Xs)
+    assert np.array_equal(out[0::2], normal)
+    assert np.array_equal(out[1::2], _eig_route_rho(semi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_rho_on_scaled_jordan_and_normal_rows(n):
+    # over every scale, only a normal row is certified, and every other row
+    # gives what the eigenvector route gives, or raises what it raises
+    rng = np.random.default_rng(670 + n)
+    J = np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
+    N = sample(real_line(), n, MatrixClass.NORMAL, rng)
+    for k in range(-300, 151):
+        for X, normal in ((J * 10.0**k, False), (N * 10.0**k, True)):
+            certified = _certified_normal(X[None])[0]
+            assert normal or not certified, k
+            if normal and -150 <= k <= 150:
+                assert certified, k
+            got = _outcome_or_error(Rho().apply, X)
+            if certified:
+                assert np.array_equal(got, X), k
+                continue
+            want = _outcome_or_error(_eig_route_rho, X[None])
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want), k
+            else:
+                assert np.array_equal(got, want[0]), k
+
+
+def test_certified_rows_are_accepted_by_rho_within_the_tolerance():
+    # clustered spectra with a strictly upper perturbation: the commutator
+    # is second order in the perturbation, and Henrici's bound is nearly
+    # attained; rho() accepts every certified row, and moves it by at most
+    # the departure, within the reconstruction tolerance
+    rng = np.random.default_rng(690)
+    certified = 0
+    for _ in range(3000):
+        n = int(rng.integers(MIN_DIM, MAX_DIM + 1))
+        lam = 10 ** rng.uniform(-9.0, 0.0) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        lam += rng.standard_normal() + 1j * rng.standard_normal()
+        U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        U *= 10 ** rng.uniform(-8.0, -6.0) * np.linalg.norm(lam) / np.linalg.norm(U)
+        Q = random_unitary(n, rng)
+        X = Q @ (np.diag(lam) + U) @ Q.conj().T
+        if _certified_normal(X[None])[0]:
+            certified += 1
+            assert np.array_equal(Rho().apply(X), X)
+            dist = np.linalg.norm(rho(X) - X)
+            assert dist <= 2 * RECONSTRUCTION_RTOL * np.linalg.norm(X), n
+    assert certified >= 100
 
 
 @given(
