@@ -108,6 +108,9 @@ COMMANDS = [
     ["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "4",
      "--mode", "dc", "--seed", "{seed}"],
     ["rho-continuity", "--curve", "corner-graph:-1,1", "--n", "4", "--seed", "{seed}"],
+    # the experiment's bounded side, and a second corner
+    *[["rho-continuity", "--curve", curve, *n, "--seed", "{seed}"]
+      for curve in ("real-line", "corner-graph:-0.5,2") for n in ((), ("--n", "4"))],
 ]
 
 

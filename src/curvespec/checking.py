@@ -105,6 +105,18 @@ class DomainSpec:
         return _assemble(draw)[0], draw.lam[0]
 
 
+def _validated(name: str, Xs: np.ndarray, Ys) -> np.ndarray:
+    """A map's output Ys for Xs, a stack or one row, checked against it."""
+    Ys = np.asarray(Ys, dtype=complex)
+    if Ys.shape != Xs.shape:
+        raise MapProtocolError(
+            f"{name} returned shape {Ys.shape} for input shape {Xs.shape}"
+        )
+    if not np.all(np.isfinite(Ys)):
+        raise MapProtocolError(f"{name} returned non-finite entries")
+    return Ys
+
+
 class BlackBoxMap:
     """An opaque matrix map under test, together with its sampling domain."""
 
@@ -114,17 +126,6 @@ class BlackBoxMap:
         self.func = func
         self.domain = domain
         self.name = name
-
-    def _validated(self, Xs: np.ndarray, Ys) -> np.ndarray:
-        """The map's output for Xs, a stack or one row, checked against it."""
-        Ys = np.asarray(Ys, dtype=complex)
-        if Ys.shape != Xs.shape:
-            raise MapProtocolError(
-                f"{self.name} returned shape {Ys.shape} for input shape {Xs.shape}"
-            )
-        if not np.all(np.isfinite(Ys)):
-            raise MapProtocolError(f"{self.name} returned non-finite entries")
-        return Ys
 
     def apply_rows(self, Xs: np.ndarray):
         """Outputs of the map on the leading rows of the stack Xs, and the
@@ -144,7 +145,7 @@ class BlackBoxMap:
         batch = getattr(self.func, "apply_batch", None)
         if batch is not None:
             try:
-                return self._validated(Xs, batch(Xs)), None
+                return _validated(self.name, Xs, batch(Xs)), None
             except Exception:
                 pass  # the replay below finds the row and its own error
         out = np.empty_like(Xs)
@@ -153,7 +154,7 @@ class BlackBoxMap:
             replies, exc = exchange(Xs)
             for i, Y in enumerate(replies):
                 try:
-                    out[i] = self._validated(Xs[i], Y)
+                    out[i] = _validated(self.name, Xs[i], Y)
                 except MapProtocolError as bad:
                     return out[:i], bad
             return out[: len(replies)], exc
@@ -172,7 +173,7 @@ class BlackBoxMap:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
-        return self._validated(X, self.func(X))
+        return _validated(self.name, X, self.func(X))
 
 
 class ExternalProgramMap:
@@ -528,8 +529,9 @@ class ContinuityTable:
         }
 
 
-def continuity_probe(bb: BlackBoxMap, path, samples: int = 101) -> ContinuityTable:
-    """Modulus-of-continuity table for bb along path: [0,1] -> matrices.
+def continuity_probe(f, path, samples: int = 101) -> ContinuityTable:
+    """Modulus-of-continuity table for the map f, one matrix in and one
+    matrix out, along path: [0,1] -> matrices.
 
     The grid is uniform; delta levels double from the grid spacing upward.
     The discontinuity flag trips iff the output sup at the finest delta
@@ -543,7 +545,9 @@ def continuity_probe(bb: BlackBoxMap, path, samples: int = 101) -> ContinuityTab
         raise ConfigError("need at least 3 path samples")
     ts = np.linspace(0.0, 1.0, samples)
     Xs = np.array([as_matrix(path(t)) for t in ts])
-    FXs = bb.apply_batch(Xs)
+    FXs = np.empty_like(Xs)
+    for i, X in enumerate(Xs):
+        FXs[i] = _validated("map", X, f(X))
 
     spacing = 1.0 / (samples - 1)
     deltas = []

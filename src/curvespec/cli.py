@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shlex
 import sys
 
@@ -138,6 +139,12 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts like a negative number, such as the comma
+        # list -1,1, is a value and not an option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse prints usage and exits; route its complaints through the
     # single-line JSON diagnostic channel instead
     def error(self, message):

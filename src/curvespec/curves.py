@@ -560,24 +560,19 @@ class CornerGraph(Curve):
 # -- factories ------------------------------------------------------------
 
 
-def real_line(tol: float = DEFAULT_TOL) -> RealInterval:
-    return RealInterval(tol=tol)
+def real_line() -> RealInterval:
+    return RealInterval()
 
 
-def unit_circle_arc(start: float = 0.0, tol: float = DEFAULT_TOL) -> CircleArc:
+def unit_circle_arc(start: float = 0.0) -> CircleArc:
     """Injective full-turn arc [start, start + tau) of the unit circle."""
-    return CircleArc(
-        0j, 1.0, Interval(start, start + TAU, upper_closed=False), tol=tol
-    )
+    return CircleArc(0j, 1.0, Interval(start, start + TAU, upper_closed=False))
 
 
-def punctured_unit_circle(cut: float, tol: float = DEFAULT_TOL) -> CircleArc:
+def punctured_unit_circle(cut: float) -> CircleArc:
     """Unit circle minus the point at angle ``cut``: the open arc just after it."""
     return CircleArc(
-        0j,
-        1.0,
-        Interval(cut, cut + TAU, lower_closed=False, upper_closed=False),
-        tol=tol,
+        0j, 1.0, Interval(cut, cut + TAU, lower_closed=False, upper_closed=False)
     )
 
 

@@ -46,14 +46,14 @@ __all__ = [
 FRAME_COND_LIMIT = 1e10
 
 
-def rho(X, cluster_tol=None) -> np.ndarray:
+def rho(X) -> np.ndarray:
     """Adjoint of the eigenvalue-conjugated decomposition: (sum conj(l) P_l)*.
 
     Fixes normal matrices; on X = R N R^{-1} with R positive and N normal it
     returns R^{-1} N R; an involution on semisimple matrices.  Raises
     DefectiveMatrixError when X has no decomposition at tolerance.
     """
-    dec = spectral_decompose(X, cluster_tol)
+    dec = spectral_decompose(X)
     d = dec.expanded()
     # (B diag(conj d) Binv)^* with the diagonal's adjoint undoing the conjugation
     return (dec.basis_inv.conj().T * d[None, :]) @ dec.basis.conj().T
@@ -240,6 +240,8 @@ def map_from_json(obj: dict) -> CanonicalMap:
             return Rho()
         if variant == "compose":
             return Compose(tuple(map_from_json(p) for p in obj.get("parts", [])))
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"malformed map JSON: missing {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"malformed map JSON: {exc}") from None
     raise ConfigError(f"unknown map variant {variant!r}")

@@ -431,11 +431,6 @@ def collision_path(
 
 _PATH_STYLES = ("straddle-sym", "straddle-skew", "one-sided")
 
-# The collision spectra run eigengaps down to ~1.4e-7 near the endpoint;
-# the involution is applied with a fixed fine cluster tolerance so those
-# gaps are never merged before the projectors are formed.
-_RHO_PATH_CLUSTER_TOL = 1e-8
-
 
 @dataclass
 class RhoContinuityReport:
@@ -487,9 +482,8 @@ def rho_continuity_experiment(
     flag on some straddling path.
     """
     # the map and the probe under test; the regularity probes need neither
-    from .checking import BlackBoxMap, DomainSpec, continuity_probe
+    from .checking import continuity_probe
     from .maps import rho
-    from .spectral import MatrixClass, default_window
 
     if n < 2:
         raise ConfigError("experiment needs n >= 2")
@@ -499,15 +493,10 @@ def rho_continuity_experiment(
     db = db_profile(curve, np.conj, n, center, rng=rng)
     dc = dc_probe(curve, np.conj, n, center, rng=rng)
 
-    window = default_window(curve)
-    domain = DomainSpec(curve, n, MatrixClass.SEMISIMPLE, window)
-    bb = BlackBoxMap(
-        lambda X: rho(X, cluster_tol=_RHO_PATH_CLUSTER_TOL), domain, name="rho"
-    )
     tables = {}
     for style in _PATH_STYLES:
         path = collision_path(curve, n, corner_param, style)
-        tables[style] = continuity_probe(bb, path, samples=samples)
+        tables[style] = continuity_probe(rho, path, samples=samples)
 
     any_flag = any(t.flag for t in tables.values())
     bounded = db.verdict_db == "bounded"

@@ -118,10 +118,10 @@ class MatrixClass(enum.Enum):
 
 
 def _is_normal(X: np.ndarray, norm_x: float) -> bool:
-    # a commutator whose norm overflows is inf or NaN, and never normal
-    with np.errstate(over="ignore", invalid="ignore"):
-        comm = X @ X.conj().T - X.conj().T @ X
-        return np.linalg.norm(comm) <= NORMALITY_RTOL * max(1.0, norm_x**2)
+    # scaled to norm at most 1, so that the commutator cannot overflow;
+    # below norm 1 the division is exact
+    A = X / max(1.0, norm_x)
+    return np.linalg.norm(A @ A.conj().T - A.conj().T @ A) <= NORMALITY_RTOL
 
 
 def _certified_normal(Xs: np.ndarray) -> np.ndarray:
@@ -222,26 +222,16 @@ class SpectralDecomposition:
         ])
 
 
-def _resolve_cluster_tol(cluster_tol, norm_x: float) -> float:
-    if cluster_tol is None:
-        return CLUSTER_RTOL * max(1.0, norm_x)
-    tol = float(cluster_tol)
-    if tol <= 0.0 or not np.isfinite(tol):
-        raise ConfigError(f"cluster_tol must be positive and finite, got {tol}")
-    return tol
-
-
-def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
+def spectral_decompose(X) -> SpectralDecomposition:
     """Spectral decomposition of a semisimple-at-tolerance matrix.
 
-    Eigenvalues are merged by single linkage at cluster_tol (default
-    1e-7 * max(1, ||X||)); one idempotent is produced per cluster.  A merge
-    moves X by about the gap it closes, which on a small X can exceed the
-    reconstruction tolerance 1e-7 * ||X||; the thresholds
-    min(cluster_tol, 1e-7 * ||X||) and 0 are then tried in turn, and the
-    first decomposition that passes every guard is returned.  Raises the
-    first threshold's DefectiveMatrixError when none does, that is when no
-    adequately conditioned diagonalization exists.
+    Eigenvalues are merged by single linkage at 1e-7 * max(1, ||X||); one
+    idempotent is produced per cluster.  A merge moves X by about the gap
+    it closes, which on a small X can exceed the reconstruction tolerance
+    1e-7 * ||X||; the thresholds 1e-7 * ||X|| and 0 are then tried in turn,
+    and the first decomposition that passes every guard is returned.
+    Raises the first threshold's DefectiveMatrixError when none does, that
+    is when no adequately conditioned diagonalization exists.
     """
     X = as_matrix(X)
     with np.errstate(over="ignore"):
@@ -249,15 +239,20 @@ def spectral_decompose(X, cluster_tol=None) -> SpectralDecomposition:
     if not np.isfinite(norm_x):
         # every relative tolerance below would be infinite or NaN
         raise NumericalDomainError("matrix norm overflows")
-    tol = _resolve_cluster_tol(cluster_tol, norm_x)
+    tol = CLUSTER_RTOL * max(1.0, norm_x)
     first = None
     # each distinct threshold once, in this order
     for t in dict.fromkeys((tol, min(tol, RECONSTRUCTION_RTOL * norm_x), 0.0)):
         try:
             return _decompose(X, t, norm_x)
         except DefectiveMatrixError as exc:
-            first = first or exc
-    raise first
+            # kept without its traceback, whose frames (this one, and so
+            # its callers) would otherwise live until the cyclic GC runs
+            first = first or exc.with_traceback(None)
+    try:
+        raise first
+    finally:
+        first = None  # the raised error's traceback holds this frame
 
 
 def _decompose(X: np.ndarray, tol: float, norm_x: float) -> SpectralDecomposition:

@@ -17,8 +17,8 @@ import numpy as np
 from curvespec.errors import NumericalDomainError
 from curvespec.regularity import RegularityProfile
 from curvespec.spectral import (
+    CLUSTER_RTOL,
     RECONSTRUCTION_RTOL,
-    _resolve_cluster_tol,
     as_matrix,
     spectral_decompose,
 )
@@ -39,9 +39,9 @@ def reconstruct(dec) -> np.ndarray:
 def validate(dec, X, cluster_tol=None) -> None:
     """Raise NumericalDomainError unless the idempotents of dec resolve the
     identity and annihilate each other pairwise, its distinct eigenvalues
-    lie further apart than the cluster threshold spectral_decompose(X,
-    cluster_tol) used, its idempotents are Hermitian when its basis is
-    unitary, and it reconstructs X."""
+    lie further apart than cluster_tol (by default the first threshold of
+    spectral_decompose, 1e-7 * max(1, ||X||)), its idempotents are
+    Hermitian when its basis is unitary, and it reconstructs X."""
     X = as_matrix(X)
     n = X.shape[0]
     P = dec.idempotents
@@ -62,7 +62,9 @@ def validate(dec, X, cluster_tol=None) -> None:
         gap = np.min(
             np.abs(vals[:, None] - vals[None, :])[~np.eye(len(vals), dtype=bool)]
         )
-        if gap <= _resolve_cluster_tol(cluster_tol, np.linalg.norm(X)):
+        if cluster_tol is None:
+            cluster_tol = CLUSTER_RTOL * max(1.0, np.linalg.norm(X))
+        if gap <= cluster_tol:
             raise NumericalDomainError("distinct eigenvalues closer than cluster_tol")
     if is_orthogonal(dec):
         for i, p in enumerate(P):

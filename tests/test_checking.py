@@ -548,17 +548,15 @@ class TestDomainSpec:
 
 class TestContinuityProbe:
     def test_constant_path_never_flags(self):
-        bb = BlackBoxMap(lambda X: X, _domain(3))
         A = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        tab = continuity_probe(bb, lambda t: A, samples=33)
+        tab = continuity_probe(lambda X: X, lambda t: A, samples=33)
         assert not tab.flag
         assert max(tab.output_sups) == 0.0
 
     def test_linear_path_decays(self):
-        bb = BlackBoxMap(lambda X: X, _domain(3))
         A = np.diag([1.0, 2.0, 3.0]).astype(complex)
         B = 0.01 * np.eye(3, dtype=complex)
-        tab = continuity_probe(bb, lambda t: A + t * B, samples=65)
+        tab = continuity_probe(lambda X: X, lambda t: A + t * B, samples=65)
         assert not tab.flag
         assert tab.ratio == pytest.approx(0.5, rel=1e-6)
 
@@ -566,10 +564,9 @@ class TestContinuityProbe:
         def jumpy(X):
             return X + np.eye(3) * (1.0 if X[0, 0].real > 2.0 else 0.0)
 
-        bb = BlackBoxMap(jumpy, _domain(3))
         A = np.diag([2.0, 3.0, 4.0]).astype(complex)
         B = 0.01 * np.eye(3, dtype=complex)
-        tab = continuity_probe(bb, lambda t: A + (t - 0.5) * B, samples=101)
+        tab = continuity_probe(jumpy, lambda t: A + (t - 0.5) * B, samples=101)
         assert tab.flag
         assert tab.output_sups[0] >= 1.0
 
@@ -580,15 +577,23 @@ class TestContinuityProbe:
         def f(X):
             return np.eye(3) * (1.0 if X[0, 0].real > 1.5 else 0.0)
 
-        bb = BlackBoxMap(f, _domain(3))
-        tab = continuity_probe(bb, lambda t: B if t > 0.5 else A, samples=41)
+        tab = continuity_probe(f, lambda t: B if t > 0.5 else A, samples=41)
         assert tab.ratio > 0.9 and tab.output_sups[0] >= 1.0
         assert not tab.flag  # the input itself jumped, so no verdict on the map
 
     def test_requires_three_samples(self):
-        bb = BlackBoxMap(lambda X: X, _domain(3))
         with pytest.raises(ConfigError):
-            continuity_probe(bb, lambda t: np.eye(3, dtype=complex), samples=2)
+            continuity_probe(lambda X: X, lambda t: np.eye(3, dtype=complex),
+                             samples=2)
+
+    @pytest.mark.parametrize("f,message", [
+        (lambda X: X[:2, :2], "map returned shape (2, 2) for input shape (3, 3)"),
+        (lambda X: X + np.inf, "map returned non-finite entries"),
+    ], ids=["shape", "non-finite"])
+    def test_malformed_output_is_a_protocol_error(self, f, message):
+        with pytest.raises(MapProtocolError) as info:
+            continuity_probe(f, lambda t: np.eye(3, dtype=complex), samples=5)
+        assert str(info.value) == message
 
 
 class TestCollisionPath:
@@ -668,9 +673,7 @@ class TestRhoContinuityExperiment:
             X[2, 2] = cg.eval(1.0)
             return X
 
-        dom = DomainSpec(cg, 3, MatrixClass.SEMISIMPLE)
-        bb = BlackBoxMap(lambda X: rho(X, cluster_tol=1e-9), dom)
-        tab = continuity_probe(bb, path, samples=101)
+        tab = continuity_probe(rho, path, samples=101)
         assert not tab.flag
 
     def test_report_json_fields(self):

@@ -115,6 +115,9 @@ class TestParseCurve:
       for entries in ('[[[true,0],[0,0,"junk"]],[[0,0],[2,false]]]',
                       "[[[true,0],[0,0]],[[0,0],[2,0]]]",
                       '[[[1,0],[0,0,"junk"]],[[0,0],[2,0]]]')],
+    # a part of a composition that is not a map object
+    ["apply", "--map", '{"variant":"compose","parts":[{"variant":"rho"},3]}',
+     "--matrix", json.dumps(matrix_to_json(np.eye(2)))],
     # the sampled classes are normal and semisimple
     ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
      "--class", "general"],
@@ -188,6 +191,29 @@ def test_numerical_failures_exit_three(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "numerical-domain"
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["sample", "--curve", "real-line", "--n", "3", "--seed", "1"], "--window", "-1,1"),
+    (["sample", "--curve", "real-line", "--n", "3", "--seed", "1"], "--window", "-.5,1"),
+    (["demo-circle", "--n", "3", "--cuts", "0.5,3"], "--spectrum", "-1,0,1"),
+    (["demo-circle", "--n", "3", "--spectrum", "0,1,2"], "--cuts", "-0.5,3"),
+])
+def test_comma_list_starting_with_a_minus_sign_is_a_value(capsys, argv, option, value):
+    code, out, err = _run(capsys, *argv, option, value)
+    assert code == 0 and err == ""
+    assert (code, out) == _run(capsys, *argv, f"{option}={value}")[:2]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "--curve", "real-line", "--n", "3", "--seed", "-1"],
+     "argument --seed: expected an integer >= 0, got '-1'"),
+    (["sample", "--curve", "real-line", "--n", "-3", "--seed", "1"],
+     "dimension -3 outside [2, 12]"),
+])
+def test_negative_numbers_keep_their_messages(capsys, argv, message):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and json.loads(err)["message"] == message
 
 
 @pytest.mark.parametrize("text,seed", [("+5", 5), (" 7", 7), ("1_000", 1000), ("0", 0)])
@@ -570,7 +596,7 @@ class TestSelftest:
         import curvespec.maps
 
         monkeypatch.setattr(curvespec.maps, "rho",
-                            lambda X, cluster_tol=None: np.asarray(X, complex))
+                            lambda X: np.asarray(X, complex))
         assert _selftest(quick=True) == 1
         out = capsys.readouterr().out
         assert "FAIL  rho fixed oracles" in out

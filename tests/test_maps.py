@@ -596,6 +596,19 @@ def test_map_from_json_builds_each_variant(k):
     assert_allclose(back.apply(X), m.apply(X), atol=1e-12)
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"variant": "conj"}, "malformed map JSON: missing 'T'"),
+    ({"variant": "compose", "parts": [{"variant": "rho"}, 3]},
+     "malformed map JSON: 'int' object is not subscriptable"),
+    ({"variant": "compose", "parts": 3},
+     "malformed map JSON: 'int' object is not iterable"),
+])
+def test_map_json_says_missing_only_for_a_missing_field(obj, message):
+    with pytest.raises(ConfigError) as info:
+        map_from_json(obj)
+    assert str(info.value) == message
+
+
 def test_map_json_malformed():
     with pytest.raises(ConfigError):
         map_from_json({"variant": "spiral"})

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -74,7 +76,7 @@ def test_rotation_matrix_projectors():
 
 
 def test_diagonal_with_repeated_eigenvalue():
-    dec = spectral_decompose(np.diag([2.0, 2.0, 5.0]), cluster_tol=1e-8)
+    dec = spectral_decompose(np.diag([2.0, 2.0, 5.0]))
     assert dec.multiplicities == (2, 1)
     assert_allclose(sorted(dec.distinct_eigenvalues, key=abs), [2.0, 5.0], atol=1e-12)
     by_val = {round(v.real): P for v, P in zip(dec.distinct_eigenvalues, dec.idempotents)}
@@ -97,21 +99,16 @@ def test_decomposition_carries_its_basis(cls):
     assert is_orthogonal(dec) == (cls is MatrixClass.NORMAL)
 
 
-@pytest.mark.parametrize("lam,cluster_tol", [
-    ([1e-8, 2e-8, 3e-8], None),
-    ([-0.3, -0.3 + 9e-8, 0.18], None),
-    # an explicit threshold is retried alike
-    ([-0.3, -0.3 + 9e-8, 0.18], 1e-6),
-])
-def test_small_normal_matrix_merges_less_until_it_reconstructs(lam, cluster_tol):
+@pytest.mark.parametrize("lam", [[1e-8, 2e-8, 3e-8], [-0.3, -0.3 + 9e-8, 0.18]])
+def test_small_normal_matrix_merges_less_until_it_reconstructs(lam):
     # merging the closest pair moves X by about its gap, more than the
     # reconstruction tolerance 1e-7 * ||X||: the pair stays two clusters
     Q = random_unitary(3, np.random.default_rng(4))
     X = (Q * np.array(lam)) @ Q.conj().T
-    dec = spectral_decompose(X, cluster_tol)
+    dec = spectral_decompose(X)
     assert dec.multiplicities == (1, 1, 1)
     assert_allclose(np.sort(dec.distinct_eigenvalues.real), lam, rtol=1e-8, atol=0)
-    # the threshold of the first retry, min(cluster_tol, 1e-7 * ||X||)
+    # the threshold of the first retry, 1e-7 * ||X||
     validate(dec, X, RECONSTRUCTION_RTOL * np.linalg.norm(X))
 
 
@@ -137,6 +134,42 @@ def test_overflowing_commutator_is_not_normal_and_does_not_warn():
         warnings.simplefilter("error")
         with pytest.raises(DefectiveMatrixError):
             spectral_decompose(1e150 * _JORDAN)
+
+
+@pytest.mark.parametrize("k", range(0, 151, 5))
+def test_large_normal_matrix_takes_the_schur_route(k):
+    # the commutator is taken on X / ||X||, whose roundoff cannot overflow
+    # when squared, so a normal matrix of any finite norm tests normal
+    N = sample(real_line(), 4, MatrixClass.NORMAL, np.random.default_rng(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = spectral_decompose(10.0**k * N)
+    assert np.array_equal(dec.basis_inv, dec.basis.conj().T)
+
+
+@pytest.mark.parametrize("X", [np.diag([1e-8, 2e-8, 3e-8]), _JORDAN],
+                         ids=["retried", "refused"])
+def test_retry_leaves_no_reference_to_its_caller(X):
+    # a retried threshold's error is kept without the traceback that would
+    # hold the retry's frame, and so its caller's frame and locals, until
+    # the cyclic GC runs; the Jordan block fails every threshold and raises
+    class Local:
+        pass
+
+    def caller():
+        local = Local()
+        try:
+            spectral_decompose(X)
+        except DefectiveMatrixError:
+            pass
+        return weakref.ref(local)
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert caller()() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("curve", [real_line(), unit_circle_arc(0.0)], ids=["line", "arc"])
