@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # the exported names of each module; errors and cli export none here
 _EXPORTS = {
-    "checking": ("BlackBoxMap", "DomainSpec", "ExternalProgramMap",
-                 "PreserverVerdict", "check_cs", "continuity_probe"),
+    "checking": ("BlackBoxMap", "ExternalProgramMap", "PreserverVerdict",
+                 "check_cs", "continuity_probe"),
     "classify": ("circle_obstruction_demo", "classify_preserver",
                  "equivariance_test", "reconstruct_conjugator", "subspace_image"),
     "cli": (),
@@ -26,9 +26,9 @@ _EXPORTS = {
     "regularity": ("ConfigurationTuple", "RegularityProfile", "collision_path",
                    "db_profile", "dc_probe", "divided_difference",
                    "rho_continuity_experiment"),
-    "spectral": ("MatrixClass", "SpectralDecomposition", "matrix_from_json",
-                 "matrix_to_json", "random_unitary", "sample", "sample_batch",
-                 "spectra_equal", "spectral_bottleneck_distance",
+    "spectral": ("DomainSpec", "MatrixClass", "SpectralDecomposition",
+                 "matrix_from_json", "matrix_to_json", "random_unitary", "sample",
+                 "sample_batch", "spectra_equal", "spectral_bottleneck_distance",
                  "spectral_decompose"),
     "subspaces": (),
 }

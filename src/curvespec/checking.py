@@ -31,21 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, Interval
 from .errors import ConfigError, MapProtocolError, NumericalDomainError
 from .spectral import (
     _SAMPLE_COND_LIMIT,
-    MatrixClass,
-    _assemble,
+    DomainSpec,
     _batch_greedy_match_max,
     _bottleneck,
-    _draw,
     as_matrix,
-    default_window,
     matrix_from_json,
     matrix_to_json,
-    sample_batch,
-    sample_commuting_pair_batch,
 )
 
 __all__ = [
@@ -69,40 +63,6 @@ _PIPE_BYTES = 65536
 _CLOSE_GRACE_S = 2.0
 # characters of an external map's stderr kept for diagnostics
 _STDERR_TAIL_CHARS = 500
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Sampling domain: curve, dimension, matrix class, parameter window."""
-
-    curve: Curve
-    n: int
-    matrix_class: MatrixClass
-    window: Interval | None = None
-
-    def __post_init__(self):
-        if self.window is None:
-            object.__setattr__(self, "window", default_window(self.curve))
-
-    def sample_batch(self, rng, count: int) -> np.ndarray:
-        return sample_batch(
-            self.curve, self.n, self.matrix_class, rng, self.window, count
-        )
-
-    def sample_pair_batch(self, rng, count: int):
-        return sample_commuting_pair_batch(
-            self.curve, self.n, self.matrix_class, rng, self.window, count
-        )
-
-    def _draw(self, rng, count: int):
-        """sample_batch(rng, count) before its assembly (spectral._assemble)."""
-        return _draw(self.curve, self.n, self.matrix_class, rng, self.window, count)
-
-    def sample_batch_with_spectra(self, rng, count: int):
-        """sample_batch(rng, count), from the same rng calls, and the
-        (count, n) spectra drawn for its samples."""
-        draw = self._draw(rng, count)
-        return _assemble(draw)[0], draw.lam[0]
 
 
 def _validated(name: str, Xs: np.ndarray, Ys) -> np.ndarray:
@@ -435,13 +395,12 @@ def check_cs(
     computed from the eigenvalues or commutator that judged it.  A trial
     before it whose magnitude or tolerance overflows raises NumericalDomainError.
 
-    The spectrum of each sample is known from its draw
-    (DomainSpec.sample_batch_with_spectra), so one stacked eigensolve, of
-    the images, screens a chunk: a row is judged only when its greedy
-    matching distance from the drawn spectrum, plus _spectrum_slack, exceeds
-    its tolerance.  A judged row is measured by the bottleneck distance
-    between eigvals(X) and the eigenvalues of its image, so the screen
-    changes no verdict, trial or magnitude.
+    The spectrum of each sample is known from its draw (DomainSpec.sample),
+    so one stacked eigensolve, of the images, screens a chunk: a row is
+    judged only when its greedy matching distance from the drawn spectrum,
+    plus _spectrum_slack, exceeds its tolerance.  A judged row is measured
+    by the bottleneck distance between eigvals(X) and the eigenvalues of
+    its image, so the screen changes no verdict, trial or magnitude.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -451,7 +410,7 @@ def check_cs(
         rng = np.random.default_rng(0)
 
     def spectrum(start, cnt, judge):
-        Xs, lam = bb.domain.sample_batch_with_spectra(rng, cnt)
+        (Xs,), (lam,) = bb.domain.sample(rng, cnt)
         FXs = bb.apply_batch(Xs)
         if not judge:
             return None
@@ -472,7 +431,7 @@ def check_cs(
         return None
 
     def commutativity(start, cnt, judge):
-        Xs, Ys = bb.domain.sample_pair_batch(rng, cnt)
+        (Xs, Ys), _ = bb.domain.sample(rng, cnt, 2)
         FXs = bb.apply_batch(Xs)
         FYs = bb.apply_batch(Ys)
         if not judge:
@@ -556,15 +515,16 @@ def continuity_probe(f, path, samples: int = 101) -> ContinuityTable:
         deltas.append(d)
         d *= 2.0
 
-    # pairwise distances, then sup over |t - s| <= delta for each level
-    diff_in = np.linalg.norm(Xs[:, None] - Xs[None, :], axis=(2, 3))
-    diff_out = np.linalg.norm(FXs[:, None] - FXs[None, :], axis=(2, 3))
-    gaps = np.abs(ts[:, None] - ts[None, :])
-    out_sups, in_sups = [], []
-    for d in deltas:
-        mask = gaps <= d + 1e-12
-        out_sups.append(float(diff_out[mask].max()))
-        in_sups.append(float(diff_in[mask].max()))
+    # the pairs with |t - s| <= delta are those at most 2^level grid steps
+    # apart: each level's sup is a running max over the steps k
+    steps = 2 ** np.arange(len(deltas))
+
+    def sups(Ys):
+        by_step = [np.linalg.norm(Ys[k:] - Ys[:-k], axis=(1, 2)).max()
+                   for k in range(1, steps[-1] + 1)]
+        return [float(s) for s in np.maximum.accumulate(by_step)[steps - 1]]
+
+    out_sups, in_sups = sups(FXs), sups(Xs)
 
     ratio = out_sups[0] / out_sups[1] if out_sups[1] > 0 else 0.0
     flag = (

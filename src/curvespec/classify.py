@@ -97,13 +97,13 @@ def _certified_simple(lam: np.ndarray) -> bool:
 
 
 def _simple_draw(domain, rng):
-    """The draw (see DomainSpec._draw) of one sample with n distinct
+    """The draw (see DomainSpec.draw) of one sample with n distinct
     eigenvalues; a candidate the spectrum does not certify, and every
     candidate of a non-normal class (whose ||X|| may exceed ||lam||, and
     with it the merge threshold), is assembled and decomposed."""
     normal = domain.matrix_class is MatrixClass.NORMAL
     for _ in range(_SAMPLE_ATTEMPTS):
-        draw = domain._draw(rng, 1)
+        draw = domain.draw(rng, 1)
         if (normal and _certified_simple(draw.lam[0, 0])) or (
             spectral_decompose(_assemble(draw)[0, 0]).num_clusters == domain.n
         ):
@@ -274,7 +274,7 @@ def _first_line_image(FX: np.ndarray, values) -> np.ndarray:
 def _holdout_residual(bb: BlackBoxMap, rng, model) -> float:
     """Worst relative deviation ||F(X) - model(X)|| / ||X|| of the map from
     a candidate model, a map of stacks, over fresh domain samples."""
-    Xs = bb.domain.sample_batch(rng, _VALIDATION_SAMPLES)
+    (Xs,), _ = bb.domain.sample(rng, _VALIDATION_SAMPLES)
     FXs, exc = bb.apply_rows(Xs)
     residual = 0.0
     for X, FX, M in zip(Xs, FXs, model(Xs[: len(FXs)])):

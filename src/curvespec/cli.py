@@ -65,27 +65,37 @@ def _floats(text: str, what: str, count: int | None = None) -> list:
     return vals
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer, as numpy's generators take."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return seed
+def _integer(least: int):
+    """An option's type: an integer >= least."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
-def _seconds(text: str) -> float:
-    """A --map-timeout value: a positive finite number of seconds."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        seconds = float("nan")
-    if not (seconds > 0.0 and np.isfinite(seconds)):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive finite number of seconds, got {text!r}")
-    return seconds
+def _positive(what: str):
+    """An option's type: a positive finite number."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not (value > 0.0 and np.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive finite {what}, got {text!r}")
+        return value
+    return parse
+
+
+# a --seed value is a nonnegative integer, as numpy's generators take
+_seed = _integer(0)
+_seconds = _positive("number of seconds")
 
 
 def _parse_window(text: str | None) -> Interval | None:
@@ -182,8 +192,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--map-cmd")
     sp.add_argument("--map-timeout", type=_seconds, default=60.0,
                     help="seconds a --map-cmd program may go without replying")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--trials", type=_integer(1), default=200)
+    sp.add_argument("--tol", type=_positive("number"), default=1e-6)
     sp.add_argument("--expect-pass", action="store_true")
 
     sp = sub.add_parser("classify")
@@ -192,7 +202,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--map-cmd")
     sp.add_argument("--map-timeout", type=_seconds, default=60.0,
                     help="seconds a --map-cmd program may go without replying")
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_integer(1), default=20)
     sp.add_argument("--expect-pass", action="store_true")
 
     sp = sub.add_parser("regularity")

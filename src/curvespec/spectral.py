@@ -8,12 +8,14 @@ goes through an eigenvector basis guarded by condition-number and
 reconstruction checks.  The batch route (_batch_eig) runs one stacked
 eigensolve and admits only the rows this routine would accept.
 
-Samplers draw spectra from a parameter window on a curve and conjugate a
-Haar-unitary frame (optionally skewed by a well-conditioned S) around the
-diagonal: _draw makes the rng calls, and _assemble the linear algebra on
-(count, n, n) stacks.  The stacked LAPACK calls are what keeps large
-randomized checks affordable on a single core; they equal the per-matrix
-calls bit for bit, so draws made one at a time assemble as one stack.
+Every sample is drawn from a DomainSpec, which checks its dimension and
+parameter window once, when it is built.  It draws spectra from the window
+on a curve and conjugates a Haar-unitary frame (optionally skewed by a
+well-conditioned S) around the diagonal: draw makes the rng calls, and
+sample also does the linear algebra, on (count, n, n) stacks.  The stacked
+LAPACK calls are what keeps large randomized checks affordable on a single
+core; they equal the per-matrix calls bit for bit, so draws made one at a
+time assemble as one stack.
 
 Spectra are compared by one routine, _bottleneck: the optimal-matching
 distance of a distance matrix, by bisection with a perfect-matching test.
@@ -42,6 +44,7 @@ from .errors import (
 )
 
 __all__ = [
+    "DomainSpec",
     "MatrixClass",
     "SpectralDecomposition",
     "as_matrix",
@@ -52,7 +55,6 @@ __all__ = [
     "default_window",
     "sample",
     "sample_batch",
-    "sample_commuting_pair_batch",
     "eigenflag",
     "spectra_equal",
     "spectral_bottleneck_distance",
@@ -518,14 +520,12 @@ def _draw(
     n: int,
     matrix_class: MatrixClass,
     rng: np.random.Generator,
-    window: Interval | None,
+    window: Interval,
     count: int,
     k: int = 1,
 ) -> _Draw:
-    """Every rng call of count samples in k stacks, in the samplers' order."""
-    if not (MIN_DIM <= n <= MAX_DIM):
-        raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
-    window = _resolve_window(curve, window)
+    """Every rng call of count samples in k stacks, from a dimension and a
+    window that DomainSpec has checked."""
     ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
     # refuse a sample whose norm, and so every relative tolerance, would
     # overflow, before anything downstream warns
@@ -556,6 +556,35 @@ def _assemble(*draws: _Draw) -> np.ndarray:
     return X
 
 
+@dataclass(frozen=True)
+class DomainSpec:
+    """Sampling domain: curve, dimension, matrix class, parameter window.
+
+    The dimension and the window (default_window(curve) when None) are
+    checked once, here, so a domain that exists can always be drawn from.
+    """
+
+    curve: Curve
+    n: int
+    matrix_class: MatrixClass
+    window: Interval | None = None
+
+    def __post_init__(self):
+        if not (MIN_DIM <= self.n <= MAX_DIM):
+            raise ConfigError(f"dimension {self.n} outside [{MIN_DIM}, {MAX_DIM}]")
+        object.__setattr__(self, "window", _resolve_window(self.curve, self.window))
+
+    def draw(self, rng: np.random.Generator, count: int, k: int = 1) -> _Draw:
+        """Every rng call of count samples in k stacks, nothing assembled."""
+        return _draw(self.curve, self.n, self.matrix_class, rng, self.window, count, k)
+
+    def sample(self, rng: np.random.Generator, count: int, k: int = 1):
+        """The k stacks X (k, count, n, n) of count samples, whose i-th
+        samples commute, and their drawn spectra lam (k, count, n)."""
+        draw = self.draw(rng, count, k)
+        return _assemble(draw), draw.lam
+
+
 def sample_batch(
     curve: Curve,
     n: int,
@@ -565,7 +594,7 @@ def sample_batch(
     count: int = 1,
 ) -> np.ndarray:
     """Stack of count independent samples with spectrum on the curve."""
-    return _assemble(_draw(curve, n, matrix_class, rng, window, count))[0]
+    return DomainSpec(curve, n, matrix_class, window).sample(rng, count)[0][0]
 
 
 def sample(
@@ -577,18 +606,6 @@ def sample(
 ) -> np.ndarray:
     """One random matrix of the requested class with spectrum on the curve."""
     return sample_batch(curve, n, matrix_class, rng, window, count=1)[0]
-
-
-def sample_commuting_pair_batch(
-    curve: Curve,
-    n: int,
-    matrix_class: MatrixClass,
-    rng: np.random.Generator,
-    window: Interval | None = None,
-    count: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
-    return tuple(_assemble(_draw(curve, n, matrix_class, rng, window, count, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,11 @@ class _FixedPairs:
         self.pairs = np.array(pairs, dtype=complex)
         self.singles = np.array([np.diag([1.0, 2.0])] * len(pairs), dtype=complex)
 
-    def sample_batch_with_spectra(self, rng, count):
+    def sample(self, rng, count, k=1):
+        if k == 2:
+            return self.pairs[:count].transpose(1, 0, 2, 3), None
         singles = self.singles[:count]
-        return singles, np.diagonal(singles, axis1=1, axis2=2)
-
-    def sample_pair_batch(self, rng, count):
-        return self.pairs[:count, 0], self.pairs[:count, 1]
+        return singles[None], np.diagonal(singles, axis1=1, axis2=2)[None]
 
 
 class TestCheckCS:
@@ -296,7 +295,7 @@ class TestBlackBoxMap:
         dom = _domain(3)
         m = Conj(_frame(3, 8))
         bb = BlackBoxMap(m, dom)
-        Xs = dom.sample_batch(np.random.default_rng(1), 7)
+        Xs = dom.sample(np.random.default_rng(1), 7)[0][0]
         batch = bb.apply_batch(Xs)
         seq = np.array([m.apply(X) for X in Xs])
         assert np.allclose(batch, seq, atol=1e-12)
@@ -449,7 +448,7 @@ class TestExternalProgramMap:
     def test_program_receives_each_row_once_in_order(self, tmp_path):
         # 400 rows at n = 4 are about 300 kB of requests, more than a pipe
         # holds, and a one-row call follows the stack
-        Xs = _domain(4).sample_batch(np.random.default_rng(8), 401)
+        Xs = _domain(4).sample(np.random.default_rng(8), 401)[0][0]
         ext, tee = _tee_map(tmp_path)
         with ext:
             out, exc = BlackBoxMap(ext, _domain(4)).apply_rows(Xs[:400])
@@ -462,7 +461,7 @@ class TestExternalProgramMap:
 
     @pytest.mark.parametrize("garble", [0, 5, 299])
     def test_garbled_reply_keeps_the_stream_in_step(self, tmp_path, garble):
-        Xs = _domain(3).sample_batch(np.random.default_rng(9), 301)
+        Xs = _domain(3).sample(np.random.default_rng(9), 301)[0][0]
         ext, tee = _tee_map(tmp_path, garble)
         with ext:
             out, exc = BlackBoxMap(ext, _domain(3)).apply_rows(Xs[:300])
@@ -480,7 +479,7 @@ class TestExternalProgramMap:
                 "time.sleep(600)\n")
         ext = ExternalProgramMap([sys.executable, "-c", prog], timeout=0.5)
         with ext:
-            Xs = _domain(3).sample_batch(np.random.default_rng(2), 3)
+            Xs = _domain(3).sample(np.random.default_rng(2), 3)[0][0]
             out, exc = ext.apply_rows(Xs)
             assert len(out) == 1 and np.array_equal(out[0], Xs[0])
             assert isinstance(exc, MapProtocolError)
@@ -502,7 +501,7 @@ class TestExternalProgramMap:
                 "        sys.exit(4)\n"
                 "    print(line.strip(), flush=True)\n")
         with ExternalProgramMap([sys.executable, "-c", prog]) as ext:
-            Xs = _domain(3).sample_batch(np.random.default_rng(2), 5)
+            Xs = _domain(3).sample(np.random.default_rng(2), 5)[0][0]
             out, exc = ext.apply_rows(Xs)
             assert np.array_equal(np.array(out), Xs[:2])
             assert isinstance(exc, MapProtocolError)
@@ -523,7 +522,7 @@ class TestExternalProgramMap:
         with ExternalProgramMap([sys.executable, "-c", self.ECHO]) as ext:
             dom = _domain(3)
             bb = BlackBoxMap(ext, dom)
-            X = dom.sample_batch(np.random.default_rng(4), 1)[0]
+            X = dom.sample(np.random.default_rng(4), 1)[0][0][0]
             assert np.allclose(bb.apply(X), X, atol=1e-15)
             v = check_cs(bb, 3, 1e-6, np.random.default_rng(6))
             assert v.ok
@@ -546,7 +545,32 @@ class TestDomainSpec:
         assert dom.window is not None
 
 
+def _all_pairs_sups(f, path, samples, deltas):
+    """The input and output sups of continuity_probe's table, each the max
+    over every pair of grid points within delta: the oracle of the probe."""
+    ts = np.linspace(0.0, 1.0, samples)
+    Xs = np.array([path(t) for t in ts], dtype=complex)
+    FXs = np.array([f(X) for X in Xs])
+    gaps = np.abs(ts[:, None] - ts[None, :])
+    sups = []
+    for Ys in (Xs, FXs):
+        diff = np.linalg.norm(Ys[:, None] - Ys[None, :], axis=(2, 3))
+        sups.append(tuple(float(diff[gaps <= d + 1e-12].max()) for d in deltas))
+    return tuple(sups)
+
+
 class TestContinuityProbe:
+    @pytest.mark.parametrize("samples", [3, 17, 64, 101])
+    @pytest.mark.parametrize("style", ["straddle-sym", "straddle-skew", "one-sided"])
+    def test_sups_are_the_all_pairs_sups(self, style, samples):
+        for curve, center in ((real_line(), 0.0), (CornerGraph(-1.0, 1.0), 0.0),
+                              (unit_circle_arc(0.3), 1.2)):
+            for n in (2, 3, 4):
+                path = collision_path(curve, n, center, style)
+                tab = continuity_probe(rho, path, samples)
+                want = _all_pairs_sups(rho, path, samples, tab.deltas)
+                assert (tab.input_sups, tab.output_sups) == want
+
     def test_constant_path_never_flags(self):
         A = np.diag([1.0, 2.0, 3.0]).astype(complex)
         tab = continuity_probe(lambda X: X, lambda t: A, samples=33)

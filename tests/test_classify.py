@@ -135,7 +135,7 @@ def _simple_sample(bb: BlackBoxMap, rng):
     """Draw a domain sample with n distinct eigenvalues, plus its draw."""
     n = bb.domain.n
     for _ in range(_SAMPLE_ATTEMPTS):
-        draw = bb.domain._draw(rng, 1)
+        draw = bb.domain.draw(rng, 1)
         X = _assemble(draw)[0, 0]
         if spectral_decompose(X).num_clusters == n:
             return X, draw
@@ -230,21 +230,21 @@ class _Scripted:
 class _DryingDomain:
     """The normal domain of _dom, except that every sample from draw
     `dry_from` on has one repeated eigenvalue, on both routes: the samples
-    of sample_batch and the spectra of _draw."""
+    of sample and the spectra of draw."""
 
     def __init__(self, n, dry_from):
         self.inner, self.n, self.dry_from, self.drawn = _dom(n), n, dry_from, 0
         self.curve, self.matrix_class = self.inner.curve, self.inner.matrix_class
 
-    def sample_batch(self, rng, count):
-        Xs = self.inner.sample_batch(rng, count)
+    def sample(self, rng, count, k=1):
+        Xs, lam = self.inner.sample(rng, count, k)
         self.drawn += count
         if self.drawn > self.dry_from:
             Xs[:] = 0.5 * np.eye(self.n)
-        return Xs
+        return Xs, lam
 
-    def _draw(self, rng, count):
-        draw = self.inner._draw(rng, count)
+    def draw(self, rng, count, k=1):
+        draw = self.inner.draw(rng, count, k)
         self.drawn += count
         if self.drawn > self.dry_from:
             draw.lam[:] = 0.5
@@ -396,10 +396,10 @@ class _FixedDomain:
     """A domain whose every draw is the same one."""
 
     def __init__(self, n, draw, matrix_class=MatrixClass.NORMAL):
-        self.n, self.draw, self.matrix_class = n, draw, matrix_class
+        self.n, self.fixed, self.matrix_class = n, draw, matrix_class
 
-    def _draw(self, rng, count):
-        return self.draw
+    def draw(self, rng, count, k=1):
+        return self.fixed
 
 
 class TestCertifiedClusterCount:
@@ -486,7 +486,7 @@ class TestCertifiedClusterCount:
 
 def _reference_holdout(bb, rng, model):
     residual = 0.0
-    for X in bb.domain.sample_batch(rng, _VALIDATION_SAMPLES):
+    for X in bb.domain.sample(rng, _VALIDATION_SAMPLES)[0][0]:
         residual = max(
             residual, np.linalg.norm(bb.apply(X) - model(X)) / np.linalg.norm(X)
         )

@@ -216,6 +216,23 @@ def test_negative_numbers_keep_their_messages(capsys, argv, message):
     assert code == 2 and json.loads(err)["message"] == message
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--curve", "real-line", "--n", "1"],
+    ["check", "--curve", "circle-arc:0.5", "--n", "3", "--window", "0,9"],
+    ["check", "--curve", "real-line", "--n", "3", "--trials", "0"],
+    ["check", "--curve", "real-line", "--n", "3", "--tol", "0"],
+    ["classify", "--curve", "real-line", "--n", "3", "--trials", "0"],
+])
+def test_arguments_are_refused_before_the_map_program_starts(capsys, tmp_path, argv):
+    marker = tmp_path / "started"
+    cmd = shlex.join(["sh", "-c", f"touch {shlex.quote(str(marker))}; cat"])
+    code, out, err = _run(capsys, *argv, "--seed", "1", "--map-cmd", cmd)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not marker.exists()
+
+
 @pytest.mark.parametrize("text,seed", [("+5", 5), (" 7", 7), ("1_000", 1000), ("0", 0)])
 def test_seed_forms_int_accepts(capsys, text, seed):
     # a negative seed is refused (see above), and any other form int() takes

@@ -31,6 +31,7 @@ from curvespec.maps import (
     rho,
 )
 from curvespec.spectral import (
+    DomainSpec,
     MAX_DIM,
     MIN_DIM,
     RECONSTRUCTION_RTOL,
@@ -42,7 +43,6 @@ from curvespec.spectral import (
     random_unitary,
     sample,
     sample_batch,
-    sample_commuting_pair_batch,
     spectra_equal,
     spectral_decompose,
 )
@@ -554,9 +554,8 @@ def test_apply_batch_handles_repeated_eigenvalues():
 def test_all_variants_preserve_spectrum_and_commutativity(seed, k):
     rng = np.random.default_rng(seed)
     m = _variant_pool(rng)[k]
-    (X,), (Y,) = sample_commuting_pair_batch(
-        real_line(), 3, MatrixClass.NORMAL, rng, Interval(0.0, 1.0), count=1
-    )
+    X, Y = DomainSpec(
+        real_line(), 3, MatrixClass.NORMAL, Interval(0.0, 1.0)).sample(rng, 1, 2)[0][:, 0]
     fx, fy = m.apply(X), m.apply(Y)
     assert spectra_equal(X, fx, max(1e-12, 1e-6 * np.linalg.norm(X)))
     comm = np.linalg.norm(fx @ fy - fy @ fx)
@@ -567,9 +566,8 @@ def test_rho_commutativity_on_semisimple_pairs():
     # the normal-operator commutation transfer behind the involution's claim
     rng = np.random.default_rng(77)
     for _ in range(10):
-        (X,), (Y,) = sample_commuting_pair_batch(
-            unit_circle_arc(0.0), 3, MatrixClass.SEMISIMPLE, rng, count=1
-        )
+        X, Y = DomainSpec(
+            unit_circle_arc(0.0), 3, MatrixClass.SEMISIMPLE).sample(rng, 1, 2)[0][:, 0]
         fx, fy = rho(X), rho(Y)
         comm = np.linalg.norm(fx @ fy - fy @ fx)
         assert comm <= 1e-6 * np.linalg.norm(X) * np.linalg.norm(Y)

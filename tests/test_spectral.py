@@ -23,14 +23,14 @@ from curvespec.errors import (
     DefectiveMatrixError,
     NumericalDomainError,
 )
-from curvespec.checking import DomainSpec
 from curvespec.spectral import (
     _assemble,
     _bottleneck,
     _certified_normal,
     _cluster_components,
-    _draw,
+    _Draw,
     _draw_params,
+    _ginibre,
     _resolve_window,
     _SAMPLE_COND_LIMIT,
     _cluster_means,
@@ -39,6 +39,8 @@ from curvespec.spectral import (
     _haar_frames,
     _matchable,
     _schur,
+    _skew_frames,
+    DomainSpec,
     MAX_DIM,
     MIN_DIM,
     RECONSTRUCTION_RTOL,
@@ -50,7 +52,6 @@ from curvespec.spectral import (
     random_unitary,
     sample,
     sample_batch,
-    sample_commuting_pair_batch,
     spectra_equal,
     spectral_bottleneck_distance,
     spectral_decompose,
@@ -247,17 +248,15 @@ def test_degenerate_window_rejected():
 
 def test_commuting_pair_small_commutator():
     rng = np.random.default_rng(1)
-    (X,), (Y,) = sample_commuting_pair_batch(
-        real_line(), 3, MatrixClass.NORMAL, rng, Interval(0.0, 1.0), count=1
-    )
+    X, Y = DomainSpec(
+        real_line(), 3, MatrixClass.NORMAL, Interval(0.0, 1.0)).sample(rng, 1, 2)[0][:, 0]
     assert np.linalg.norm(X @ Y - Y @ X) < 1e-10
 
 
 def test_commuting_pair_shares_an_eigenframe():
     rng = np.random.default_rng(5)
-    (X,), (Y,) = sample_commuting_pair_batch(
-        real_line(), 2, MatrixClass.NORMAL, rng, Interval(0.0, 1.0), count=1
-    )
+    X, Y = DomainSpec(
+        real_line(), 2, MatrixClass.NORMAL, Interval(0.0, 1.0)).sample(rng, 1, 2)[0][:, 0]
     _, V = np.linalg.eig(X)
     off = np.linalg.inv(V) @ Y @ V
     assert np.linalg.norm(off - np.diag(np.diag(off))) < 1e-9
@@ -265,9 +264,8 @@ def test_commuting_pair_shares_an_eigenframe():
 
 def test_commuting_pair_semisimple():
     rng = np.random.default_rng(9)
-    (X,), (Y,) = sample_commuting_pair_batch(
-        UnitCircleClosed(), 4, MatrixClass.SEMISIMPLE, rng, count=1
-    )
+    X, Y = DomainSpec(
+        UnitCircleClosed(), 4, MatrixClass.SEMISIMPLE).sample(rng, 1, 2)[0][:, 0]
     assert np.linalg.norm(X @ Y - Y @ X) <= 1e-9 * np.linalg.norm(X) * np.linalg.norm(Y)
 
 
@@ -571,7 +569,8 @@ def test_eigenflag_matches_one_svd_per_idempotent(seed, n, cls):
 
 
 # ---------------------------------------------------------------------------
-# the sampler record: _draw makes the rng calls, _assemble the linear algebra
+# the sampler record: DomainSpec.draw makes the rng calls, _assemble the
+# linear algebra, and DomainSpec.sample both
 
 
 def _reference_sample_spectra(curve, n, matrix_class, rng, window, count, k):
@@ -619,7 +618,7 @@ class TestSamplerRecord:
             seed = 1000 * n + count
             ref, rec, one = (np.random.default_rng(seed) for _ in range(3))
             want = _reference_sample_spectra(curve, n, cls, ref, None, count, 1)[0]
-            X = _assemble(_draw(curve, n, cls, rec, None, count))
+            X = _assemble(DomainSpec(curve, n, cls).draw(rec, count))
             got = sample_batch(curve, n, cls, one, None, count)
             assert X.shape == (1, count, n, n)
             assert X[0].tobytes() == want.tobytes() == got.tobytes()
@@ -631,8 +630,8 @@ class TestSamplerRecord:
         for curve in _RECORD_CURVES.values():
             ref, rec, one = (np.random.default_rng(7) for _ in range(3))
             want = _reference_sample_spectra(curve, 4, cls, ref, None, 9, 2)
-            X = _assemble(_draw(curve, 4, cls, rec, None, 9, k=2))
-            got = sample_commuting_pair_batch(curve, 4, cls, one, None, 9)
+            X = _assemble(DomainSpec(curve, 4, cls).draw(rec, 9, k=2))
+            got = DomainSpec(curve, 4, cls).sample(one, 9, 2)[0]
             for i in range(2):
                 assert X[i].tobytes() == want[i].tobytes() == got[i].tobytes()
             state = ref.bit_generator.state
@@ -642,26 +641,129 @@ class TestSamplerRecord:
         for cls in _CLASSES:
             dom = DomainSpec(unit_circle_arc(0.5), 5, cls)
             a, b = np.random.default_rng(3), np.random.default_rng(3)
-            X = _assemble(dom._draw(a, 6))
-            assert X[0].tobytes() == dom.sample_batch(b, 6).tobytes()
+            X = _assemble(dom.draw(a, 6))
+            assert X[0].tobytes() == sample_batch(dom.curve, 5, cls, b, None, 6).tobytes()
             assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.value)
     def test_single_draws_assemble_as_one_stack(self, cls, n):
         for name, curve in _RECORD_CURVES.items():
-            rng = np.random.default_rng(n)
+            rng, dom = np.random.default_rng(n), DomainSpec(curve, n, cls)
             for k in (1, 2, 5, 20):
-                draws = [_draw(curve, n, cls, rng, None, 1, 2) for _ in range(k)]
+                draws = [dom.draw(rng, 1, 2) for _ in range(k)]
                 X = _assemble(*draws)
                 alone = [_assemble(d) for d in draws]
                 assert X.tobytes() == np.concatenate(alone, axis=1).tobytes()
 
     def test_draw_keeps_the_spectra(self):
         curve = unit_circle_arc(0.5)
-        draw = _draw(curve, 4, MatrixClass.NORMAL, np.random.default_rng(1), None, 3)
+        draw = DomainSpec(curve, 4, MatrixClass.NORMAL).draw(np.random.default_rng(1), 3)
         X, Q = _assemble(draw), _haar_frames(draw.G)
         assert draw.lam.shape == (1, 3, 4) and draw.S is None
         for Xi, Qi, lam in zip(X[0], Q, draw.lam[0]):
             assert np.allclose(Qi.conj().T @ Qi, np.eye(4), atol=1e-12)
             assert np.allclose(Qi.conj().T @ Xi @ Qi, np.diag(lam), atol=1e-12)
+
+
+# the samplers of the parent revision, verbatim (_draw as _parent_draw), for
+# the record that DomainSpec.draw and DomainSpec.sample keep
+
+
+def _parent_draw(
+    curve,
+    n: int,
+    matrix_class: MatrixClass,
+    rng: np.random.Generator,
+    window,
+    count: int,
+    k: int = 1,
+) -> _Draw:
+    """Every rng call of count samples in k stacks, in the samplers' order."""
+    if not (MIN_DIM <= n <= MAX_DIM):
+        raise ConfigError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
+    window = _resolve_window(curve, window)
+    ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
+    # refuse a sample whose norm, and so every relative tolerance, would
+    # overflow, before anything downstream warns
+    with np.errstate(all="ignore"):
+        lam = np.array([curve.eval_array(t.ravel()).reshape(count, n) for t in ts])
+        finite = np.isfinite(np.linalg.norm(lam, axis=-1)).all()
+    if not finite:
+        raise NumericalDomainError("sample spectrum norm overflows")
+    G = _ginibre(n, count, rng)
+    S = None if matrix_class is MatrixClass.NORMAL else _skew_frames(n, count, rng)
+    return _Draw(lam, G, S)
+
+
+def _parent_sample_batch(
+    curve,
+    n: int,
+    matrix_class: MatrixClass,
+    rng: np.random.Generator,
+    window=None,
+    count: int = 1,
+) -> np.ndarray:
+    """Stack of count independent samples with spectrum on the curve."""
+    return _assemble(_parent_draw(curve, n, matrix_class, rng, window, count))[0]
+
+
+def _parent_sample_commuting_pair_batch(
+    curve,
+    n: int,
+    matrix_class: MatrixClass,
+    rng: np.random.Generator,
+    window=None,
+    count: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (Xs, Ys) of commuting pairs sharing an eigenframe per index."""
+    return tuple(_assemble(_parent_draw(curve, n, matrix_class, rng, window, count, 2)))
+
+
+class TestDomainSpec:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("curve", sorted(_RECORD_CURVES))
+    @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.value)
+    def test_draw_and_sample_keep_the_parent_samplers(self, cls, curve, k):
+        curve = _RECORD_CURVES[curve]
+        dom = DomainSpec(curve, 4, cls)
+        for count in (1, 7, 1024):
+            ref, drawn, sampled = (np.random.default_rng(count + k) for _ in range(3))
+            if k == 1:
+                want = (_parent_sample_batch(curve, 4, cls, ref, None, count),)
+            else:
+                want = _parent_sample_commuting_pair_batch(curve, 4, cls, ref, None, count)
+            draw = dom.draw(drawn, count, k)
+            X, lam = dom.sample(sampled, count, k)
+            assert X.shape == (k, count, 4, 4) and lam.shape == (k, count, 4)
+            assert _assemble(draw).tobytes() == X.tobytes() == np.array(want).tobytes()
+            assert lam.tobytes() == draw.lam.tobytes()
+            state = ref.bit_generator.state
+            assert drawn.bit_generator.state == state == sampled.bit_generator.state
+
+    @pytest.mark.parametrize("curve,n,window,message", [
+        (real_line(), 1, None, "dimension 1 outside [2, 12]"),
+        (real_line(), 13, None, "dimension 13 outside [2, 12]"),
+        (real_line(), 3, (0.0, 1.0), "window must be an Interval"),
+        (real_line(), 3, Interval(0.0, np.inf, upper_closed=False),
+         "sampling window must be bounded"),
+        (unit_circle_arc(0.5), 3, Interval(0.0, 9.0),
+         "window Interval(lower=0.0, upper=9.0, lower_closed=True, upper_closed=True) "
+         "not contained in curve domain Interval(lower=0.5, upper=6.783185307179586, "
+         "lower_closed=True, upper_closed=False)"),
+    ])
+    def test_refuses_a_bad_dimension_or_window_when_built(self, curve, n, window, message):
+        for cls in _CLASSES:
+            with pytest.raises(ConfigError) as info:
+                DomainSpec(curve, n, cls, window)
+            assert str(info.value) == message
+
+    def test_window_is_resolved_when_built(self):
+        arc = unit_circle_arc(0.5)
+        assert DomainSpec(arc, 3, MatrixClass.NORMAL).window == default_window(arc)
+
+    def test_one_class_under_every_name(self):
+        import curvespec
+        import curvespec.checking
+
+        assert curvespec.DomainSpec is curvespec.checking.DomainSpec is DomainSpec
