@@ -758,10 +758,6 @@ class TestDomainSpec:
                 DomainSpec(curve, n, cls, window)
             assert str(info.value) == message
 
-    def test_window_is_resolved_when_built(self):
-        arc = unit_circle_arc(0.5)
-        assert DomainSpec(arc, 3, MatrixClass.NORMAL).window == default_window(arc)
-
     def test_one_class_under_every_name(self):
         import curvespec
         import curvespec.checking
