@@ -40,14 +40,14 @@ from .errors import (
 )
 from .maps import OrderMap
 from .spectral import (
-    BASIS_COND_LIMIT,
-    CLUSTER_RTOL,
     MatrixClass,
     _assemble,
     _batch_eig,
     _curve_order,
+    conditioned,
     eigenflag,
     matrix_to_json,
+    separated,
     spectral_decompose,
 )
 from .subspaces import line_distance, orthonormal_columns
@@ -88,12 +88,19 @@ class EquivarianceVerdict:
             raise ConfigError("verdict needs at least one witness")
 
 
+def check_classifiable(domain) -> None:
+    """Refuse a domain the equivariance dichotomy cannot order."""
+    if domain.n < 3:
+        raise ConfigError("classification needs n >= 3")
+    if domain.curve.domain is None:
+        raise ClosedCurveError("classification requires a non-closed curve")
+
+
 def _certified_simple(lam: np.ndarray) -> bool:
     """Whether the least gap of a normal sample's drawn spectrum clears the
     merge threshold of spectral_decompose by more than the band, so that it
     gives len(lam) clusters.  Below that it may also raise."""
-    gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(lam.size, dtype=bool)]
-    return bool(gaps.min() > (CLUSTER_RTOL + _GAP_BAND) * max(1.0, np.linalg.norm(lam)))
+    return bool(separated(lam[None], np.linalg.norm(lam), _GAP_BAND)[0])
 
 
 def _simple_draw(domain, rng):
@@ -192,14 +199,10 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     in order, and a failure to draw, to apply the map or to decompose an
     output at trial k is raised only after trials 0..k-1 are judged.
     """
-    n = bb.domain.n
-    if n < 3:
-        raise ConfigError("equivariance dichotomy needs n >= 3")
+    check_classifiable(bb.domain)
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    curve = bb.domain.curve
-    if curve.domain is None:
-        raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
+    n, curve = bb.domain.n, bb.domain.curve
     if rng is None:
         rng = np.random.default_rng(0)
     # each stage works on the rows before the earliest failure so far, so
@@ -329,7 +332,7 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
 
     T /= T.ravel()[int(np.argmax(np.abs(T)))]
     # probes of a non-preserver can land on repeated output lines
-    if not np.linalg.cond(T) <= BASIS_COND_LIMIT:
+    if not conditioned(T[None])[0]:
         raise ReconstructionError("reconstructed conjugator is near singular")
     Tinv = np.linalg.inv(T)
     residual = _holdout_residual(
@@ -396,10 +399,6 @@ def classify_preserver(
     """Label a black-box preserver as conjugation, transpose conjugation,
     or an ordering map, with its parameter; anything that fails witness
     agreement or holdout validation comes back unknown."""
-    if bb.domain.n < 3:
-        raise ConfigError("classification needs n >= 3")
-    if bb.domain.curve.domain is None:
-        raise ClosedCurveError("classification needs a non-closed curve")
     if bb.domain.matrix_class is not MatrixClass.NORMAL:
         raise ConfigError("classification runs on the normal-matrix domain")
     if rng is None:

@@ -277,11 +277,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .checking import DomainSpec
-    from .classify import classify_preserver
+    from .classify import check_classifiable, classify_preserver
 
     curve = parse_curve(args.curve)
     domain = DomainSpec(curve, args.n, MatrixClass.NORMAL,
                         _parse_window(args.window))
+    check_classifiable(domain)
     with _black_box(args, domain) as bb:
         result = classify_preserver(bb, np.random.default_rng(args.seed),
                                     args.trials)

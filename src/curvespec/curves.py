@@ -256,26 +256,34 @@ class Curve:
     def invert(self, z: complex) -> float:
         return float(self.invert_array(complex(z))[0])
 
-    def invert_array(self, zs) -> np.ndarray:
+    def invert_array(self, zs, scale=1.0) -> np.ndarray:
+        """Parameters of points within ``tol * max(1, scale)`` of the curve;
+        the scale of eigenvalues is their matrix's norm, which their
+        roundoff grows with, and that of plain points is 1."""
         zs, ts, ds = self._nearest(zs)
-        worst = int(np.argmax(ds))  # a NaN distance is the worst
-        if not ds[worst] <= self.tol:
+        near = ds <= self.tol * np.maximum(1.0, scale)
+        if not near.all():
+            # the farthest point off the curve; a NaN distance is the farthest
+            worst = int(np.argmax(np.where(near, -np.inf, ds)))
             raise OffCurveError(
                 f"point {zs[worst]} is at distance {ds[worst]:.3e} from the "
                 f"{self.kind} curve (tol {self.tol:.1e})"
             )
         return ts
 
-    def order(self, zs) -> np.ndarray:
+    def order(self, zs, scale=1.0) -> np.ndarray:
         """Indices that sort points along the oriented curve, on the last axis.
 
-        The key is ``orientation * invert_array(zs)``; points at the same
-        position come out in (real, imag) order.  Raises OffCurveError when
-        any point is off the curve.  On the closed circle this is the order
-        of the parametrization, which callers needing a global order refuse.
+        The key is ``orientation * invert_array(zs, scale)``, with ``scale``
+        broadcast against ``zs``; points at the same position come out in
+        (real, imag) order.  Raises OffCurveError when any point is off the
+        curve.  On the closed circle this is the order of the
+        parametrization, which callers needing a global order refuse.
         """
         zs = np.asarray(zs, dtype=complex)
-        key = self.orientation * self.invert_array(zs.ravel()).reshape(zs.shape)
+        if not isinstance(scale, float):  # one scale per point, or per row
+            scale = np.broadcast_to(scale, zs.shape).ravel()
+        key = self.orientation * self.invert_array(zs.ravel(), scale).reshape(zs.shape)
         return np.lexsort((zs.imag, zs.real, key), axis=-1)
 
     # -- serialization ----------------------------------------------------

@@ -10,9 +10,11 @@ apply_batch on the one-row stack X[None], so the two agree bit for bit,
 and a stack raises what its first failing row raises alone.  The spectral
 maps take the batch route of spectral._batch_eig, one stacked eigensolve,
 on the rows that the per-matrix decomposition would accept; every other
-row takes the per-matrix route and its guards.  The involution fixes
-normal matrices, so Rho returns a row that Henrici's bound certifies
-normal unchanged, before any eigensolve.
+row takes the per-matrix route and its guards.  Both routes admit a row
+by the admission tests of spectral (separated, conditioned and
+reconstructs), and a frame by conditioned at FRAME_COND_LIMIT.  The
+involution fixes normal matrices, so Rho returns a row that Henrici's
+bound certifies normal unchanged, before any eigensolve.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .spectral import (
     _batch_eig,
     _certified_normal,
     as_matrix,
+    conditioned,
     matrix_from_json,
     spectral_decompose,
 )
@@ -91,8 +94,7 @@ class _Framed(CanonicalMap):
 
     def __post_init__(self):
         T = as_matrix(self.T, name="frame")
-        sv = np.linalg.svd(T, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > FRAME_COND_LIMIT:
+        if not conditioned(T[None], FRAME_COND_LIMIT)[0]:
             raise ConfigError(
                 f"frame condition number exceeds {FRAME_COND_LIMIT:.0e}; not usable"
             )
@@ -150,10 +152,11 @@ class OrderMap(_Framed):
         super().__post_init__()
 
     def _sorted_spectrum(self, X: np.ndarray) -> np.ndarray:
-        """The eigenvalues of one matrix in curve order, multiplicities
-        contiguous, from spectral_decompose and its guards."""
+        """The eigenvalues of one matrix in curve order (at the scale
+        ||X||), multiplicities contiguous, from spectral_decompose and its
+        guards."""
         dec = spectral_decompose(X)
-        order = self.curve.order(dec.distinct_eigenvalues)
+        order = self.curve.order(dec.distinct_eigenvalues, np.linalg.norm(X))
         return np.repeat(
             dec.distinct_eigenvalues[order], np.asarray(dec.multiplicities)[order]
         )

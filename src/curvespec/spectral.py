@@ -8,6 +8,11 @@ goes through an eigenvector basis guarded by condition-number and
 reconstruction checks.  The batch route (_batch_eig) runs one stacked
 eigensolve and admits only the rows this routine would accept.
 
+Both routes, the map frames, the sampler's skew frames and the classifier
+admit a matrix by three tests, pass masks over stacks that a per-matrix
+route calls on its one row: conditioned (singular-value ratio), reconstructs
+(B diag(d) B^-1 against X) and separated (least eigenvalue gap).
+
 Every sample is drawn from a DomainSpec, which checks its dimension and
 parameter window once, when it is built.  It draws spectra from the window
 on a curve and conjugates a Haar-unitary frame (optionally skewed by a
@@ -149,6 +154,34 @@ def _certified_normal(Xs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# admission tests: pass masks over stacks, each the one comparison of its
+# threshold
+
+
+def conditioned(Ms: np.ndarray, limit: float = BASIS_COND_LIMIT) -> np.ndarray:
+    """Whether each matrix's singular-value ratio is at most limit; a singular
+    one, or one whose ratio overflows, fails without a warning."""
+    sv = np.linalg.svd(Ms, compute_uv=False)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return sv[:, 0] / sv[:, -1] <= limit
+
+
+def reconstructs(B, d, Binv, Xs, norms) -> np.ndarray:
+    """Whether B diag(d) Binv is within RECONSTRUCTION_RTOL * ||X|| of X."""
+    err = np.linalg.norm((B * d[:, None, :]) @ Binv - Xs, axis=(1, 2))
+    return err <= RECONSTRUCTION_RTOL * np.maximum(norms, 1e-300)
+
+
+def separated(w: np.ndarray, norms, band: float = 0.0) -> np.ndarray:
+    """Whether a spectrum's values lie pairwise farther apart than
+    (CLUSTER_RTOL + band) * max(1, ||X||), which no overflowing norm passes."""
+    D = np.abs(w[:, :, None] - w[:, None, :])
+    n = w.shape[-1]
+    D.reshape(len(D), n * n)[:, :: n + 1] = np.inf  # the diagonals
+    return D.min(axis=(1, 2)) > (CLUSTER_RTOL + band) * np.maximum(1.0, norms)
+
+
+# ---------------------------------------------------------------------------
 # clustering and the decomposition
 
 
@@ -260,9 +293,13 @@ def spectral_decompose(X) -> SpectralDecomposition:
 def _decompose(X: np.ndarray, tol: float, norm_x: float) -> SpectralDecomposition:
     """spectral_decompose(X) with eigenvalues merged at tol."""
     if _is_normal(X, norm_x):
-        out = _schur_decompose(X, tol, norm_x)
-        if out is not None:
-            return out
+        T, Z = _schur(X)
+        d = np.diag(T)
+        clusters = _cluster_components(d, tol)
+        B = Z[:, np.concatenate(clusters)]
+        dec = _admitted(d, clusters, B, B.conj().T, X, norm_x)
+        if dec is not None:
+            return dec
         # fall through: the Schur route can lose the reconstruction guard
         # for inputs sitting right on the normality threshold
 
@@ -281,21 +318,26 @@ def _decompose(X: np.ndarray, tol: float, norm_x: float) -> SpectralDecompositio
             block = u
         blocks.append(block)
     B = np.hstack(blocks)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > BASIS_COND_LIMIT:
+    if not conditioned(B[None])[0]:
         raise DefectiveMatrixError(
             f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
         )
-    Binv = np.linalg.inv(B)
-    values = _cluster_means(w, clusters)
-    mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(values, mults, B, Binv)
-    recon = (B * dec.expanded()[None, :]) @ Binv
-    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
+    dec = _admitted(w, clusters, B, np.linalg.inv(B), X, norm_x)
+    if dec is None:
         raise DefectiveMatrixError(
             "diagonalization fails to reconstruct the input at tolerance"
         )
     return dec
+
+
+def _admitted(values, clusters, B, Binv, X, norm_x):
+    """The decomposition of X by the basis B (each cluster's columns
+    contiguous) and its inverse, or None when it does not reconstruct X."""
+    mults = tuple(int(c.size) for c in clusters)
+    dec = SpectralDecomposition(_cluster_means(values, clusters), mults, B, Binv)
+    if reconstructs(B[None], dec.expanded()[None], Binv[None], X[None], norm_x)[0]:
+        return dec
+    return None
 
 
 def _no_sort(x):
@@ -344,54 +386,35 @@ def _schur(X: np.ndarray):
     return T, Z
 
 
-def _schur_decompose(X: np.ndarray, tol: float, norm_x: float):
-    T, Z = _schur(X)
-    d = np.diag(T)
-    clusters = _cluster_components(d, tol)
-    perm = np.concatenate(clusters)
-    B = Z[:, perm]
-    values = _cluster_means(d, clusters)
-    mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(values, mults, B, B.conj().T)
-    recon = (B * dec.expanded()[None, :]) @ B.conj().T
-    if np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300):
-        return None
-    return dec
-
-
 def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True):
     """The batch route of the spectral maps: one stacked eigensolve over a
     (N, n, n) stack, and the rows on which spectral_decompose would succeed.
 
-    A row is fast when its eigenvalues w are pairwise farther apart than
-    the default cluster tolerance and it passes the guard of a route of
-    spectral_decompose: either ||X||_F^2 - sum |l_i|^2, which for a simple
-    spectrum is the squared residual of the Schur route, is within the
-    reconstruction tolerance, or its eigenvectors V pass the
-    basis-condition and reconstruction guards.  Without vectors, eigvals
-    serves every row, and eig only the rows the first guard turns away.
+    A row is fast when its eigenvalues w are separated and it passes the
+    guard of a route of spectral_decompose: either ||X||_F^2 - sum |l_i|^2,
+    which for a simple spectrum is the squared residual of the Schur route,
+    is within the reconstruction tolerance, or its eigenvectors V are
+    conditioned and reconstruct it.  Without vectors, eigvals serves every
+    row, and eig only the rows the first guard turns away.
 
     Given a curve, the eigenvalues and eigenvectors of each fast row come
-    in curve order (Curve.order).  When any fast row is off the curve, no
-    row is fast.  The caller sends every other row to the per-matrix route,
-    which raises at the first row its guards fail.
+    in curve order (Curve.order at the scale ||X||).  When any fast row is
+    off the curve, no row is fast.  The caller sends every other row to the
+    per-matrix route, which raises at the first row its guards fail.
 
     Returns (fast, w, V, Vinv): the row mask and the eigenvalues, and with
     vectors the eigenvectors and their inverses on the fast rows.
     """
-    n = Xs.shape[-1]
     if vectors:
         w, V = np.linalg.eig(Xs)
     else:
         w, V = np.linalg.eigvals(Xs), None
-    D = np.abs(w[:, :, None] - w[:, None, :])
-    D[:, np.arange(n), np.arange(n)] = np.inf
-    # a row whose norm overflows is never fast: spectral_decompose refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(Xs, axis=(1, 2))
         departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
-    fast = np.isfinite(norms) & (
-        D.min(axis=(1, 2)) > CLUSTER_RTOL * np.maximum(1.0, norms))
+    # a row whose norm overflows is never separated: spectral_decompose
+    # refuses it
+    fast = separated(w, norms)
     near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
     Vinv = None
     if V is None:
@@ -402,18 +425,15 @@ def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True)
             fast[rest], w[rest] = _batch_eig(Xs[rest])[:2]
     else:
         guarded = np.flatnonzero(fast & ~near_normal)
-        sv = np.linalg.svd(V[guarded], compute_uv=False)
-        with np.errstate(divide="ignore"):
-            fast[guarded] = sv[:, 0] / sv[:, -1] <= BASIS_COND_LIMIT
+        fast[guarded] = conditioned(V[guarded])
         Vinv = np.empty_like(V)
         Vinv[fast] = np.linalg.inv(V[fast])
         guarded = guarded[fast[guarded]]
-        recon = (V[guarded] * w[guarded][:, None, :]) @ Vinv[guarded]
-        err = np.linalg.norm(recon - Xs[guarded], axis=(1, 2))
-        fast[guarded] = err <= RECONSTRUCTION_RTOL * np.maximum(norms[guarded], 1e-300)
+        fast[guarded] = reconstructs(
+            V[guarded], w[guarded], Vinv[guarded], Xs[guarded], norms[guarded])
     if curve is not None and fast.any():
         try:
-            order = curve.order(w[fast])
+            order = curve.order(w[fast], norms[fast, None])
         except OffCurveError:
             fast[:] = False
         else:
@@ -465,6 +485,9 @@ def _resolve_window(curve: Curve, window) -> Interval:
         raise ConfigError("window must be an Interval")
     if not window.bounded:
         raise ConfigError("sampling window must be bounded")
+    if not np.isfinite(window.upper - window.lower):
+        # the generator draws lower + width * u
+        raise ConfigError("sampling window width overflows")
     dom = curve.domain
     if dom is not None:
         lo_ok = window.lower > dom.lower or (
@@ -499,8 +522,7 @@ def _skew_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     todo = np.arange(count)
     while todo.size:
         cand = eye + 0.5 * _ginibre(n, todo.size, rng) / np.sqrt(2.0)
-        conds = np.linalg.cond(cand)
-        good = conds <= _SAMPLE_COND_LIMIT
+        good = conditioned(cand, _SAMPLE_COND_LIMIT)
         S[todo[good]] = cand[good]
         todo = todo[~good]
     return S

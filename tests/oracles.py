@@ -6,6 +6,9 @@ validate checks a SpectralDecomposition's structural invariants and its
 reconstruction of X; idempotent_swap exchanges two eigenvalues of X by its
 decomposition, the reference for the classifier's swapped samples;
 read_profile_csv reads back what regularity.write_profile_csv wrote.
+principal_angles, max_principal_angle, subspace_sum and
+subspace_intersection compare subspaces (orthonormal columns) and build
+their lattice operations, for the tests of the induced subspace map.
 """
 
 import csv
@@ -13,6 +16,7 @@ import io
 import json
 
 import numpy as np
+import scipy.linalg
 
 from curvespec.errors import NumericalDomainError
 from curvespec.regularity import RegularityProfile
@@ -22,6 +26,7 @@ from curvespec.spectral import (
     as_matrix,
     spectral_decompose,
 )
+from curvespec.subspaces import orthonormal_columns
 
 
 def is_orthogonal(dec) -> bool:
@@ -132,3 +137,40 @@ def read_profile_csv(fh) -> RegularityProfile:
         samples_per_scale=int(footer.get("samples_per_scale", 0)),
         slope=float(footer.get("slope", 0.0)),
     )
+
+
+def principal_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Principal angles between two subspaces given by orthonormal columns."""
+    if U.shape[1] == 0 or V.shape[1] == 0:
+        return np.zeros(0)
+    return scipy.linalg.subspace_angles(U, V)
+
+
+def max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
+    """Largest principal angle; infinity when dimensions differ."""
+    if U.shape[1] != V.shape[1]:
+        return np.inf
+    if U.shape[1] == 0:
+        return 0.0
+    return float(np.max(principal_angles(U, V)))
+
+
+def subspace_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(U) + span(V)."""
+    return orthonormal_columns(np.hstack([U, V]))
+
+
+def subspace_intersection(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(U) & span(V).
+
+    A vector lies in both spans iff it is U x = V y for some coefficient
+    vectors; the null space of [U, -V] (at relative cutoff 1e-8) yields
+    all such pairs.
+    """
+    if U.shape[1] == 0 or V.shape[1] == 0:
+        return np.zeros((U.shape[0], 0), dtype=complex)
+    stacked = np.hstack([U, -V])
+    ns = scipy.linalg.null_space(stacked, rcond=1e-8)
+    if ns.shape[1] == 0:
+        return np.zeros((U.shape[0], 0), dtype=complex)
+    return orthonormal_columns(U @ ns[: U.shape[1], :])

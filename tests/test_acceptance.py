@@ -29,12 +29,8 @@ from curvespec.regularity import (
     rho_continuity_experiment,
 )
 from curvespec.spectral import MatrixClass, random_unitary, sample
-from curvespec.subspaces import (
-    line_distance,
-    max_principal_angle,
-    subspace_intersection,
-    subspace_sum,
-)
+from curvespec.subspaces import line_distance
+from oracles import max_principal_angle, subspace_intersection, subspace_sum
 
 RL = real_line()
 ARC = unit_circle_arc(0.0)

@@ -60,13 +60,13 @@ from curvespec.spectral import (
     random_unitary,
     spectral_decompose,
 )
-from curvespec.subspaces import (
-    line_distance,
+from curvespec.subspaces import line_distance
+from oracles import (
+    idempotent_swap,
     max_principal_angle,
     subspace_intersection,
     subspace_sum,
 )
-from oracles import idempotent_swap
 
 
 def _dom(n=3, curve=None):

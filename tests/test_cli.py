@@ -141,6 +141,13 @@ class TestParseCurve:
     ["check", "--curve", "real-line", "--n", "3", "--seed", "1",
      "--map-cmd", shlex.join([sys.executable, str(MISBEHAVING_MAP), "hang"]),
      "--map-timeout", "0"],
+    # a window whose width overflows, which the generator cannot draw from
+    ["sample", "--curve", "real-line", "--n", "3", "--seed", "1",
+     "--window=-1e308,1e308"],
+    # a frame whose condition number overflows
+    ["apply", "--map", json.dumps({"variant": "conj",
+                                   "T": matrix_to_json(np.diag([1e200, 1e-200]))}),
+     "--matrix", json.dumps(matrix_to_json(np.eye(2)))],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -222,6 +229,8 @@ def test_negative_numbers_keep_their_messages(capsys, argv, message):
     ["check", "--curve", "real-line", "--n", "3", "--trials", "0"],
     ["check", "--curve", "real-line", "--n", "3", "--tol", "0"],
     ["classify", "--curve", "real-line", "--n", "3", "--trials", "0"],
+    ["classify", "--curve", "real-line", "--n", "2"],
+    ["classify", "--curve", "unit-circle", "--n", "3"],
 ])
 def test_arguments_are_refused_before_the_map_program_starts(capsys, tmp_path, argv):
     marker = tmp_path / "started"
@@ -340,6 +349,18 @@ class TestCheck:
                              "--n", "3", "--trials", "40", "--seed", "3",
                              "--expect-pass", "--map", RHO_JSON)
         assert code == 0
+        assert json.loads(text)["spectrum_ok"] is True
+
+    @pytest.mark.parametrize("mclass", ["normal", "semisimple"])
+    def test_ordering_map_passes_on_a_large_window(self, capsys, mclass):
+        # eigenvalues of norm 1e7 carry roundoff far above the curve's
+        # tolerance 1e-9, which membership scales by ||X||
+        order = {"variant": "order", "curve": {"kind": "real_interval"},
+                 "T": matrix_to_json(np.eye(4))}
+        code, text, err = _run(capsys, "check", "--curve", "real-line", "--n", "4",
+                               "--window", "1e6,1e7", "--seed", "1", "--class", mclass,
+                               "--expect-pass", "--map", json.dumps(order))
+        assert (code, err) == (0, "")
         assert json.loads(text)["spectrum_ok"] is True
 
     def test_external_violator_with_expect_pass(self, capsys):

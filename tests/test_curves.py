@@ -442,6 +442,24 @@ def test_order_rejects_off_curve_points(curve, u, off):
         curve.order([[z, z], [z + off, z]])
 
 
+def test_membership_scales_the_tolerance_by_the_matrix_norm():
+    # tol * max(1, scale): a scale below 1 keeps tol, one per point or row
+    line = real_line()
+    zs = np.array([2.0 + 5e-10j, 3.0 - 4e-7j, 1.0 + 2e-3j])
+    with pytest.raises(OffCurveError) as info:
+        line.invert_array(zs[:2], 1e-3)
+    # the raw distance and tol, as at scale 1
+    assert str(info.value) == ("point (3-4e-07j) is at distance 4.000e-07 from the "
+                               "real_interval curve (tol 1.0e-09)")
+    np.testing.assert_array_equal(line.invert_array(zs[:2], 1e3), [2.0, 3.0])
+    with pytest.raises(OffCurveError, match="point \\(1\\+0.002j\\)"):
+        line.invert_array(zs, 1e3)
+    np.testing.assert_array_equal(line.invert_array(zs, [1.0, 1e3, 1e7]), [2.0, 3.0, 1.0])
+    assert line.order(zs.reshape(1, 3), [[1e7]]).tolist() == [[2, 0, 1]]
+    with pytest.raises(OffCurveError):
+        line.order(np.array([zs, zs]), [[1e7], [1e3]])
+
+
 def test_invert_array_matches_scalar():
     c = CornerGraph(-1.0, 1.0)
     ts = np.linspace(-3, 3, 41)

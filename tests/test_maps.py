@@ -185,15 +185,15 @@ def test_certified_rows_are_accepted_by_rho_within_the_tolerance():
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(3, 5),
     mclass=st.sampled_from(list(MatrixClass)),
-    k=st.integers(-12, 6),
+    k=st.integers(-12, 12),
     log_gap=st.none() | st.floats(-9.0, -5.5),
 )
 @settings(max_examples=80, deadline=None)
 def test_rho_and_order_map_commute_with_scaling(seed, n, mclass, k, log_gap):
     # rho and the ordering map are homogeneous of degree one on their whole
-    # domain, small matrices included; a pair at gap 10**log_gap straddles
-    # the merge threshold 1e-7 * max(1, ||X||) on one side of the scaling
-    # and the reconstruction tolerance 1e-7 * ||X|| on the other
+    # domain, small and large matrices included; a pair at gap 10**log_gap
+    # straddles the merge threshold 1e-7 * max(1, ||X||) on one side of the
+    # scaling and the reconstruction tolerance 1e-7 * ||X|| on the other
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-1.0, 1.0, n)
     if log_gap is not None:

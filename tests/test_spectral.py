@@ -1,15 +1,20 @@
+import ast
+import collections
 import gc
 import itertools
 import json
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from curvespec.classify import _GAP_BAND, _certified_simple
 from curvespec.curves import (
+    TAU,
     CornerGraph,
     Interval,
     RealInterval,
@@ -41,21 +46,27 @@ from curvespec.spectral import (
     _schur,
     _skew_frames,
     DomainSpec,
+    BASIS_COND_LIMIT,
+    CLUSTER_RTOL,
     MAX_DIM,
     MIN_DIM,
     RECONSTRUCTION_RTOL,
     MatrixClass,
+    conditioned,
     default_window,
     eigenflag,
     matrix_from_json,
     matrix_to_json,
     random_unitary,
+    reconstructs,
     sample,
     sample_batch,
+    separated,
     spectra_equal,
     spectral_bottleneck_distance,
     spectral_decompose,
 )
+from curvespec.maps import FRAME_COND_LIMIT, Conj
 from curvespec.subspaces import line_distance
 from oracles import is_orthogonal, validate
 
@@ -763,3 +774,233 @@ class TestDomainSpec:
         import curvespec.checking
 
         assert curvespec.DomainSpec is curvespec.checking.DomainSpec is DomainSpec
+
+    def test_refuses_a_window_whose_width_overflows(self):
+        with pytest.raises(ConfigError, match="sampling window width overflows"):
+            DomainSpec(real_line(), 3, MatrixClass.NORMAL, Interval(-1e308, 1e308))
+
+
+# ---------------------------------------------------------------------------
+# the admission tests: conditioned, reconstructs and separated decide each
+# guard of the parent revision as it did.  The parent's guard expressions,
+# verbatim, each as a pass mask (the per-matrix guards raise, or return
+# None, where theirs is False), run with warnings off; the admission tests
+# run with warnings as errors.
+
+
+def _parent_basis_cond(B):  # _decompose
+    sv = np.linalg.svd(B, compute_uv=False)
+    return not (sv[-1] == 0.0 or sv[0] / sv[-1] > BASIS_COND_LIMIT)
+
+
+def _parent_frame_cond(T):  # maps._Framed.__post_init__
+    sv = np.linalg.svd(T, compute_uv=False)
+    return not (sv[-1] == 0.0 or sv[0] / sv[-1] > FRAME_COND_LIMIT)
+
+
+def _parent_batch_cond(V):  # _batch_eig
+    sv = np.linalg.svd(V, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return sv[:, 0] / sv[:, -1] <= BASIS_COND_LIMIT
+
+
+def _parent_sample_cond(cand):  # _skew_frames
+    conds = np.linalg.cond(cand)
+    return conds <= _SAMPLE_COND_LIMIT
+
+
+def _parent_conjugator_cond(T):  # classify.reconstruct_conjugator
+    return np.linalg.cond(T) <= BASIS_COND_LIMIT
+
+
+def _parent_recon(B, d, Binv, X, norm_x):  # _decompose and _schur_decompose
+    recon = (B * d[None, :]) @ Binv
+    return not (np.linalg.norm(recon - X) > RECONSTRUCTION_RTOL * max(norm_x, 1e-300))
+
+
+def _parent_batch_recon(V, w, Vinv, Xs, norms):  # _batch_eig
+    recon = (V * w[:, None, :]) @ Vinv
+    err = np.linalg.norm(recon - Xs, axis=(1, 2))
+    return err <= RECONSTRUCTION_RTOL * np.maximum(norms, 1e-300)
+
+
+def _parent_batch_gap(w, norms):  # _batch_eig
+    n = w.shape[-1]
+    D = np.abs(w[:, :, None] - w[:, None, :])
+    D[:, np.arange(n), np.arange(n)] = np.inf
+    return np.isfinite(norms) & (
+        D.min(axis=(1, 2)) > CLUSTER_RTOL * np.maximum(1.0, norms))
+
+
+def _parent_certified_simple(lam):  # classify._certified_simple
+    gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(lam.size, dtype=bool)]
+    return bool(gaps.min() > (CLUSTER_RTOL + _GAP_BAND) * max(1.0, np.linalg.norm(lam)))
+
+
+def _parent(f, *args):
+    with np.errstate(all="ignore"):
+        return f(*args)
+
+
+def _strict(f, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def _near_singular_frames(n=3):
+    """Frames whose condition numbers sweep 1 to 1e12 and straddle each
+    limit closely, and the singular and overflowing ones."""
+    rng = np.random.default_rng(5)
+    limits = (_SAMPLE_COND_LIMIT, BASIS_COND_LIMIT, FRAME_COND_LIMIT)
+    exps = np.concatenate([np.linspace(0.0, 12.0, 49), *(
+        np.log10(c) + np.linspace(-1e-6, 1e-6, 41) for c in limits)])
+    frames = []
+    for e in exps:
+        U, V = random_unitary(n, rng), random_unitary(n, rng)
+        frames.append((U * np.geomspace(1.0, 10.0**-e, n)) @ V)
+    frames += [np.diag([1.0, 1.0, 0.0]), np.zeros((n, n)),
+               np.diag([1e200, 1.0, 1e-200]), np.diag([1e-300, 1e-300, 1e-310])]
+    return np.array(frames, dtype=complex)
+
+
+def _scaled_jordan_blocks():
+    """Spectra and eigenvector bases of c * (J + delta * E), J a 3x3 Jordan
+    block at 1: the basis condition grows like delta**(-2/3)."""
+    rng = np.random.default_rng(7)
+    J = np.eye(3) + np.diag([1.0, 1.0], 1)
+    Xs = np.array([c * (J + delta * rng.standard_normal((3, 3)))
+                   for c in (1e-3, 1.0, 1e6) for delta in np.geomspace(1e-16, 1e-2, 57)],
+                  dtype=complex)
+    return np.linalg.eig(Xs)
+
+
+class TestAdmissionTests:
+    def test_conditioned_decides_every_condition_guard_as_before(self):
+        frames = _near_singular_frames()
+        _, V = _scaled_jordan_blocks()
+        for Ms in (frames, V):
+            basis = _strict(conditioned, Ms)
+            assert 0 < basis.sum() < len(Ms)
+            assert np.array_equal(basis, _parent(_parent_batch_cond, Ms))
+            for M, ok in zip(Ms, basis):
+                assert _strict(conditioned, M[None])[0] == ok == _parent(_parent_basis_cond, M)
+                assert ok == _parent(_parent_conjugator_cond, M)
+                assert (_strict(conditioned, M[None], FRAME_COND_LIMIT)[0]
+                        == _parent(_parent_frame_cond, M))
+            sample = _strict(conditioned, Ms, _SAMPLE_COND_LIMIT)
+            assert np.array_equal(sample, _parent(_parent_sample_cond, Ms))
+        assert 0 < _strict(conditioned, frames, _SAMPLE_COND_LIMIT).sum() < len(frames)
+        assert 0 < _strict(conditioned, frames, FRAME_COND_LIMIT).sum() < len(frames)
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_reconstructs_decides_every_reconstruction_guard_as_before(self, unitary):
+        # bases whose inverse is off by a relative 1e-10 to 1e-4, which
+        # straddles the tolerance 1e-7, at norms down to the 1e-300 floor
+        rng = np.random.default_rng(11 + unitary)
+        n, count = 4, 400
+        B = np.array([random_unitary(n, rng) if unitary
+                      else np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                      for _ in range(count)], dtype=complex)
+        d = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        d *= np.repeat([1.0, 1e-150, 1e-305, 0.0], count // 4)[:, None]
+        Binv = B.conj().transpose(0, 2, 1) if unitary else np.linalg.inv(B)
+        Xs = (B * d[:, None, :]) @ Binv
+        E = rng.standard_normal((count, n, n)) * np.geomspace(1e-10, 1e-4, count)[:, None, None]
+        Binv = Binv @ (np.eye(n) + E)
+        norms = np.linalg.norm(Xs, axis=(1, 2))
+        ok = _strict(reconstructs, B, d, Binv, Xs, norms)
+        assert 0 < ok.sum() < count
+        assert np.array_equal(ok, _parent(_parent_batch_recon, B, d, Binv, Xs, norms))
+        for i in range(count):
+            norm_x = np.linalg.norm(Xs[i])
+            got = _strict(reconstructs, B[i][None], d[i][None], Binv[i][None],
+                          Xs[i][None], norm_x)[0]
+            assert got == _parent(_parent_recon, B[i], d[i], Binv[i], Xs[i], norm_x)
+
+    def test_separated_decides_every_gap_guard_as_before(self):
+        # spectra {a, a + g, b} whose gap g straddles the merge threshold
+        # closely, at norms from 1e-3 to 1e6, and rows whose norm overflows
+        rng = np.random.default_rng(13)
+        rows, lams = [], []
+        for c in (1e-3, 1.0, 1e6):
+            lam = c * np.array([0.3, 0.3, -0.7])
+            for band in (0.0, _GAP_BAND):
+                thr = (CLUSTER_RTOL + band) * max(1.0, np.linalg.norm(lam))
+                for t in np.linspace(-1e-9, 1e-9, 41):
+                    row = lam.astype(complex)
+                    row[1] += thr * (1.0 + t) * np.exp(1j * rng.uniform(0, TAU))
+                    (rows if band == 0.0 else lams).append(row)
+        w = np.array(rows)
+        norms = np.linalg.norm(w, axis=1) * rng.uniform(1.0, 1.0 + 1e-12, len(w))
+        norms[:3] = np.inf
+        ok = _strict(separated, w, norms)
+        assert 0 < ok.sum() < len(w)
+        assert np.array_equal(ok, _parent(_parent_batch_gap, w, norms))
+        w_jordan, _ = _scaled_jordan_blocks()
+        norms_jordan = np.geomspace(1e-2, 1e8, len(w_jordan))
+        assert np.array_equal(_strict(separated, w_jordan, norms_jordan),
+                              _parent(_parent_batch_gap, w_jordan, norms_jordan))
+        simple = [_strict(_certified_simple, lam) for lam in lams]
+        assert 0 < sum(simple) < len(lams)
+        assert simple == [_parent(_parent_certified_simple, lam) for lam in lams]
+
+    def test_overflowing_frame_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="frame condition number exceeds 1e"):
+                Conj(np.diag([1e200, 1e-200]))
+
+
+_THRESHOLDS = ("CLUSTER_RTOL", "RECONSTRUCTION_RTOL", "BASIS_COND_LIMIT",
+               "FRAME_COND_LIMIT", "_SAMPLE_COND_LIMIT")
+_ADMISSION_TESTS = {"conditioned", "reconstructs", "separated"}
+
+
+def _threshold_comparisons(src=Path(__file__).resolve().parents[1] / "src"):
+    """Counter of (constant, function) over every comparison in the package
+    that reads a threshold constant: a comparison that names it, a call
+    that hands it to an admission test, and a parameter's default."""
+    found = collections.Counter()
+
+    def reads(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))} & set(_THRESHOLDS)
+
+    def scan(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+                if isinstance(child, ast.FunctionDef):
+                    for default in [*child.args.defaults, *child.args.kw_defaults]:
+                        found.update((c, inner) for c in reads(default or ast.Pass()))
+                scan(child, inner)
+                continue
+            if isinstance(child, ast.Compare):
+                found.update((c, where) for c in reads(child))
+            elif isinstance(child, ast.Call) and (getattr(child.func, "id", None) or getattr(
+                    child.func, "attr", None)) in _ADMISSION_TESTS:
+                for arg in [*child.args, *(k.value for k in child.keywords)]:
+                    found.update((c, where) for c in reads(arg))
+            scan(child, where)
+
+    for path in sorted((src / "curvespec").glob("*.py")):
+        scan(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_each_threshold_is_compared_in_one_function():
+    found = _threshold_comparisons()
+    by_constant = {c: {f: k for (c2, f), k in found.items() if c2 == c} for c in _THRESHOLDS}
+    assert by_constant == {
+        "CLUSTER_RTOL": {"separated": 1},
+        # the reconstruction guard is compared in reconstructs alone; the
+        # departure from normality, a different test, is bounded by the same
+        # tolerance once in each normality test: Henrici's certificate and
+        # the departure test of the batch route
+        "RECONSTRUCTION_RTOL": {"reconstructs": 1, "_certified_normal": 1,
+                                "_batch_eig": 1},
+        "BASIS_COND_LIMIT": {"conditioned": 1},
+        "FRAME_COND_LIMIT": {"_Framed.__post_init__": 1},
+        "_SAMPLE_COND_LIMIT": {"_skew_frames": 1},
+    }
