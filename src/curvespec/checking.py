@@ -500,14 +500,25 @@ def continuity_probe(f, path, samples: int = 101) -> ContinuityTable:
     clears _OUTPUT_FLOOR (constant paths stay quiet).  Thresholds are
     heuristics; the raw table is the real product.
     """
-    if samples < 3:
-        raise ConfigError("need at least 3 path samples")
-    ts = np.linspace(0.0, 1.0, samples)
-    Xs = np.array([as_matrix(path(t)) for t in ts])
+    Xs = _path_matrices(path, samples)
     FXs = np.empty_like(Xs)
     for i, X in enumerate(Xs):
         FXs[i] = _validated("map", X, f(X))
+    return _continuity_table(Xs, FXs)
 
+
+def _path_matrices(path, samples: int) -> np.ndarray:
+    """The (samples, n, n) stack of path's matrices on the uniform grid of
+    [0, 1]."""
+    if samples < 3:
+        raise ConfigError("need at least 3 path samples")
+    return np.array([as_matrix(path(t)) for t in np.linspace(0.0, 1.0, samples)])
+
+
+def _continuity_table(Xs: np.ndarray, FXs: np.ndarray) -> ContinuityTable:
+    """continuity_probe's table from a path's matrices Xs on the uniform
+    grid and their images FXs."""
+    samples = len(Xs)
     spacing = 1.0 / (samples - 1)
     deltas = []
     d = spacing

@@ -44,6 +44,7 @@ from .spectral import (
     _assemble,
     _batch_eig,
     _curve_order,
+    _decompose_rows,
     conditioned,
     eigenflag,
     matrix_to_json,
@@ -262,9 +263,9 @@ def _probe_with_first_line(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (Q * values) @ Q.conj().T
 
 
-def _first_line_image(FX: np.ndarray, values) -> np.ndarray:
-    """Unit vector spanning the eigenline of values[0] in the probe image FX."""
-    dec = spectral_decompose(FX)
+def _first_line_image(dec, values) -> np.ndarray:
+    """Unit vector spanning the eigenline of values[0] in a probe image, by
+    the image's decomposition dec."""
     k = int(np.argmin(np.abs(dec.distinct_eigenvalues - values[0])))
     if dec.multiplicities[k] != 1:
         raise ReconstructionError("probe image eigenvalue is not simple")
@@ -306,11 +307,13 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     lines.append((eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2))
     probes = np.array([_probe_with_first_line(u, values) for u in lines])
     FXs, exc = bb.apply_rows(probes)
+    # the decompositions of the leading images, and the next one's error
+    decs, bad = _decompose_rows(FXs)
 
-    def image(k):
-        if k >= len(FXs):
-            raise exc
-        return _first_line_image(FXs[k], values)
+    def image(k):  # called with k = 0, 1, 2, ... in turn
+        if k >= len(decs.d):
+            raise bad or exc
+        return _first_line_image(decs.row(k), values)
 
     cols = [image(i) for i in range(n)]
     T = np.empty((n, n), dtype=complex)
@@ -373,9 +376,11 @@ def _recover_fixed_frame(bb: BlackBoxMap, rng):
     curve = bb.domain.curve
     draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
     FXs, exc = bb.apply_rows(_assemble(*draws)[0])
+    # the decompositions of the leading outputs, and the next one's error
+    decs, bad = _decompose_rows(FXs)
     frame = None
-    for FX in FXs:
-        F = eigenflag(spectral_decompose(FX), curve)
+    for i in range(len(decs.d)):
+        F = eigenflag(decs.row(i), curve)
         if frame is None:
             frame = F.copy()
             ref = F
@@ -387,8 +392,8 @@ def _recover_fixed_frame(bb: BlackBoxMap, rng):
                     raise ReconstructionError("output frames do not share columns")
                 F[:, j] *= c.conjugate() / abs(c)
             frame += F
-    if exc or failure:
-        raise exc or failure
+    if bad or exc or failure:
+        raise bad or exc or failure
     frame /= np.linalg.norm(frame, axis=0, keepdims=True)
     return frame
 

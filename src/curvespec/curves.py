@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    NumericalDomainError,
     OffCurveError,
     ParameterDomainError,
 )
@@ -234,7 +235,12 @@ class Curve:
     # -- shared operations ------------------------------------------------
 
     def eval(self, t: float) -> complex:
-        return complex(self.eval_array(float(t))[0])
+        """The point at parameter t, refused when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = complex(self.eval_array(float(t))[0])
+        if not cmath.isfinite(z):
+            raise NumericalDomainError(f"{self.kind} point at parameter {t:g} overflows")
+        return z
 
     def eval_array(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -248,10 +254,15 @@ class Curve:
         return self._point_array(ts)
 
     def _nearest(self, zs):
-        """(points, parameters of their nearest curve points, distances)."""
+        """(points, parameters of their nearest curve points, distances).
+
+        A projection or distance past the largest double comes out
+        infinite or NaN without a warning; invert_array refuses its point.
+        """
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        ts = self._project_array(zs)
-        return zs, ts, _abs(self._point_array(ts) - zs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ts = self._project_array(zs)
+            return zs, ts, _abs(self._point_array(ts) - zs)
 
     def invert(self, z: complex) -> float:
         return float(self.invert_array(complex(z))[0])
@@ -539,6 +550,9 @@ class CornerGraph(Curve):
         object.__setattr__(self, "b", float(self.b))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ConfigError("corner slopes must be finite")
+        if not (math.isfinite(self.a * self.a) and math.isfinite(self.b * self.b)):
+            # projecting onto a branch divides by 1 + slope**2
+            raise ConfigError("corner slopes must have finite squares")
         if self.a == self.b:
             raise ConfigError("corner graph requires distinct slopes a != b")
 

@@ -28,6 +28,7 @@ from .errors import ClosedCurveError, ConfigError, NumericalDomainError
 from .spectral import (
     _batch_eig,
     _certified_normal,
+    _decompose_rows,
     as_matrix,
     conditioned,
     matrix_from_json,
@@ -53,13 +54,28 @@ def rho(X) -> np.ndarray:
     """Adjoint of the eigenvalue-conjugated decomposition: (sum conj(l) P_l)*.
 
     Fixes normal matrices; on X = R N R^{-1} with R positive and N normal it
-    returns R^{-1} N R; an involution on semisimple matrices.  Raises
-    DefectiveMatrixError when X has no decomposition at tolerance.
+    returns R^{-1} N R; an involution on semisimple matrices.  X is one
+    matrix or a (N, n, n) stack, decomposed in one call of the stacked
+    decomposition (spectral._decompose_rows): row i of the result is
+    rho(X[i]), bit for bit, and a stack raises what its earliest failing
+    row raises alone.  Raises DefectiveMatrixError when a matrix has no
+    decomposition at tolerance.
     """
-    dec = spectral_decompose(X)
-    d = dec.expanded()
+    Xs = np.asarray(X, dtype=complex)
+    one = Xs.ndim != 3
+    if one or len(Xs):
+        # a stack's rows all have row 0's shape, and row 0's errors come first
+        as_matrix(Xs if one else Xs[0])
+    dec, exc = _decompose_rows(Xs[None] if one else Xs)
+    if exc is not None:
+        try:
+            raise exc
+        finally:
+            exc = None  # the raised error's traceback holds this frame
     # (B diag(conj d) Binv)^* with the diagonal's adjoint undoing the conjugation
-    return (dec.basis_inv.conj().T * d[None, :]) @ dec.basis.conj().T
+    BinvH, BH = (M.conj().transpose(0, 2, 1) for M in (dec.Binv, dec.B))
+    out = (BinvH * dec.d[:, None, :]) @ BH
+    return out[0] if one else out
 
 
 def eigen_conj(X) -> np.ndarray:
@@ -177,10 +193,11 @@ class Rho(CanonicalMap):
     normal to within the reconstruction tolerance
     (spectral._certified_normal) is returned unchanged, with no
     eigensolve.  Every other row takes the batch eigenvector route, and
-    rho() serves the rows that route turns away.  On a near-normal row
-    rho() takes the Schur route, whose result differs from X, and from the
-    batch route's, by the departure from normality, which may reach the
-    reconstruction tolerance: rho(X) and apply(X) may differ by that much.
+    rho() maps the stack of the rows that route turns away.  On a
+    near-normal row rho() takes the Schur route, whose result differs from
+    X, and from the batch route's, by the departure from normality, which
+    may reach the reconstruction tolerance: rho(X) and apply(X) may differ
+    by that much.
     """
 
     def apply_batch(self, Xs):
@@ -191,8 +208,9 @@ class Rho(CanonicalMap):
         out[rest[fast]] = (
             Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
         ) @ V[fast].conj().transpose(0, 2, 1)
-        for i in rest[~fast]:
-            out[i] = rho(Xs[i])
+        slow = rest[~fast]
+        if slow.size:
+            out[slow] = rho(Xs[slow])
         return out
 
 

@@ -203,8 +203,9 @@ def _sample_offsets(
     max > sep/4; left: max < 0; right: min > 0) and its sorted entries are
     at least ``sep`` apart.  The result is the first ``count`` acceptable
     rows in draw order.  The rounds fix only how far the stream advances
-    and when ``sep`` halves (after every 100 rounds); how a round computes
-    its acceptance mask is free, as long as the mask stays exact.
+    and when ``sep`` halves: before rounds 101, 202, 303 and so on, every
+    101 rounds.  How a round computes its acceptance mask is free, as long
+    as the mask stays exact.
     """
     if count == 0:
         return np.zeros((0, k))
@@ -215,7 +216,11 @@ def _sample_offsets(
     while have < count:
         rounds += 1
         if rounds > 100:
-            sep *= 0.5  # keep terminating on very thin boxes
+            # bounds the rounds on a box too thin for sep; a stratum that
+            # rarely accepts gets here too (one-sided strata at order 5 take
+            # 107 to 179 rounds a call on ordinary boxes), and its last rows
+            # are then drawn at half of sep
+            sep *= 0.5
             rounds = 0
         u = rng.uniform(lo, hi, size=(4 * (count - have), k))
         # reducing over the k column views is cheap where an axis=1
@@ -479,10 +484,13 @@ def rho_continuity_experiment(
     collision paths collapsing onto that point, and reports whether the
     verdicts agree in the predicted direction: a bounded quotient should
     mean no discontinuity flag on any path, a diverging one should trip a
-    flag on some straddling path.
+    flag on some straddling path.  Each path's table is continuity_probe's
+    for rho, with the path's matrices mapped by one call of rho on their
+    stack.
     """
     # the map and the probe under test; the regularity probes need neither
-    from .checking import continuity_probe
+    from .checking import (
+        _continuity_table, _path_matrices, _validated, continuity_probe)
     from .maps import rho
 
     if n < 2:
@@ -496,7 +504,14 @@ def rho_continuity_experiment(
     tables = {}
     for style in _PATH_STYLES:
         path = collision_path(curve, n, corner_param, style)
-        tables[style] = continuity_probe(rho, path, samples=samples)
+        Xs = _path_matrices(path, samples)
+        try:
+            tables[style] = _continuity_table(Xs, _validated("map", Xs, rho(Xs)))
+        except Exception:
+            # continuity_probe maps one matrix at a time, so it raises the
+            # earliest row's error, which may be a non-finite image of a row
+            # before the one that the stack raised on
+            tables[style] = continuity_probe(rho, path, samples)
 
     any_flag = any(t.flag for t in tables.values())
     bounded = db.verdict_db == "bounded"

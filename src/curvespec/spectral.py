@@ -5,8 +5,11 @@ diagonalizing basis from which one idempotent per cluster is derived, and
 refuses inputs that are defective beyond tolerance.  Normal inputs take a
 Schur path so their idempotents come out exactly Hermitian; everything else
 goes through an eigenvector basis guarded by condition-number and
-reconstruction checks.  The batch route (_batch_eig) runs one stacked
-eigensolve and admits only the rows this routine would accept.
+reconstruction checks.  It is written once, over stacks (_decompose_rows):
+the rows whose spectrum is simple share one eigensolve, every other row
+takes the per-row route, and spectral_decompose is the one-row case.  The
+batch route of the maps (_batch_eig) runs one stacked eigensolve and admits
+only the rows this routine would accept.
 
 Both routes, the map frames, the sampler's skew frames and the classifier
 admit a matrix by three tests, pass masks over stacks that a per-matrix
@@ -124,11 +127,20 @@ class MatrixClass(enum.Enum):
     NORMAL = "normal"
 
 
-def _is_normal(X: np.ndarray, norm_x: float) -> bool:
+def _norms(Ms: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, as np.linalg.norm gives
+    it on the one matrix: the norm over a stack's axes sums in another
+    order, and may differ from it in the last bit."""
+    return np.array([np.linalg.norm(M) for M in Ms])
+
+
+def _is_normal(Xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Whether each matrix commutes with its adjoint within NORMALITY_RTOL."""
     # scaled to norm at most 1, so that the commutator cannot overflow;
     # below norm 1 the division is exact
-    A = X / max(1.0, norm_x)
-    return np.linalg.norm(A @ A.conj().T - A.conj().T @ A) <= NORMALITY_RTOL
+    A = Xs / np.maximum(1.0, norms)[:, None, None]
+    AH = A.conj().transpose(0, 2, 1)
+    return _norms(A @ AH - AH @ A) <= NORMALITY_RTOL
 
 
 def _certified_normal(Xs: np.ndarray) -> np.ndarray:
@@ -230,15 +242,18 @@ class SpectralDecomposition:
 
     X = basis diag(expanded()) basis_inv, with each cluster's columns
     contiguous; on the Schur route of a normal input basis_inv is the
-    adjoint of basis.  The spectral idempotents are derived on first use:
-    they resolve the identity, annihilate each other pairwise, and
-    weighted by the eigenvalues reconstruct X.
+    adjoint of basis.  norm is ||X||_F, the scale of the decomposition's
+    tolerances and of its eigenvalues' curve order.  The spectral
+    idempotents are derived on first use: they resolve the identity,
+    annihilate each other pairwise, and weighted by the eigenvalues
+    reconstruct X.
     """
 
     distinct_eigenvalues: np.ndarray
     multiplicities: tuple
     basis: np.ndarray
     basis_inv: np.ndarray
+    norm: float
 
     @property
     def num_clusters(self) -> int:
@@ -266,12 +281,113 @@ def spectral_decompose(X) -> SpectralDecomposition:
     1e-7 * ||X||; the thresholds 1e-7 * ||X|| and 0 are then tried in turn,
     and the first decomposition that passes every guard is returned.
     Raises the first threshold's DefectiveMatrixError when none does, that
-    is when no adequately conditioned diagonalization exists.
+    is when no adequately conditioned diagonalization exists.  This is the
+    one-row case of the stacked decomposition, _decompose_rows.
     """
-    X = as_matrix(X)
-    with np.errstate(over="ignore"):
-        norm_x = np.linalg.norm(X)
+    decs, exc = _decompose_rows(as_matrix(X)[None])
+    if exc is not None:
+        try:
+            raise exc
+        finally:
+            exc = None  # the raised error's traceback holds this frame
+    return decs.row(0)
+
+
+class _Decompositions(NamedTuple):
+    """Decompositions of the rows of a stack, stacked: each row's
+    eigenvalues d, repeated by their multiplicities (SpectralDecomposition.
+    expanded), its basis B and basis_inv Binv, its multiplicities and its
+    norm."""
+
+    d: np.ndarray
+    B: np.ndarray
+    Binv: np.ndarray
+    mults: list
+    norms: np.ndarray
+
+    def row(self, i: int) -> SpectralDecomposition:
+        m, d = self.mults[i], self.d[i]
+        if len(m) < len(d):
+            d = d[np.cumsum(m) - m]  # each cluster's first column
+        return SpectralDecomposition(d, m, self.B[i], self.Binv[i], self.norms[i])
+
+
+def _decompose_rows(Xs: np.ndarray):
+    """The decompositions of the leading rows of a (N, n, n) stack whose
+    matrices have a shape that as_matrix accepts, and the error that the
+    next row raises, or None when every row decomposes: on each row what
+    spectral_decompose returns or raises, bit for bit.
+
+    A row that is not normal takes the eig route on the stack
+    (_simple_rows) when its spectrum is simple at the first threshold.
+    Every other row, and a row that fails a test there, takes the per-row
+    route (_decompose_row) in row order: a normal row the Schur route, a
+    clustered row the rank test, a failed row the retry ladder, and a row
+    whose norm is not finite its error.
+    """
+    N, n = Xs.shape[0], Xs.shape[-1]
+    # a row whose norm is not finite is refused by the per-row route
+    with np.errstate(all="ignore"):
+        norms = _norms(Xs)
+        normal = _is_normal(Xs, norms)
+    mults = [(1,) * n] * N
+    rows = np.flatnonzero(np.isfinite(norms) & ~normal)
+    if rows.size:
+        rows, w, V, Vinv = _simple_rows(Xs, norms, rows)
+        if rows.size == N:
+            return _Decompositions(w, V, Vinv, mults, norms), None
+    d = np.empty((N, n), dtype=complex)
+    B = np.empty((N, n, n), dtype=complex)
+    Binv = np.empty_like(B)
+    if rows.size:
+        d[rows], B[rows], Binv[rows] = w, V, Vinv
+    per_row = np.ones(N, dtype=bool)
+    per_row[rows] = False
+    for i in np.flatnonzero(per_row).tolist():
+        try:
+            dec = _decompose_row(Xs[i], norms[i], normal[i])
+        except Exception as exc:
+            return _Decompositions(d[:i], B[:i], Binv[:i], mults[:i], norms[:i]), exc
+        d[i], B[i], Binv[i] = dec.expanded(), dec.basis, dec.basis_inv
+        mults[i] = dec.multiplicities
+    return _Decompositions(d, B, Binv, mults, norms), None
+
+
+def _simple_rows(Xs: np.ndarray, norms: np.ndarray, rows: np.ndarray):
+    """The eig route of _decompose on a simple spectrum, on the stack
+    Xs[rows] of rows that are not normal: one eig, the eigenvalues in
+    lexicographic order (the order of singleton clusters), separated at
+    the first threshold, conditioned, one inv and reconstructs.
+
+    Returns the rows that pass, their eigenvalues in that order, each its
+    singleton cluster's mean (_cluster_means), their eigenvectors in that
+    order, and the inverses.  No row passes when a stacked LAPACK call
+    fails: the per-row route then meets that row's error in its place.
+    """
+    n = Xs.shape[-1]
+    try:
+        w, V = np.linalg.eig(Xs[rows])
+        order = np.lexsort((w.imag, w.real), axis=-1)
+        k = np.arange(rows.size)[:, None]
+        w = w[k, order] + 0.0
+        V = V[k[:, None], np.arange(n)[:, None], order[:, None, :]]
+        ok = separated(w, norms[rows]) & conditioned(V)
+        if not ok.all():
+            rows, w, V = rows[ok], w[ok], V[ok]
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return rows[:0], None, None, None
+    ok = reconstructs(V, w, Vinv, Xs[rows], norms[rows])
+    if not ok.all():
+        rows, w, V, Vinv = rows[ok], w[ok], V[ok], Vinv[ok]
+    return rows, w, V, Vinv
+
+
+def _decompose_row(X: np.ndarray, norm_x: float, normal: bool) -> SpectralDecomposition:
+    """The per-row route of spectral_decompose: the retry ladder over
+    _decompose, given X's norm and normality."""
     if not np.isfinite(norm_x):
+        as_matrix(X)  # a non-finite entry is a config error
         # every relative tolerance below would be infinite or NaN
         raise NumericalDomainError("matrix norm overflows")
     tol = CLUSTER_RTOL * max(1.0, norm_x)
@@ -279,7 +395,7 @@ def spectral_decompose(X) -> SpectralDecomposition:
     # each distinct threshold once, in this order
     for t in dict.fromkeys((tol, min(tol, RECONSTRUCTION_RTOL * norm_x), 0.0)):
         try:
-            return _decompose(X, t, norm_x)
+            return _decompose(X, t, norm_x, normal)
         except DefectiveMatrixError as exc:
             # kept without its traceback, whose frames (this one, and so
             # its callers) would otherwise live until the cyclic GC runs
@@ -290,9 +406,10 @@ def spectral_decompose(X) -> SpectralDecomposition:
         first = None  # the raised error's traceback holds this frame
 
 
-def _decompose(X: np.ndarray, tol: float, norm_x: float) -> SpectralDecomposition:
+def _decompose(X: np.ndarray, tol: float, norm_x: float,
+               normal: bool) -> SpectralDecomposition:
     """spectral_decompose(X) with eigenvalues merged at tol."""
-    if _is_normal(X, norm_x):
+    if normal:
         T, Z = _schur(X)
         d = np.diag(T)
         clusters = _cluster_components(d, tol)
@@ -334,7 +451,8 @@ def _admitted(values, clusters, B, Binv, X, norm_x):
     """The decomposition of X by the basis B (each cluster's columns
     contiguous) and its inverse, or None when it does not reconstruct X."""
     mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(_cluster_means(values, clusters), mults, B, Binv)
+    dec = SpectralDecomposition(
+        _cluster_means(values, clusters), mults, B, Binv, norm_x)
     if reconstructs(B[None], dec.expanded()[None], Binv[None], X[None], norm_x)[0]:
         return dec
     return None
@@ -635,10 +753,10 @@ def sample(
 
 
 def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
-    """Cluster indices sorted along the oriented curve."""
+    """Cluster indices sorted along the oriented curve, at the scale ||X||."""
     if curve.domain is None:
         raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
-    return curve.order(dec.distinct_eigenvalues)
+    return curve.order(dec.distinct_eigenvalues, dec.norm)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

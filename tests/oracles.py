@@ -6,6 +6,9 @@ validate checks a SpectralDecomposition's structural invariants and its
 reconstruction of X; idempotent_swap exchanges two eigenvalues of X by its
 decomposition, the reference for the classifier's swapped samples;
 read_profile_csv reads back what regularity.write_profile_csv wrote.
+per_matrix_decompose is the per-matrix spectral_decompose as it was before
+the stacked decomposition (spectral._decompose_rows) replaced it, the
+reference of that decomposition's differential test.
 principal_angles, max_principal_angle, subspace_sum and
 subspace_intersection compare subspaces (orthonormal columns) and build
 their lattice operations, for the tests of the induced subspace map.
@@ -14,16 +17,28 @@ their lattice operations, for the tests of the induced subspace map.
 import csv
 import io
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from curvespec.errors import NumericalDomainError
+from curvespec.errors import (
+    DefectiveMatrixError,
+    NumericalDomainError,
+)
 from curvespec.regularity import RegularityProfile
 from curvespec.spectral import (
+    BASIS_COND_LIMIT,
     CLUSTER_RTOL,
+    NORMALITY_RTOL,
+    RANK_RTOL,
     RECONSTRUCTION_RTOL,
+    _cluster_components,
+    _cluster_means,
+    _schur,
     as_matrix,
+    conditioned,
+    reconstructs,
     spectral_decompose,
 )
 from curvespec.subspaces import orthonormal_columns
@@ -174,3 +189,102 @@ def subspace_intersection(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     if ns.shape[1] == 0:
         return np.zeros((U.shape[0], 0), dtype=complex)
     return orthonormal_columns(U @ ns[: U.shape[1], :])
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix decomposition before the stacked one, verbatim but for the
+# names: its result keeps the four fields it had, and the helpers it calls
+# (_schur, _cluster_components, _cluster_means and the admission tests) are
+# the package's own, unchanged
+
+
+@dataclass(eq=False)
+class PerMatrixDecomposition:
+    distinct_eigenvalues: np.ndarray
+    multiplicities: tuple
+    basis: np.ndarray
+    basis_inv: np.ndarray
+
+    def expanded(self) -> np.ndarray:
+        """Every eigenvalue, repeated by its multiplicity, in basis order."""
+        return np.repeat(self.distinct_eigenvalues, self.multiplicities)
+
+
+def _is_normal(X: np.ndarray, norm_x: float) -> bool:
+    # scaled to norm at most 1, so that the commutator cannot overflow;
+    # below norm 1 the division is exact
+    A = X / max(1.0, norm_x)
+    return np.linalg.norm(A @ A.conj().T - A.conj().T @ A) <= NORMALITY_RTOL
+
+
+def per_matrix_decompose(X) -> PerMatrixDecomposition:
+    X = as_matrix(X)
+    with np.errstate(over="ignore"):
+        norm_x = np.linalg.norm(X)
+    if not np.isfinite(norm_x):
+        # every relative tolerance below would be infinite or NaN
+        raise NumericalDomainError("matrix norm overflows")
+    tol = CLUSTER_RTOL * max(1.0, norm_x)
+    first = None
+    # each distinct threshold once, in this order
+    for t in dict.fromkeys((tol, min(tol, RECONSTRUCTION_RTOL * norm_x), 0.0)):
+        try:
+            return _decompose(X, t, norm_x)
+        except DefectiveMatrixError as exc:
+            # kept without its traceback, whose frames (this one, and so
+            # its callers) would otherwise live until the cyclic GC runs
+            first = first or exc.with_traceback(None)
+    try:
+        raise first
+    finally:
+        first = None  # the raised error's traceback holds this frame
+
+
+def _decompose(X: np.ndarray, tol: float, norm_x: float) -> PerMatrixDecomposition:
+    """spectral_decompose(X) with eigenvalues merged at tol."""
+    if _is_normal(X, norm_x):
+        T, Z = _schur(X)
+        d = np.diag(T)
+        clusters = _cluster_components(d, tol)
+        B = Z[:, np.concatenate(clusters)]
+        dec = _admitted(d, clusters, B, B.conj().T, X, norm_x)
+        if dec is not None:
+            return dec
+        # fall through: the Schur route can lose the reconstruction guard
+        # for inputs sitting right on the normality threshold
+
+    w, V = np.linalg.eig(X)
+    clusters = _cluster_components(w, tol)
+    blocks = []
+    for cols in clusters:
+        block = V[:, cols]
+        if cols.size > 1:
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            if s[-1] < RANK_RTOL * s[0]:
+                raise DefectiveMatrixError(
+                    f"eigenspace for clustered value {w[cols].mean():.6g} has "
+                    f"numerical rank below multiplicity {cols.size}"
+                )
+            block = u
+        blocks.append(block)
+    B = np.hstack(blocks)
+    if not conditioned(B[None])[0]:
+        raise DefectiveMatrixError(
+            f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
+        )
+    dec = _admitted(w, clusters, B, np.linalg.inv(B), X, norm_x)
+    if dec is None:
+        raise DefectiveMatrixError(
+            "diagonalization fails to reconstruct the input at tolerance"
+        )
+    return dec
+
+
+def _admitted(values, clusters, B, Binv, X, norm_x):
+    """The decomposition of X by the basis B (each cluster's columns
+    contiguous) and its inverse, or None when it does not reconstruct X."""
+    mults = tuple(int(c.size) for c in clusters)
+    dec = PerMatrixDecomposition(_cluster_means(values, clusters), mults, B, Binv)
+    if reconstructs(B[None], dec.expanded()[None], Binv[None], X[None], norm_x)[0]:
+        return dec
+    return None

@@ -19,7 +19,13 @@ from curvespec.checking import (
     continuity_probe,
 )
 from curvespec.curves import CornerGraph, Interval, Line, real_line, unit_circle_arc
-from curvespec.errors import ConfigError, MapProtocolError, NumericalDomainError
+from curvespec import maps
+from curvespec.errors import (
+    ConfigError,
+    DefectiveMatrixError,
+    MapProtocolError,
+    NumericalDomainError,
+)
 from curvespec.maps import (
     CanonicalMap,
     Compose,
@@ -699,6 +705,45 @@ class TestRhoContinuityExperiment:
 
         tab = continuity_probe(rho, path, samples=101)
         assert not tab.flag
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tables_are_continuity_probe_tables_of_rho(self, n):
+        # each path's stack is mapped by one call of rho, and the table is
+        # the one-matrix loop's, bit for bit
+        curve = CornerGraph(-1.0, 1.0)
+        rep = rho_continuity_experiment(curve, n, 0.0, samples=33,
+                                        rng=np.random.default_rng(3))
+        for style, tab in rep.path_tables.items():
+            want = continuity_probe(rho, collision_path(curve, n, 0.0, style), 33)
+            assert tab == want, style
+
+    @pytest.mark.parametrize("first", ["non-finite", "defective"])
+    def test_a_path_raises_its_earliest_rows_error(self, monkeypatch, first):
+        # a map that fails on the rows of small coupling, late on the path:
+        # on the smallest it raises, on the next ones it returns non-finite
+        # entries, or the other way round; the stack raises at its first
+        # raising row, and the experiment then raises the earliest row's
+        # error, as the one-matrix loop does
+        lo, hi = (1e-3, 2e-3) if first == "non-finite" else (2e-3, 1e-3)
+
+        def fake_rho(X):
+            X = np.asarray(X)
+            if X.ndim == 3:
+                return np.array([fake_rho(Y) for Y in X])
+            s = abs(X[0, 1])
+            if s < lo:
+                raise DefectiveMatrixError("no decomposition at tolerance")
+            return np.full_like(X, np.inf) if s < hi else X
+
+        path = collision_path(real_line(), 3, 0.0, "straddle-sym")
+        with pytest.raises(NumericalDomainError) as want:
+            continuity_probe(fake_rho, path)
+        assert type(want.value) is (
+            MapProtocolError if first == "non-finite" else DefectiveMatrixError)
+        monkeypatch.setattr(maps, "rho", fake_rho)
+        with pytest.raises(NumericalDomainError) as got:
+            rho_continuity_experiment(real_line(), 3, 0.0, rng=np.random.default_rng(1))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_report_json_fields(self):
         rep = rho_continuity_experiment(real_line(), 3, 0.0,

@@ -500,7 +500,8 @@ def _reference_reconstruct(bb, rng):
     eye = np.eye(n, dtype=complex)
 
     def line(u):
-        return _first_line_image(bb.apply(_probe_with_first_line(u, values)), values)
+        return _first_line_image(
+            spectral_decompose(bb.apply(_probe_with_first_line(u, values))), values)
 
     cols = [line(eye[:, i]) for i in range(n)]
     T = np.empty((n, n), dtype=complex)

@@ -148,6 +148,9 @@ class TestParseCurve:
     ["apply", "--map", json.dumps({"variant": "conj",
                                    "T": matrix_to_json(np.diag([1e200, 1e-200]))}),
      "--matrix", json.dumps(matrix_to_json(np.eye(2)))],
+    # a corner so steep that projecting onto it overflows
+    ["regularity", "--curve", "corner-graph:1e308,-1e308", "--center", "1e308",
+     "--order", "2", "--seed", "1"],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -188,6 +191,10 @@ def test_malformed_arguments_exit_two(capsys, argv):
     # a finite curve that carries a sample past the largest double
     *[[cmd, "--curve", HUGE_LINE_JSON, "--n", "3", "--seed", "1", *more]
       for cmd, more in (("sample", ()), ("check", ("--map", RHO_JSON)))],
+    # a probe center whose projection onto the curve overflows, and one
+    # that is itself past the largest double
+    *[["regularity", "--curve", curve, "--center", "1e308", "--order", "3",
+       "--seed", "1"] for curve in ("corner-graph:-1,1", "corner-graph:-2,2")],
 ])
 def test_numerical_failures_exit_three(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -198,6 +205,20 @@ def test_numerical_failures_exit_three(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "numerical-domain"
+
+
+@pytest.mark.parametrize("argv", [
+    # an arc of radius 1e308, whose endpoints lie past the largest double
+    # from a point on it; the first scale has no room for a tuple
+    ["regularity", "--curve", '{"kind":"circle_arc","radius":1e308}', "--center", "3",
+     "--order", "2", "--samples", "5", "--seed", "1", "--scales", "1e308,1"],
+])
+def test_extreme_arguments_exit_zero_without_a_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("argv,option,value", [
@@ -505,6 +526,17 @@ class TestClassify:
         code, text, _ = _run(capsys, "classify", "--curve", "real-line",
                              "--n", "3", "--seed", "5",
                              "--map", self.ORDER_JSON)
+        assert code == 0
+        obj = json.loads(text)
+        assert obj["type"] == "ordering_map" and obj["residual"] <= 1e-6
+
+    def test_order_map_labeled_on_a_large_window(self, capsys):
+        # eigenvalues near 1e7 sit more than the curve's 1e-9 off the line:
+        # every curve order of the classifier runs at the scale ||X||
+        order = json.dumps({"variant": "order", "curve": {"kind": "real_interval"},
+                            "T": matrix_to_json(np.eye(4))})
+        code, text, _ = _run(capsys, "classify", "--curve", "real-line", "--n", "4",
+                             "--window", "1e6,1e7", "--seed", "1", "--map", order)
         assert code == 0
         obj = json.loads(text)
         assert obj["type"] == "ordering_map" and obj["residual"] <= 1e-6

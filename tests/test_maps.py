@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from curvespec.curves import (
+    CornerGraph,
     Interval,
+    Line,
     RealInterval,
     UnitCircleClosed,
     real_line,
@@ -37,6 +40,7 @@ from curvespec.spectral import (
     RECONSTRUCTION_RTOL,
     _batch_eig,
     _certified_normal,
+    _decompose_rows,
     MatrixClass,
     default_window,
     matrix_to_json,
@@ -208,6 +212,71 @@ def test_rho_and_order_map_commute_with_scaling(seed, n, mclass, k, log_gap):
         want = c * m.apply(X)
         got = m.apply(c * X)
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), type(m).__name__
+
+
+def _rho_outcome(Xs):
+    try:
+        return rho(Xs).tobytes()
+    except Exception as exc:  # the outcome compared is the error's type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rho_of_a_stack_is_rho_of_each_row_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    Xs = np.concatenate([sample_batch(real_line(), n, c, rng, count=20)
+                         for c in MatrixClass])
+    Xs = Xs[rng.permutation(len(Xs))]
+    Xs[5] = np.diag(np.arange(n) * 1e-9)  # a row the retry ladder serves
+    assert rho(Xs).tobytes() == b"".join(rho(X).tobytes() for X in Xs)
+    # a stack raises what its earliest failing row raises alone, whatever
+    # the kind of the later one's error
+    jordan = np.eye(n) + np.diag(np.ones(n - 1), 1)
+    huge, nan = 1e200 * Xs[0], np.full((n, n), np.nan)
+    for first, later in itertools.permutations((jordan, huge, nan), 2):
+        Ys = Xs.copy()
+        Ys[7], Ys[13] = first, later
+        assert _rho_outcome(Ys) == _rho_outcome(first)
+    assert rho(Xs[:0]).shape == (0, n, n)
+
+
+_CURVES = {"real line": real_line(), "line": Line(0j, np.exp(0.3j)),
+           "corner": CornerGraph(-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("curve", list(_CURVES))
+@pytest.mark.parametrize("mclass", list(MatrixClass))
+@pytest.mark.parametrize("n", [3, 5])
+def test_rho_relations_hold_within_the_perturbation_bound(curve, mclass, n):
+    """Unitary covariance, rho(U X U*) = U rho(X) U*, and, on the real line,
+    translation, rho(X + dI) = rho(X) + dI for real d, within
+    64 n eps kappa(B)^2 ||X||_F (||X||_F + |d| sqrt(n) for translation).
+
+    The bound: rho(X) = (B conj(L) B^-1)* for X = B L B^-1.  To first order
+    a change dX moves B conj(L) B^-1 by B (F o (B^-1 dX B)) B^-1, where F
+    holds the divided differences of conj on the spectrum, of modulus 1
+    (and each eigenvalue's change is conjugated, of the same modulus); so
+    the change is at most kappa(B)^2 ||dX||_F.  The rounding of each side
+    (forming U X U* or X + dI, the eigensolve's backward error, the
+    products) is such a dX, of a small multiple of n eps ||X||_F.  The
+    largest ratio measured over these cells is about 7.5, on normal rows
+    (kappa = 1); 64 leaves a margin of about 8.
+    """
+    rng = np.random.default_rng(1900 + 10 * n + list(_CURVES).index(curve))
+    count = 50
+    (Xs,), _ = DomainSpec(_CURVES[curve], n, mclass).sample(rng, count)
+    kappa = np.linalg.cond(_decompose_rows(Xs)[0].B)
+    eps = np.finfo(float).eps
+    U = np.array([random_unitary(n, rng) for _ in range(count)])
+    UH = U.conj().transpose(0, 2, 1)
+    err = np.linalg.norm(rho(U @ Xs @ UH) - U @ rho(Xs) @ UH, axis=(1, 2))
+    scale = np.linalg.norm(Xs, axis=(1, 2))
+    assert np.all(err <= 64 * n * eps * kappa**2 * scale)
+    if curve == "real line":
+        d = rng.uniform(-10.0, 10.0, count)[:, None, None] * scale[:, None, None]
+        dI = d * np.eye(n)
+        err = np.linalg.norm(rho(Xs + dI) - (rho(Xs) + dI), axis=(1, 2))
+        assert np.all(err <= 64 * n * eps * kappa**2 * (scale + np.abs(d[:, 0, 0]) * np.sqrt(n)))
 
 
 def test_eigen_conj_fixes_hermitian():

@@ -6,6 +6,7 @@ import json
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from curvespec.errors import (
     DefectiveMatrixError,
     NumericalDomainError,
 )
+from curvespec import spectral
 from curvespec.spectral import (
     _assemble,
     _bottleneck,
@@ -40,6 +42,7 @@ from curvespec.spectral import (
     _SAMPLE_COND_LIMIT,
     _cluster_means,
     _curve_order,
+    _decompose_rows,
     _fix_phase,
     _haar_frames,
     _matchable,
@@ -68,7 +71,7 @@ from curvespec.spectral import (
 )
 from curvespec.maps import FRAME_COND_LIMIT, Conj
 from curvespec.subspaces import line_distance
-from oracles import is_orthogonal, validate
+from oracles import is_orthogonal, per_matrix_decompose, validate
 
 
 def test_rotation_matrix_projectors():
@@ -1004,3 +1007,89 @@ def test_each_threshold_is_compared_in_one_function():
         "FRAME_COND_LIMIT": {"_Framed.__post_init__": 1},
         "_SAMPLE_COND_LIMIT": {"_skew_frames": 1},
     }
+
+
+# ---------------------------------------------------------------------------
+# the stacked decomposition against the per-matrix route it replaced
+
+
+def _mixed_rows(rng, n: int, count: int) -> np.ndarray:
+    """count matrices of size n, each of one of six kinds at a scale in
+    1e-8..1e8: normal, near-normal, clustered, near-Jordan, skewed (from
+    well to badly conditioned) and with an overflowing norm; one row is
+    not finite, and one is triangular, with eigenvalues whose imaginary
+    parts are -0.0."""
+    rows = []
+    for i in range(count):
+        kind = i % 6
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Q = random_unitary(n, rng)
+        lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == 0:
+            X = (Q * lam) @ Q.conj().T
+        elif kind == 1:
+            # a strictly upper perturbation in the eigenframe, at the size of
+            # the normality and reconstruction thresholds
+            X = Q @ (np.diag(lam) + 10 ** rng.uniform(-11, -6) * np.triu(G, 1)) @ Q.conj().T
+        elif kind == 2:
+            lam[1] = lam[0] * (1 + 10 ** rng.uniform(-12, -6))
+            S = np.eye(n) + rng.choice([0.0, 0.5]) * G
+            X = S @ np.diag(lam) @ np.linalg.inv(S)
+        elif kind == 3:
+            # the first is a Jordan block
+            spread, coupling = (10 ** rng.uniform(-9, -3), 10 ** rng.uniform(-8, 0)) if (
+                i > kind) else (0.0, 1.0)
+            X = np.diag(1.0 + spread * np.arange(n)) + np.diag(np.full(n - 1, coupling), 1)
+        elif kind == 4:
+            S = np.eye(n) + rng.choice([0.5, 3.0, 1e3, 1e5]) * G
+            X = S @ np.diag(lam) @ np.linalg.inv(S)
+        else:
+            X = 1e200 * G
+        rows.append(X if kind == 5 else 10 ** rng.uniform(-8, 8) * X)
+    Xs = np.array(rows, dtype=complex)
+    Xs[count // 2, 0, 0] = np.nan
+    Xs[1] = np.triu(np.ones((n, n)), 1) + np.diag(np.arange(1.0, n + 1) - 0j)
+    Xs[1].imag[np.diag_indices(n)] = -0.0
+    return Xs
+
+
+def _fields(dec):
+    return (dec.distinct_eigenvalues.tobytes(), dec.multiplicities,
+            dec.basis.tobytes(), dec.basis_inv.tobytes())
+
+
+def _decomposed(f, X):
+    try:
+        return _fields(f(X))
+    except Exception as exc:  # the outcome compared is the error's type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_decomposition_is_the_per_matrix_route_row_by_row(n):
+    Xs = _mixed_rows(np.random.default_rng(2700 + n), n, 60)
+    want = [_decomposed(per_matrix_decompose, X) for X in Xs]
+    errors = {w[0] for w in want if isinstance(w[0], type)}
+    assert errors == {ConfigError, DefectiveMatrixError, NumericalDomainError}
+    # the one-row case, also on a matrix stored column by column
+    assert [_decomposed(spectral_decompose, X) for X in Xs] == want
+    assert [_decomposed(spectral_decompose, np.asfortranarray(X)) for X in Xs] == want
+    # each stack decomposes its leading rows and reports the next row's
+    # error; the rest of the stack is then decomposed on its own
+    start = per_row = 0
+    with mock.patch.object(spectral, "_decompose_row",
+                           wraps=spectral._decompose_row) as route:
+        while start < len(Xs):
+            decs, exc = _decompose_rows(Xs[start:])
+            k = len(decs.d)
+            assert [_fields(decs.row(i)) for i in range(k)] == want[start: start + k]
+            assert [decs.row(i).norm for i in range(k)] == [
+                np.linalg.norm(X) for X in Xs[start: start + k]]
+            if exc is None:
+                assert start + k == len(Xs)
+            else:
+                assert (type(exc), str(exc)) == want[start + k]
+            start += k + 1
+        per_row = route.call_count
+    # both routes ran on many rows
+    assert min(per_row, len(Xs) - per_row) >= len(Xs) // 8
