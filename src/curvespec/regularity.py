@@ -33,6 +33,7 @@ from .curves import Curve, curve_to_json
 from .errors import (
     CoincidentPointsError,
     ConfigError,
+    CurvespecError,
     NumericalDomainError,
 )
 
@@ -507,7 +508,7 @@ def rho_continuity_experiment(
         Xs = _path_matrices(path, samples)
         try:
             tables[style] = _continuity_table(Xs, _validated("map", Xs, rho(Xs)))
-        except Exception:
+        except (CurvespecError, np.linalg.LinAlgError):
             # continuity_probe maps one matrix at a time, so it raises the
             # earliest row's error, which may be a non-finite image of a row
             # before the one that the stack raised on

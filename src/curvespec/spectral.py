@@ -46,6 +46,7 @@ from .curves import Curve, Interval, TAU, _real
 from .errors import (
     ClosedCurveError,
     ConfigError,
+    CurvespecError,
     DefectiveMatrixError,
     NumericalDomainError,
     OffCurveError,
@@ -346,7 +347,7 @@ def _decompose_rows(Xs: np.ndarray):
     for i in np.flatnonzero(per_row).tolist():
         try:
             dec = _decompose_row(Xs[i], norms[i], normal[i])
-        except Exception as exc:
+        except (CurvespecError, np.linalg.LinAlgError) as exc:
             return _Decompositions(d[:i], B[:i], Binv[:i], mults[:i], norms[:i]), exc
         d[i], B[i], Binv[i] = dec.expanded(), dec.basis, dec.basis_inv
         mults[i] = dec.multiplicities
@@ -374,6 +375,8 @@ def _simple_rows(Xs: np.ndarray, norms: np.ndarray, rows: np.ndarray):
         ok = separated(w, norms[rows]) & conditioned(V)
         if not ok.all():
             rows, w, V = rows[ok], w[ok], V[ok]
+            if not rows.size:
+                return rows, None, None, None
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return rows[:0], None, None, None
