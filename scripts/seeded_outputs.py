@@ -108,6 +108,10 @@ COMMANDS = [
     ["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "4",
      "--mode", "dc", "--seed", "{seed}"],
     ["rho-continuity", "--curve", "corner-graph:-1,1", "--n", "4", "--seed", "{seed}"],
+    # the corner_collision benchmark's probe size: 500 rows a one-sided
+    # stratum, where each call runs past a separation halving
+    *[["regularity", "--curve", "corner-graph:-1,1", "--center", "0", "--order", "5",
+       "--samples", "2000", "--mode", mode, "--seed", "{seed}"] for mode in ("db", "dc")],
     # the experiment's bounded side, and a second corner
     *[["rho-continuity", "--curve", curve, *n, "--seed", "{seed}"]
       for curve in ("real-line", "corner-graph:-0.5,2") for n in ((), ("--n", "4"))],
