@@ -274,6 +274,12 @@ class Curve:
         zs, ts, ds = self._nearest(zs)
         near = ds <= self.tol * np.maximum(1.0, scale)
         if not near.all():
+            # a finite point whose projection overflows has no distance
+            lost = np.flatnonzero(np.isfinite(zs) & ~np.isfinite(ts))
+            if lost.size:
+                raise OffCurveError(
+                    f"projection of point {zs[lost[0]]} onto the {self.kind} "
+                    "curve overflows")
             # the farthest point off the curve; a NaN distance is the farthest
             worst = int(np.argmax(np.where(near, -np.inf, ds)))
             raise OffCurveError(
@@ -570,13 +576,17 @@ class CornerGraph(Curve):
     def _project_array(self, zs: np.ndarray) -> np.ndarray:
         dl, dr = complex(1.0, self.a), complex(1.0, self.b)
         tl = _line_params(zs, 0j, dl)
-        tl = np.where(tl < 0.0, tl, 0.0)
         tr = _line_params(zs, 0j, dr)
+        # a finite point's branch parameter that overflows on its own side,
+        # or is NaN, leaves the nearest point unknown; one past the corner
+        # clamps to it
+        lost = np.isfinite(zs) & ~((tl > -np.inf) & (tr < np.inf))
+        tl = np.where(tl < 0.0, tl, 0.0)
         tr = np.where(tr > 0.0, tr, 0.0)
         dist_l = _abs(tl * dl - zs)
         dist_r = _abs(tr * dr - zs)
         # Ties go to the left branch (smaller parameter).
-        return np.where(dist_r < dist_l, tr, tl)
+        return np.where(lost, np.nan, np.where(dist_r < dist_l, tr, tl))
 
 
 # -- factories ------------------------------------------------------------

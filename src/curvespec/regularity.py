@@ -187,6 +187,26 @@ def _stratum_plan(samples: int) -> list:
     ]
 
 
+def _acceptable(u: np.ndarray, stratum: str, sep: float) -> np.ndarray:
+    """Mask of the rows of u that lie in the stratum (straddle: min < -sep/4
+    and max > sep/4; left: max < 0; right: min > 0) and whose sorted entries
+    are at least sep apart."""
+    # reducing over the k column views is cheap where an axis=1 reduction
+    # along short rows is not; sort only rows in the stratum
+    if stratum == "straddle":
+        ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
+              & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
+    elif stratum == "left":
+        ok = functools.reduce(np.maximum, u.T) < 0.0
+    else:
+        ok = functools.reduce(np.minimum, u.T) > 0.0
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        st = np.sort(u[rows], axis=1).T
+        ok[rows] = functools.reduce(np.minimum, st[1:] - st[:-1]) >= sep
+    return ok
+
+
 def _sample_offsets(
     rng: np.random.Generator,
     stratum: str,
@@ -197,49 +217,62 @@ def _sample_offsets(
 ) -> np.ndarray:
     """Unit-scale parameter offsets in [lo, hi] with pairwise separation.
 
-    Seeded probe outputs rest on this stream contract.  Each round makes
-    exactly one rng call, ``rng.uniform(lo, hi, size=(4 * (count - have), k))``
-    with ``have`` rows accepted so far; ``count == 0`` makes none.  A row is
-    acceptable when it lies in the stratum (straddle: min < -sep/4 and
-    max > sep/4; left: max < 0; right: min > 0) and its sorted entries are
-    at least ``sep`` apart.  The result is the first ``count`` acceptable
-    rows in draw order.  The rounds fix only how far the stream advances
-    and when ``sep`` halves: before rounds 101, 202, 303 and so on, every
-    101 rounds.  How a round computes its acceptance mask is free, as long
-    as the mask stays exact.
+    Seeded probe outputs rest on this stream contract: the rows returned and
+    the state in which rng is left are those of a round loop.  Its round r
+    draws ``rng.uniform(lo, hi, size=(4 * (count - have), k))``, with
+    ``have`` rows accepted so far, and keeps the first rows that
+    ``_acceptable`` passes at ``sep``, up to the ``count - have`` still
+    missing; ``sep`` starts at 0.05 and halves before rounds 101, 202, 303
+    and so on.  The loop stops after the round that fills ``count`` rows,
+    and ``count == 0`` draws nothing.  The number of rng calls is not part
+    of the contract.  The halving bounds the rounds on a box too thin for
+    sep, but a stratum that rarely accepts reaches it on ordinary boxes too
+    (one-sided strata of 500 rows at order 5 on [-1, 1] take 107 to 179
+    rounds a call), and then draws its last rows at half of sep.
+
+    The rounds run as a scan over blocks of the same stream: uniform draws
+    element by element whatever the shape, so the rounds are consecutive
+    runs of rows.  Each block holds 4 * count rows, the loop's largest
+    draw, and is judged at once; the rounds are then replayed on integers,
+    and a halving re-judges the block's unconsumed rows.  A round may span
+    two blocks.  When the last block is only partly used, rng is put back
+    to the state before its draw and redraws the rows used, which leaves
+    every numpy bit generator where the round loop leaves it.
     """
-    if count == 0:
-        return np.zeros((0, k))
     out = np.zeros((count, k))
+    if count == 0:
+        return out
+    block = 4 * count
     have = 0
     sep = _MIN_SEPARATION
-    rounds = 0
+    rounds = 0  # since the last halving
+    left = 0  # rows of the current round not yet consumed
     while have < count:
-        rounds += 1
-        if rounds > 100:
-            # bounds the rounds on a box too thin for sep; a stratum that
-            # rarely accepts gets here too (one-sided strata at order 5 take
-            # 107 to 179 rounds a call on ordinary boxes), and its last rows
-            # are then drawn at half of sep
-            sep *= 0.5
-            rounds = 0
-        u = rng.uniform(lo, hi, size=(4 * (count - have), k))
-        # reducing over the k column views is cheap where an axis=1
-        # reduction along short rows is not; sort only rows in the stratum
-        if stratum == "straddle":
-            ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
-                  & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
-        elif stratum == "left":
-            ok = functools.reduce(np.maximum, u.T) < 0.0
-        else:
-            ok = functools.reduce(np.minimum, u.T) > 0.0
-        good = u[ok]
-        if good.shape[0]:
-            st = np.sort(good, axis=1).T
-            good = good[functools.reduce(np.minimum, st[1:] - st[:-1]) >= sep]
-        take = min(count - have, good.shape[0])
-        out[have : have + take] = good[:take]
-        have += take
+        state = rng.bit_generator.state
+        u = rng.uniform(lo, hi, size=(block, k))
+        ok = _acceptable(u, stratum, sep)
+        seen = np.cumsum(ok)  # acceptable rows among the first i + 1
+        start, pos = have, 0
+        while pos < block and (left or have < count):
+            if not left:
+                rounds += 1
+                if rounds > 100:
+                    sep *= 0.5
+                    rounds = 0
+                    ok[pos:] = _acceptable(u[pos:], stratum, sep)
+                    seen = np.cumsum(ok)
+                left = 4 * (count - have)
+            # every round before the last keeps all of its acceptable rows
+            end = min(pos + left, block)
+            have = min(count, start + int(seen[end - 1]))
+            left -= end - pos
+            pos = end
+        out[start:have] = u[np.flatnonzero(ok[:pos])[: have - start]]
+    if pos < block:
+        rng.bit_generator.state = state
+        rng.uniform(lo, hi, size=(pos, k))
+    if left:
+        rng.uniform(lo, hi, size=(left, k))
     return out
 
 

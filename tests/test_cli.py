@@ -207,6 +207,17 @@ def test_numerical_failures_exit_three(capsys, argv):
     assert json.loads(lines[0])["error"] == "numerical-domain"
 
 
+def test_an_overflowing_projection_is_reported_as_such(capsys):
+    # the center's point lies on the right branch; its projection overflows
+    code, out, err = _run(capsys, "regularity", "--curve", "corner-graph:-1,1",
+                          "--center", "1e308", "--order", "3", "--seed", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "numerical-domain",
+        "message": "projection of point (1e+308+1e+308j) onto the corner_graph "
+                   "curve overflows"}
+
+
 @pytest.mark.parametrize("argv", [
     # an arc of radius 1e308, whose endpoints lie past the largest double
     # from a point on it; the first scale has no room for a tuple

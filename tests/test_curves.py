@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,39 @@ def test_order_rejects_off_curve_points(curve, u, off):
         curve.order([z, z + off])
     with pytest.raises(OffCurveError):
         curve.order([[z, z], [z + off, z]])
+
+
+@pytest.mark.parametrize("curve,z", [
+    (CornerGraph(-1.0, 1.0), 1e308 + 1e308j),
+    (CornerGraph(-1.0, 1.0), -1e308 + 1e308j),
+    (Line(0j, 1 + 1j), 1e308 + 1e308j),
+])
+def test_an_overflowing_projection_is_not_a_distance(curve, z):
+    # each point is the curve's own, but its parameter is past the largest
+    # double: no nearest point, and so no distance, can be named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OffCurveError) as info:
+            curve.invert(z)
+    assert str(info.value) == (f"projection of point {complex(z)} onto the "
+                               f"{curve.kind} curve overflows")
+
+
+@pytest.mark.parametrize("curve,z,message", [
+    # finite projections, far or non-finite points: still a distance
+    (CornerGraph(-1.0, 1.0), 1e308 - 3j, "point (1e+308-3j) is at distance "
+     "7.071e+307 from the corner_graph curve (tol 1.0e-09)"),
+    (CornerGraph(-1.0, 1.0), complex(math.inf, 0.0), "point (inf+0j) is at "
+     "distance inf from the corner_graph curve (tol 1.0e-09)"),
+    (CornerGraph(-1.0, 1.0), complex(0.0, math.inf), "point infj is at "
+     "distance inf from the corner_graph curve (tol 1.0e-09)"),
+    (Line(0j, 1 + 1j), complex(math.inf, 0.0), "point (inf+0j) is at "
+     "distance inf from the line curve (tol 1.0e-09)"),
+])
+def test_other_off_curve_messages_keep_their_distance(curve, z, message):
+    with pytest.raises(OffCurveError) as info:
+        curve.invert(z)
+    assert str(info.value) == message
 
 
 def test_membership_scales_the_tolerance_by_the_matrix_norm():

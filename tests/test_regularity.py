@@ -317,13 +317,58 @@ def _stratum_has_room(stratum, k, lo, hi):
     return lo <= -0.25 * 0.05 and hi >= 0.25 * 0.05
 
 
-def _assert_same_stream(seed, stratum, count, k, lo, hi):
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                   np.random.Philox, np.random.SFC64)
+
+
+def _assert_same_state(got, want):
+    """Bit-generator states equal field by field (MT19937's key is an array)."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_state(got[key], want[key])
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def _assert_same_stream(seed, stratum, count, k, lo, hi,
+                        bit_generator=np.random.PCG64, cached=False):
+    """The sampler and the reference, on two generators built alike, return
+    the same rows and leave the same state; with ``cached``, a 32-bit draw
+    first leaves half a word in the generator's cache, and the next 32-bit
+    draws after the call agree too."""
+    ref_rng, rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    if cached:
+        for g in (ref_rng, rng):
+            g.integers(0, 1000, dtype=np.int32)
     want, rounds = _reference_sample_offsets(ref_rng, stratum, count, k, lo, hi)
     got = _sample_offsets(rng, stratum, count, k, lo, hi)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _assert_same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    if cached:
+        assert (rng.integers(0, 1000, size=5, dtype=np.int32).tolist()
+                == ref_rng.integers(0, 1000, size=5, dtype=np.int32).tolist())
     return rounds
+
+
+class _RecordingRng:
+    """A generator that records the row count of each uniform draw: run
+    through the reference, the rows of each of its rounds."""
+
+    def __init__(self, seed):
+        self.rng, self.rows = np.random.default_rng(seed), []
+
+    def uniform(self, lo, hi, size):
+        self.rows.append(size[0])
+        return self.rng.uniform(lo, hi, size=size)
+
+
+def _round_rows(seed, stratum, count, k, lo, hi):
+    rec = _RecordingRng(seed)
+    _reference_sample_offsets(rec, stratum, count, k, lo, hi)
+    return rec.rows
 
 
 _ORACLE_CASES = [(stratum, k, lo, hi, count)
@@ -344,6 +389,64 @@ def test_sample_offsets_stream_survives_separation_halving():
     # passes 100 rounds, so sep halves before the last rows are accepted
     rounds = _assert_same_stream(3, "left", 500, 5, -1.0, 1.0)
     assert rounds > 100
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS,
+                         ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("stratum,count,k,lo,hi", [
+    ("straddle", 7, 3, -1.0, 1.0),
+    ("straddle", 40, 6, -1.0, 0.03),
+    ("right", 40, 4, -0.3, 1.0),
+    ("left", 500, 5, -1.0, 1.0),
+])
+def test_sample_offsets_stream_holds_for_every_bit_generator(
+        bit_generator, cached, stratum, count, k, lo, hi):
+    _assert_same_stream(5, stratum, count, k, lo, hi, bit_generator, cached)
+
+
+# the sampler scans the stream in blocks of 4 * count rows, the first round's
+# draw; these cases pin where the rounds fall against those blocks
+
+
+def test_sample_offsets_stream_with_a_partly_used_last_block():
+    args = ("right", 50, 5, -1.0, 1.0)
+    rows = _round_rows(7, *args)
+    assert len(rows) > 1 and sum(rows) % (4 * 50) != 0
+    # some round spans two blocks
+    ends = np.cumsum(rows)
+    assert np.any(ends // 200 != (ends - np.array(rows)) // 200)
+    _assert_same_stream(7, *args)
+
+
+@pytest.mark.parametrize("seed", [37, 68])
+def test_sample_offsets_stream_when_the_last_round_spans_two_blocks(seed):
+    # the last round fills count in its second block (37) or in its first,
+    # where the rest of the round is still drawn (68)
+    args = ("left", 7, 3, -1.0, 1.0)
+    rows = _round_rows(seed, *args)
+    end = sum(rows)
+    assert (end - rows[-1]) // 28 != (end - 1) // 28
+    _assert_same_stream(seed, *args)
+
+
+def test_sample_offsets_stream_with_a_wholly_used_block():
+    # one round, exactly one block: nothing to put back
+    rows = _round_rows(2, "straddle", 30, 3, -1.0, 1.0)
+    assert rows == [120]
+    _assert_same_stream(2, "straddle", 30, 3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_sample_offsets_stream_when_sep_halves_inside_a_block(seed):
+    args = ("left", 100, 5, -1.0, 1.0)
+    rows = _round_rows(seed, *args)
+    assert len(rows) > 101
+    halving = sum(rows[:100])  # rows drawn before round 101
+    assert halving % (4 * 100) != 0
+    _assert_same_stream(seed, *args)
+    for bit_generator in _BIT_GENERATORS:
+        _assert_same_stream(seed, *args, bit_generator=bit_generator)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5),
