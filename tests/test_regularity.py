@@ -444,7 +444,6 @@ def test_sample_offsets_stream_when_sep_halves_inside_a_block(seed):
     assert len(rows) > 101
     halving = sum(rows[:100])  # rows drawn before round 101
     assert halving % (4 * 100) != 0
-    _assert_same_stream(seed, *args)
     for bit_generator in _BIT_GENERATORS:
         _assert_same_stream(seed, *args, bit_generator=bit_generator)
 
