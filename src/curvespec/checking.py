@@ -490,7 +490,9 @@ class ContinuityTable:
 
 def continuity_probe(f, path, samples: int = 101) -> ContinuityTable:
     """Modulus-of-continuity table for the map f, one matrix in and one
-    matrix out, along path: [0,1] -> matrices.
+    matrix out, along path: [0,1] -> matrices.  The path's matrices cross
+    BlackBoxMap.apply_rows as one stack, so a map with its own apply_batch
+    maps them in one call, and the error raised is the earliest row's.
 
     The grid is uniform; delta levels double from the grid spacing upward.
     The discontinuity flag trips iff the output sup at the finest delta
@@ -500,25 +502,11 @@ def continuity_probe(f, path, samples: int = 101) -> ContinuityTable:
     clears _OUTPUT_FLOOR (constant paths stay quiet).  Thresholds are
     heuristics; the raw table is the real product.
     """
-    Xs = _path_matrices(path, samples)
-    FXs = np.empty_like(Xs)
-    for i, X in enumerate(Xs):
-        FXs[i] = _validated("map", X, f(X))
-    return _continuity_table(Xs, FXs)
-
-
-def _path_matrices(path, samples: int) -> np.ndarray:
-    """The (samples, n, n) stack of path's matrices on the uniform grid of
-    [0, 1]."""
     if samples < 3:
         raise ConfigError("need at least 3 path samples")
-    return np.array([as_matrix(path(t)) for t in np.linspace(0.0, 1.0, samples)])
-
-
-def _continuity_table(Xs: np.ndarray, FXs: np.ndarray) -> ContinuityTable:
-    """continuity_probe's table from a path's matrices Xs on the uniform
-    grid and their images FXs."""
-    samples = len(Xs)
+    Xs = np.array([as_matrix(path(t)) for t in np.linspace(0.0, 1.0, samples)])
+    # the sampling domain plays no part in applying the map
+    FXs = BlackBoxMap(f, None).apply_batch(Xs)
     spacing = 1.0 / (samples - 1)
     deltas = []
     d = spacing

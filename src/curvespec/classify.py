@@ -19,7 +19,10 @@ label.
 Each stage (the equivariance trials, the 2n probes, the frame samples,
 the holdout) builds its inputs first and crosses BlackBoxMap.apply_rows
 once; failures come out in the order of a one-at-a-time loop, though an
-external program may see rows after the one that fails.
+external program may see rows after the one that fails.  The trials'
+output eigenlines are the basis columns of one call of the maps' batch
+route (spectral._batch_eig), and the frame samples and the probe images
+are decomposed in one call of the stacked decomposition.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checking import BlackBoxMap
-from .curves import Curve, punctured_unit_circle
+from .curves import punctured_unit_circle
 from .errors import (
     ClosedCurveError,
     CoincidentPointsError,
@@ -145,26 +148,6 @@ def _with_swap(draw, curve, j):
     return draw._replace(lam=np.array([lam, swapped])[:, None])
 
 
-def _eigenlines(FXs: np.ndarray, curve: Curve):
-    """Unit eigenvectors in curve order of the leading rows of a (N, n, n)
-    stack, and the exception raised on the next row, or None.
-
-    The batch route (spectral._batch_eig) serves the rows that the
-    per-matrix decomposition would accept, with their eigenvectors in
-    curve order.  Every other row goes through
-    eigenflag(spectral_decompose(...)) and raises as it does.
-    """
-    fast, _, V, _ = _batch_eig(FXs, curve)
-    lines = np.empty_like(FXs)
-    lines[fast] = V[fast] / np.linalg.norm(V[fast], axis=1, keepdims=True)
-    for i in np.flatnonzero(~fast):
-        try:
-            lines[i] = eigenflag(spectral_decompose(FXs[i]), curve)
-        except Exception as exc:
-            return lines[:i], exc
-    return lines, None
-
-
 def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray):
     """Per trial, whether the output eigenlines of X (L) and of X with its
     eigenvalues j and j+1 swapped (Lt) show the swapped pattern and the
@@ -194,8 +177,9 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     from its draw (see _with_swap).  Their 2 * trials inputs X_1, X'_1,
     X_2, X'_2, ... go to the map in that order through one
     BlackBoxMap.apply_rows, which hands a map with its own apply_batch the
-    whole stack, and one stacked eig decomposes the outputs (see
-    _eigenlines).
+    whole stack, and one call of the batch route (spectral._batch_eig)
+    gives the outputs' eigenlines, the unit eigenvectors in curve order,
+    each row failing as eigenflag(spectral_decompose(...)) does.
     Failures come out as they would one trial at a time: trials are judged
     in order, and a failure to draw, to apply the map or to decompose an
     output at trial k is raised only after trials 0..k-1 are judged.
@@ -216,7 +200,7 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
     if exc is not None:
         failure = exc
-    lines, exc = _eigenlines(FXs[: FXs.shape[0] // 2 * 2], curve)
+    _, lines, exc = _batch_eig(FXs[: FXs.shape[0] // 2 * 2], curve)
     if exc is not None:
         failure = exc
     m = lines.shape[0] // 2

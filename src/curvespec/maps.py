@@ -7,14 +7,13 @@ against its own spectral idempotents.  Compositions apply left to right.
 
 A map is its apply_batch over (count, n, n) stacks; apply(X) is
 apply_batch on the one-row stack X[None], so the two agree bit for bit,
-and a stack raises what its first failing row raises alone.  The spectral
-maps take the batch route of spectral._batch_eig, one stacked eigensolve,
-on the rows that the per-matrix decomposition would accept; every other
-row takes the per-matrix route and its guards.  Both routes admit a row
-by the admission tests of spectral (separated, conditioned and
-reconstructs), and a frame by conditioned at FRAME_COND_LIMIT.  The
-involution fixes normal matrices, so Rho returns a row that Henrici's
-bound certifies normal unchanged, before any eigensolve.
+and a stack raises what its first failing row raises alone.  OrderMap
+takes its spectra from the batch route, spectral._batch_eig: one stacked
+eigensolve on the rows that Henrici's bound certifies normal and whose
+spectrum is simple, and the stacked decomposition on every other row.
+The involution fixes normal matrices, so Rho returns a certified row
+unchanged, before any eigensolve, and maps every other row by rho().  A
+frame is admitted by conditioned at FRAME_COND_LIMIT.
 """
 
 from __future__ import annotations
@@ -167,21 +166,13 @@ class OrderMap(_Framed):
             )
         super().__post_init__()
 
-    def _sorted_spectrum(self, X: np.ndarray) -> np.ndarray:
-        """The eigenvalues of one matrix in curve order (at the scale
-        ||X||), multiplicities contiguous, from spectral_decompose and its
-        guards."""
-        dec = spectral_decompose(X)
-        order = self.curve.order(dec.distinct_eigenvalues, np.linalg.norm(X))
-        return np.repeat(
-            dec.distinct_eigenvalues[order], np.asarray(dec.multiplicities)[order]
-        )
-
     def apply_batch(self, Xs):
-        Xs = self._stack(Xs)
-        fast, w, _, _ = _batch_eig(Xs, self.curve, vectors=False)
-        for i in np.flatnonzero(~fast):
-            w[i] = self._sorted_spectrum(Xs[i])
+        w, _, exc = _batch_eig(self._stack(Xs), self.curve, vectors=False)
+        if exc is not None:
+            try:
+                raise exc
+            finally:
+                exc = None  # the raised error's traceback holds this frame
         return (self.T * w[:, None, :]) @ self._Tinv
 
 
@@ -192,25 +183,18 @@ class Rho(CanonicalMap):
     rho fixes every normal matrix, so a row that Henrici's bound certifies
     normal to within the reconstruction tolerance
     (spectral._certified_normal) is returned unchanged, with no
-    eigensolve.  Every other row takes the batch eigenvector route, and
-    rho() maps the stack of the rows that route turns away.  On a
-    near-normal row rho() takes the Schur route, whose result differs from
-    X, and from the batch route's, by the departure from normality, which
-    may reach the reconstruction tolerance: rho(X) and apply(X) may differ
-    by that much.
+    eigensolve, and every other row is rho() of that row, bit for bit.
+    On a certified row rho() takes the Schur route, whose result differs
+    from X by the departure from normality, within the reconstruction
+    tolerance.
     """
 
     def apply_batch(self, Xs):
         Xs = np.asarray(Xs, dtype=complex)
         out = Xs.copy()
         rest = np.flatnonzero(~_certified_normal(Xs))
-        fast, w, V, Vinv = _batch_eig(Xs[rest])
-        out[rest[fast]] = (
-            Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
-        ) @ V[fast].conj().transpose(0, 2, 1)
-        slow = rest[~fast]
-        if slow.size:
-            out[slow] = rho(Xs[slow])
+        if rest.size:
+            out[rest] = rho(Xs[rest])
         return out
 
 

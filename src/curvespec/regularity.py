@@ -33,7 +33,6 @@ from .curves import Curve, curve_to_json
 from .errors import (
     CoincidentPointsError,
     ConfigError,
-    CurvespecError,
     NumericalDomainError,
 )
 
@@ -504,6 +503,20 @@ class RhoContinuityReport:
         }
 
 
+class _StackedRho:
+    """rho as the experiment's map: called on one matrix or, as
+    apply_batch, on a path's whole stack, whose rows it maps bit for bit
+    as one at a time.  Rho would return a row certified normal unchanged,
+    which moves the tables in their last bits."""
+
+    def __call__(self, X):
+        from .maps import rho  # the map under test; the probes need none
+
+        return rho(X)
+
+    apply_batch = __call__
+
+
 def rho_continuity_experiment(
     curve: Curve,
     n: int = 3,
@@ -519,33 +532,24 @@ def rho_continuity_experiment(
     verdicts agree in the predicted direction: a bounded quotient should
     mean no discontinuity flag on any path, a diverging one should trip a
     flag on some straddling path.  Each path's table is continuity_probe's
-    for rho, with the path's matrices mapped by one call of rho on their
-    stack.
+    for rho, which maps the path's matrices in one call.
     """
-    # the map and the probe under test; the regularity probes need neither
-    from .checking import (
-        _continuity_table, _path_matrices, _validated, continuity_probe)
-    from .maps import rho
+    # the probe under test; the regularity probes need none of it
+    from .checking import continuity_probe
+    from .spectral import MAX_DIM, MIN_DIM
 
     if n < 2:
         raise ConfigError("experiment needs n >= 2")
+    if n > MAX_DIM:  # before the probes, whose cost grows with the order
+        raise ConfigError(f"matrix dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
     if rng is None:
         rng = np.random.default_rng(0)
     center = curve.eval(float(corner_param))
     db = db_profile(curve, np.conj, n, center, rng=rng)
     dc = dc_probe(curve, np.conj, n, center, rng=rng)
-
-    tables = {}
-    for style in _PATH_STYLES:
-        path = collision_path(curve, n, corner_param, style)
-        Xs = _path_matrices(path, samples)
-        try:
-            tables[style] = _continuity_table(Xs, _validated("map", Xs, rho(Xs)))
-        except (CurvespecError, np.linalg.LinAlgError):
-            # continuity_probe maps one matrix at a time, so it raises the
-            # earliest row's error, which may be a non-finite image of a row
-            # before the one that the stack raised on
-            tables[style] = continuity_probe(rho, path, samples)
+    tables = {style: continuity_probe(
+        _StackedRho(), collision_path(curve, n, corner_param, style), samples)
+        for style in _PATH_STYLES}
 
     any_flag = any(t.flag for t in tables.values())
     bounded = db.verdict_db == "bounded"

@@ -8,13 +8,16 @@ goes through an eigenvector basis guarded by condition-number and
 reconstruction checks.  It is written once, over stacks (_decompose_rows):
 the rows whose spectrum is simple share one eigensolve, every other row
 takes the per-row route, and spectral_decompose is the one-row case.  The
-batch route of the maps (_batch_eig) runs one stacked eigensolve and admits
-only the rows this routine would accept.
+batch route of the maps (_batch_eig) runs one stacked eigensolve only on
+the rows where it is the Schur route this routine would take (rows that
+Henrici's bound certifies normal, with a simple spectrum), and sends
+every other row to _decompose_rows in one call.
 
-Both routes, the map frames, the sampler's skew frames and the classifier
-admit a matrix by three tests, pass masks over stacks that a per-matrix
-route calls on its one row: conditioned (singular-value ratio), reconstructs
-(B diag(d) B^-1 against X) and separated (least eigenvalue gap).
+The decomposition, the map frames, the sampler's skew frames and the
+classifier admit a matrix by three tests, pass masks over stacks that a
+per-matrix route calls on its one row: conditioned (singular-value ratio),
+reconstructs (B diag(d) B^-1 against X) and separated (least eigenvalue
+gap).
 
 Every sample is drawn from a DomainSpec, which checks its dimension and
 parameter window once, when it is built.  It draws spectra from the window
@@ -129,10 +132,18 @@ class MatrixClass(enum.Enum):
 
 
 def _norms(Ms: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack, as np.linalg.norm gives
-    it on the one matrix: the norm over a stack's axes sums in another
-    order, and may differ from it in the last bit."""
-    return np.array([np.linalg.norm(M) for M in Ms])
+    """The Frobenius norm of each matrix of a stack, bit for bit as
+    np.linalg.norm gives it on the one matrix: the same dot products of
+    the real and imaginary parts, over the entries in memory order, one
+    vector-by-vector matmul each, where the norm over a stack's axes sums
+    in another order.  A norm that overflows is inf, without a warning."""
+    if not Ms.flags.c_contiguous and Ms.transpose(0, 2, 1).flags.c_contiguous:
+        Ms = Ms.transpose(0, 2, 1)  # rows in Fortran order, such as X.T's
+    v = Ms.reshape(len(Ms), 1, Ms.shape[-2] * Ms.shape[-1])
+    re, im = v.real, v.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def _is_normal(Xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -507,62 +518,64 @@ def _schur(X: np.ndarray):
     return T, Z
 
 
-def _batch_eig(Xs: np.ndarray, curve: Curve | None = None, vectors: bool = True):
-    """The batch route of the spectral maps: one stacked eigensolve over a
-    (N, n, n) stack, and the rows on which spectral_decompose would succeed.
+def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
+    """The batch route of the spectral maps over a (N, n, n) stack: the
+    leading rows' eigenvalues in curve order (Curve.order at the scale
+    ||X||), each repeated by its multiplicity, and with vectors their
+    eigenvectors in that order; and the error that the next row raises,
+    or None.
 
-    A row is fast when its eigenvalues w are separated and it passes the
-    guard of a route of spectral_decompose: either ||X||_F^2 - sum |l_i|^2,
-    which for a simple spectrum is the squared residual of the Schur route,
-    is within the reconstruction tolerance, or its eigenvectors V are
-    conditioned and reconstruct it.  Without vectors, eigvals serves every
-    row, and eig only the rows the first guard turns away.
-
-    Given a curve, the eigenvalues and eigenvectors of each fast row come
-    in curve order (Curve.order at the scale ||X||).  When any fast row is
-    off the curve, no row is fast.  The caller sends every other row to the
-    per-matrix route, which raises at the first row its guards fail.
-
-    Returns (fast, w, V, Vinv): the row mask and the eigenvalues, and with
-    vectors the eigenvectors and their inverses on the fast rows.
+    A row that _certified_normal certifies and whose eigenvalues are
+    separated at the first threshold is exactly a row on which
+    spectral_decompose takes the Schur route and finds a simple spectrum:
+    one eig of those rows (eigvals without vectors) serves them.  Every
+    other row goes to one _decompose_rows call, and its eigenvectors are
+    its basis columns.  With vectors a row must have a simple spectrum,
+    as in eigenflag.  A row raises the error of its decomposition, then
+    that of its multiplicities, then that of its curve order, and the
+    earliest failing row is the one that raises, as one row at a time.
     """
+    N, n = Xs.shape[0], Xs.shape[-1]
+    norms = _norms(Xs)
+    fast = _certified_normal(Xs)
+    rows = np.flatnonzero(fast)
     if vectors:
-        w, V = np.linalg.eig(Xs)
+        w, V = np.linalg.eig(Xs[rows])
     else:
-        w, V = np.linalg.eigvals(Xs), None
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(Xs, axis=(1, 2))
-        departure = norms**2 - np.sum(np.abs(w) ** 2, axis=1)
-    # a row whose norm overflows is never separated: spectral_decompose
-    # refuses it
-    fast = separated(w, norms)
-    near_normal = departure <= (RECONSTRUCTION_RTOL * norms) ** 2
-    Vinv = None
-    if V is None:
-        fast &= near_normal
-        # the other rows may still pass the eigenvector guards
-        rest = np.flatnonzero(~fast)
-        if rest.size:
-            fast[rest], w[rest] = _batch_eig(Xs[rest])[:2]
-    else:
-        guarded = np.flatnonzero(fast & ~near_normal)
-        fast[guarded] = conditioned(V[guarded])
-        Vinv = np.empty_like(V)
-        Vinv[fast] = np.linalg.inv(V[fast])
-        guarded = guarded[fast[guarded]]
-        fast[guarded] = reconstructs(
-            V[guarded], w[guarded], Vinv[guarded], Xs[guarded], norms[guarded])
-    if curve is not None and fast.any():
-        try:
-            order = curve.order(w[fast], norms[fast, None])
-        except OffCurveError:
-            fast[:] = False
-        else:
-            w[fast] = np.take_along_axis(w[fast], order, axis=1)
-            if V is not None:
-                V[fast] = np.take_along_axis(V[fast], order[:, None, :], axis=2)
-                Vinv[fast] = np.take_along_axis(Vinv[fast], order[:, :, None], axis=1)
-    return fast, w, V, Vinv
+        w, V = np.linalg.eigvals(Xs[rows]), None
+    ok = separated(w, norms[rows])
+    fast[rows] = ok
+    rest = np.flatnonzero(~fast)
+    dec, exc = _decompose_rows(Xs[rest])
+    done = rest[: len(dec.mults)]
+    m = N if exc is None else int(rest[len(done)])
+    d = np.empty((N, n), dtype=complex)
+    d[fast], d[done] = w[ok] + 0.0, dec.d  # + 0.0 as in _cluster_means
+    if vectors:
+        B = np.empty((N, n, n), dtype=complex)
+        B[fast], B[done] = V[ok], dec.B
+        for i, mults in zip(done.tolist(), dec.mults):
+            if len(mults) < n:
+                m, exc = i, _not_simple(mults)
+                break
+    d, norms = d[:m], norms[:m]
+    try:
+        order = curve.order(d, norms[:, None])
+    except OffCurveError:
+        # the first row off the curve raises what its distinct eigenvalues
+        # (np.unique: lexicographic, as _cluster_components orders them) do
+        for i in range(m):
+            try:
+                curve.order(np.unique(d[i]), norms[i])
+            except OffCurveError as err:
+                m, exc = i, err.with_traceback(None)
+                break
+        d, norms = d[:m], norms[:m]
+        order = curve.order(d, norms[:, None])
+    d = np.take_along_axis(d, order, axis=1)
+    if not vectors:
+        return d, None, exc
+    return d, np.take_along_axis(B[:m], order[:, None, :], axis=2), exc
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +781,18 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (piv.conjugate() / abs(piv))
 
 
+def _not_simple(mults) -> NumericalDomainError:
+    """eigenflag's error on a spectrum with multiplicities mults."""
+    return NumericalDomainError(
+        f"eigenflag requires a simple spectrum; multiplicities are {mults}")
+
+
 def eigenflag(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     """Eigenlines in curve order for a simple-spectrum decomposition: an
     (n, n) array whose k-th column is a unit vector spanning the line of
     the k-th eigenvalue, its largest entry made real and positive."""
     if any(m != 1 for m in dec.multiplicities):
-        raise NumericalDomainError(
-            "eigenflag requires a simple spectrum; "
-            f"multiplicities are {dec.multiplicities}"
-        )
+        raise _not_simple(dec.multiplicities)
     # column 0 of U spans the range of each rank-one idempotent
     U = np.linalg.svd(dec.idempotents[_curve_order(dec, curve)])[0]
     return np.column_stack([_fix_phase(u) for u in U[:, :, 0]])

@@ -5,7 +5,9 @@
 validate checks a SpectralDecomposition's structural invariants and its
 reconstruction of X; idempotent_swap exchanges two eigenvalues of X by its
 decomposition, the reference for the classifier's swapped samples;
-read_profile_csv reads back what regularity.write_profile_csv wrote.
+sorted_spectrum is the per-matrix route that OrderMap took before its
+batch route (spectral._batch_eig) served every row, its bit-for-bit
+reference; read_profile_csv reads back what regularity.write_profile_csv wrote.
 per_matrix_decompose is the per-matrix spectral_decompose as it was before
 the stacked decomposition (spectral._decompose_rows) replaced it, the
 reference of that decomposition's differential test.
@@ -105,6 +107,16 @@ def idempotent_swap(X, curve, j) -> np.ndarray:
     va, vb = dec.distinct_eigenvalues[[a, b]]
     Pa, Pb = dec.idempotents[[a, b]]
     return X + (vb - va) * Pa + (va - vb) * Pb
+
+
+def sorted_spectrum(curve, X) -> np.ndarray:
+    """The eigenvalues of one matrix in curve order (at the scale ||X||),
+    multiplicities contiguous, from spectral_decompose and its guards."""
+    dec = spectral_decompose(X)
+    order = curve.order(dec.distinct_eigenvalues, np.linalg.norm(X))
+    return np.repeat(
+        dec.distinct_eigenvalues[order], np.asarray(dec.multiplicities)[order]
+    )
 
 
 def read_profile_csv(fh) -> RegularityProfile:

@@ -105,6 +105,30 @@ class TestCheckCS:
                          np.random.default_rng(seed))
             assert v.ok, seed
 
+    @pytest.mark.parametrize("curve", [real_line(), Line(0j, np.exp(0.3j)),
+                                       CornerGraph(-1.0, 1.0)],
+                             ids=["real line", "line", "corner"])
+    @pytest.mark.parametrize("cls", list(MatrixClass), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_verdicts_do_not_change_with_the_window_scale(self, curve, cls, n):
+        # the curves are invariant under X -> cX and every canonical map
+        # commutes with it, so each verdict on [-c, c] is the one on
+        # [-1, 1].  The planted X + I does not commute with it: its shift
+        # of 1 fails against the tolerance max(1e-12, 1e-6 ||X||) up to
+        # about ||X|| = 1e6, and passes above, by design
+        T = np.eye(n) + 0.3 * _frame(n, 20 + n)
+        made = {"Conj": Conj(T), "TransposeConj": TransposeConj(T),
+                "OrderMap": OrderMap(curve, T), "Rho": Rho(),
+                "X + I": lambda X: X + np.eye(n)}
+        for name, f in made.items():
+            for k in (-12, -6, 0, 6, 12):
+                dom = DomainSpec(curve, n, cls, Interval(-(10.0**k), 10.0**k))
+                v = check_cs(BlackBoxMap(f, dom), 10, 1e-6, np.random.default_rng(k + 12))
+                if name != "X + I":
+                    assert v.ok, (name, k)
+                elif k != 6:  # at k = 6 the shift and the tolerance are both about 1
+                    assert v.ok is (k > 6), (name, k)
+
     @pytest.mark.parametrize("mutant", [
         lambda X: X + np.eye(X.shape[0]),
         lambda X: X @ X,
@@ -576,6 +600,21 @@ class TestContinuityProbe:
                 tab = continuity_probe(rho, path, samples)
                 want = _all_pairs_sups(rho, path, samples, tab.deltas)
                 assert (tab.input_sups, tab.output_sups) == want
+
+    def test_a_map_of_stacks_maps_the_path_in_one_call(self):
+        shapes = []
+
+        class Stacked:
+            def __call__(self, X):
+                shapes.append(np.shape(X))
+                return X
+
+            apply_batch = __call__
+
+        path = collision_path(real_line(), 3, 0.0, "straddle-sym")
+        tab = continuity_probe(Stacked(), path, 33)
+        assert shapes == [(33, 3, 3)]
+        assert tab == continuity_probe(lambda X: X, path, 33)
 
     def test_constant_path_never_flags(self):
         A = np.diag([1.0, 2.0, 3.0]).astype(complex)

@@ -1,5 +1,6 @@
 """Preserver classification, conjugator reconstruction, obstruction demo."""
 
+import itertools
 import json
 import sys
 from unittest import mock
@@ -53,6 +54,7 @@ from curvespec.spectral import (
     CLUSTER_RTOL,
     MatrixClass,
     _assemble,
+    _batch_eig,
     _Draw,
     _skew_frames,
     eigenflag,
@@ -335,6 +337,58 @@ class TestBatchedEquivarianceOracle:
         _reference_equivariance(bb, 20, ref)
         equivariance_test(bb, 20, new)
         assert ref.bit_generator.state == new.bit_generator.state
+
+
+def _line_rows(n=3):
+    """One row of each kind that the equivariance test's eigenlines meet
+    (spectral._batch_eig with vectors): rows that its stacked
+    eigensolve serves and rows that the stacked decomposition serves, and
+    rows that fail there, on their multiplicities or on their curve order
+    (real_line)."""
+    U, S = _unitary(n, 70), _oblique(n, 71)
+    lam = np.linspace(0.1, 0.9, n)
+    rep, off = lam.copy(), lam.astype(complex)
+    rep[1] = rep[0]
+    off[0] += 0.5j
+    jordan = np.diag(lam).astype(complex)
+    jordan[0, 1], jordan[1, 1] = 1e3, lam[0]
+    return {
+        "normal": (U * lam) @ U.conj().T,
+        "tiny normal": 1e-9 * (U * lam) @ U.conj().T,
+        "skewed": S @ np.diag(lam) @ np.linalg.inv(S),
+        "repeated": (U * rep) @ U.conj().T,
+        "repeated off the curve": np.diag(rep + 0.5j),
+        "off the curve": (U * off) @ U.conj().T,
+        "defective": jordan,
+        "non-finite": np.full((n, n), np.nan),
+    }
+
+
+_BAD_LINE_ROWS = ("repeated", "repeated off the curve", "off the curve",
+                  "defective", "non-finite")
+
+
+@pytest.mark.parametrize("bad", [*itertools.permutations(_BAD_LINE_ROWS, 2), ()],
+                         ids=lambda bad: " then ".join(bad) or "none")
+def test_batch_eigenlines_are_eigenflags_and_fail_at_the_first_failing_row(bad):
+    rows = _line_rows()
+    good = ["normal", "skewed", "tiny normal"]
+    names = [*good, *(k for b in bad for k in (b, *good))]
+    Xs = np.array([rows[k] for k in names], dtype=complex)
+    _, lines, exc = _batch_eig(Xs, real_line())
+    want = None
+    for i, X in enumerate(Xs):
+        try:
+            L = eigenflag(spectral_decompose(X), real_line())
+        except Exception as err:
+            want = err
+            break
+        if i < len(lines):
+            # the same lines, up to phase
+            overlap = np.abs(np.sum(L.conj() * lines[i], axis=0))
+            assert np.allclose(overlap, 1.0, atol=1e-12), names[i]
+    assert len(lines) == (i if want is not None else len(Xs))
+    assert (type(exc), str(exc)) == (type(want), str(want))
 
 
 # the swapped sample is assembled from the draw of X; the oracle exchanges

@@ -132,6 +132,8 @@ class TestParseCurve:
     ["regularity", "--curve", "real-line", "--center", "0", "--order", "2",
      "--seed", "-1"],
     ["rho-continuity", "--curve", "real-line", "--seed", "-1"],
+    # a matrix dimension past 12, refused before the order-n probes run
+    ["rho-continuity", "--curve", "real-line", "--n", "16", "--seed", "1"],
     # a cut that is not a finite angle
     ["demo-circle", "--n", "3", "--spectrum", "0,1,2", "--cuts", "inf,0.1"],
     # a reply deadline that is not a positive finite number of seconds
@@ -647,6 +649,21 @@ class TestRhoContinuity:
         assert code == 0 and rep["any_discontinuity_flag"] is False
 
 
+    @pytest.mark.parametrize("n", [13, 16, 30])
+    def test_large_n_is_refused_before_the_probes_run(self, capsys, monkeypatch, n):
+        import curvespec.regularity
+
+        def probe(*args, **kwargs):
+            raise AssertionError("an order-n probe ran")
+
+        monkeypatch.setattr(curvespec.regularity, "db_profile", probe)
+        monkeypatch.setattr(curvespec.regularity, "dc_probe", probe)
+        code, out, err = _run(capsys, "rho-continuity", "--curve", "real-line",
+                              "--n", str(n), "--seed", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == f"matrix dimension {n} outside [2, 12]"
+
+
 class TestDemoCircle:
     def test_distinct_gap_example(self, capsys):
         code, text, _ = _run(capsys, "demo-circle", "--n", "3",
@@ -688,8 +705,8 @@ class TestSelftest:
     def test_rho_that_moves_a_normal_matrix_fails(self, capsys, monkeypatch):
         import curvespec.maps
 
-        # without the certificate Rho takes the eigenvector route, whose
-        # result differs from a normal input in its last bits
+        # without the certificate Rho maps every row by rho(), whose Schur
+        # route moves a normal input in its last bits
         monkeypatch.setattr(curvespec.maps, "_certified_normal",
                             lambda Xs: np.zeros(len(Xs), dtype=bool))
         assert _selftest(quick=True) == 1

@@ -51,6 +51,7 @@ from curvespec.spectral import (
     spectral_decompose,
 )
 from curvespec.subspaces import line_distance
+from oracles import sorted_spectrum
 
 
 def _random_frame(n, rng, scale=1.0):
@@ -103,19 +104,6 @@ def test_rho_defective_input_rejected():
         rho(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _eig_route_rho(Xs):
-    """Rho.apply_batch without the normality certificate: the batch
-    eigenvector route, and rho() on the rows it turns away."""
-    fast, w, V, Vinv = _batch_eig(Xs)
-    out = np.empty_like(Xs)
-    out[fast] = (
-        Vinv[fast].conj().transpose(0, 2, 1) * w[fast][:, None, :]
-    ) @ V[fast].conj().transpose(0, 2, 1)
-    for i in np.flatnonzero(~fast):
-        out[i] = rho(Xs[i])
-    return out
-
-
 @pytest.mark.parametrize("curve", [real_line(), unit_circle_arc(0.0)], ids=["line", "arc"])
 @pytest.mark.parametrize("n", range(MIN_DIM, MAX_DIM + 1))
 def test_rho_returns_sampled_normal_rows_bit_for_bit(curve, n):
@@ -126,21 +114,22 @@ def test_rho_returns_sampled_normal_rows_bit_for_bit(curve, n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-def test_rho_takes_the_eig_route_on_semisimple_rows_of_a_mixed_stack(n):
+def test_rho_gives_the_bits_of_rho_on_semisimple_rows_of_a_mixed_stack(n):
     rng = np.random.default_rng(650 + n)
     normal = sample_batch(real_line(), n, MatrixClass.NORMAL, rng, count=30)
     semi = sample_batch(real_line(), n, MatrixClass.SEMISIMPLE, rng, count=30)
+    assert not _certified_normal(semi).any()
     Xs = np.empty((60, n, n), dtype=complex)
     Xs[0::2], Xs[1::2] = normal, semi
     out = Rho().apply_batch(Xs)
     assert np.array_equal(out[0::2], normal)
-    assert np.array_equal(out[1::2], _eig_route_rho(semi))
+    assert np.array_equal(out[1::2], np.array([rho(X) for X in semi]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_rho_on_scaled_jordan_and_normal_rows(n):
     # over every scale, only a normal row is certified, and every other row
-    # gives what the eigenvector route gives, or raises what it raises
+    # gives what rho() gives, bit for bit, or raises what it raises
     rng = np.random.default_rng(670 + n)
     J = np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
     N = sample(real_line(), n, MatrixClass.NORMAL, rng)
@@ -154,11 +143,11 @@ def test_rho_on_scaled_jordan_and_normal_rows(n):
             if certified:
                 assert np.array_equal(got, X), k
                 continue
-            want = _outcome_or_error(_eig_route_rho, X[None])
+            want = _outcome_or_error(rho, X)
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want), k
             else:
-                assert np.array_equal(got, want[0]), k
+                assert np.array_equal(got, want), k
 
 
 def test_certified_rows_are_accepted_by_rho_within_the_tolerance():
@@ -531,16 +520,16 @@ def _outcome(f, X):
 
 def _per_matrix(m, X):
     """The map on one matrix through its per-matrix route, which apply's
-    batch route must match: the frame products, OrderMap's
-    _sorted_spectrum (the stacked eigensolve must serve a row exactly when
-    spectral_decompose accepts it), rho(), and a composition's parts in
-    turn."""
+    batch route must match: the frame products, OrderMap's sorted spectrum
+    (oracles.sorted_spectrum: the batch route must serve a row exactly
+    when spectral_decompose accepts it), rho(), and a composition's parts
+    in turn."""
     if isinstance(m, Conj):
         return m.T @ X @ m._Tinv
     if isinstance(m, TransposeConj):
         return m.T @ X.T @ m._Tinv
     if isinstance(m, OrderMap):
-        return (m.T * m._sorted_spectrum(X)) @ m._Tinv
+        return (m.T * sorted_spectrum(m.curve, X)) @ m._Tinv
     if isinstance(m, Rho):
         return rho(X)
     for p in m.parts:
@@ -548,9 +537,9 @@ def _per_matrix(m, X):
     return X
 
 
-# rho() takes the Schur route on a near-normal row, and its result differs
-# from the batch route's by the departure from normality, which the batch
-# route bounds by RECONSTRUCTION_RTOL (see Rho)
+# Rho returns a certified row unchanged, where rho() takes the Schur route,
+# whose result differs from X by the departure from normality, within
+# RECONSTRUCTION_RTOL (see Rho); on every other row the two agree bit for bit
 _PER_MATRIX_RTOL = {Rho: 2 * RECONSTRUCTION_RTOL}
 
 
@@ -605,6 +594,8 @@ _STACKS = {
         [[0.2, 1.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.7]], _OFF_CURVE])),
     "scaled_off_curve_rows": (real_line(), np.array([0.5 * _OFF_CURVE, _OFF_CURVE])),
     "tied_positions": (RealInterval(tol=1e-3), _tied_stack()),
+    "off_curve_then_defective": (real_line(), np.array([
+        np.eye(3), _OFF_CURVE, [[0.2, 1.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.7]]])),
 }
 
 
@@ -644,8 +635,35 @@ def test_order_map_batch_is_the_sorted_spectrum_bit_for_bit(curve, mclass, n):
     rng = np.random.default_rng(500 + n)
     om = OrderMap(curve, _random_frame(n, rng, 0.4))
     Xs = sample_batch(curve, n, mclass, rng, default_window(curve), count=100)
-    want = np.array([(om.T * om._sorted_spectrum(X)) @ om._Tinv for X in Xs])
+    want = np.array([(om.T * sorted_spectrum(curve, X)) @ om._Tinv for X in Xs])
     assert np.array_equal(om.apply_batch(Xs), want)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_order_map_batch_is_the_sorted_spectrum_on_every_route(n):
+    # certified rows with a simple spectrum (the stacked eigensolve) among
+    # rows of the stacked decomposition: clustered, near-normal, tiny and
+    # skewed ones, and rows with -0.0 parts
+    rng = np.random.default_rng(520 + n)
+    om = OrderMap(real_line(), _random_frame(n, rng, 0.4))
+    Q, S = random_unitary(n, rng), _random_frame(n, rng)
+    lam = rng.uniform(-1.0, 1.0, n)
+    rep = lam.copy()
+    rep[1] = rep[0]
+    near = np.diag(lam) + 1e-7 * np.triu(np.ones((n, n)), 1)
+    signed = np.diag(lam).astype(complex)
+    signed.imag[np.diag_indices(n)] = -0.0
+    Xs = np.array([
+        (Q * lam) @ Q.conj().T, (Q * rep) @ Q.conj().T, 1e-9 * (Q * lam) @ Q.conj().T,
+        Q @ near @ Q.conj().T, S @ np.diag(lam) @ np.linalg.inv(S),
+        S @ np.diag(rep) @ np.linalg.inv(S), signed, np.diag(rep + 0j),
+    ])
+    Xs = Xs[rng.permutation(len(Xs))]
+    spectra = np.array([sorted_spectrum(om.curve, X) for X in Xs])
+    w, _, exc = _batch_eig(Xs, om.curve, vectors=False)
+    assert exc is None and w.tobytes() == spectra.tobytes()
+    want = np.array([(om.T * w) @ om._Tinv for w in spectra])
+    assert om.apply_batch(Xs).tobytes() == want.tobytes()
 
 
 def test_apply_batch_handles_repeated_eigenvalues():
