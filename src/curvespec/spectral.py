@@ -520,10 +520,10 @@ def _schur(X: np.ndarray):
 
 def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
     """The batch route of the spectral maps over a (N, n, n) stack: the
-    leading rows' eigenvalues in curve order (Curve.order at the scale
-    ||X||), each repeated by its multiplicity, and with vectors their
-    eigenvectors in that order; and the error that the next row raises,
-    or None.
+    leading rows' eigenvalues, as spectral_decompose gives them and each
+    repeated by its multiplicity, in curve order (Curve.order at the scale
+    ||X||), and with vectors their unit eigenvectors in that order; and
+    the error that the next row raises, or None.
 
     A row that _certified_normal certifies and whose eigenvalues are
     separated at the first threshold is exactly a row on which
@@ -558,9 +558,8 @@ def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
             if len(mults) < n:
                 m, exc = i, _not_simple(mults)
                 break
-    d, norms = d[:m], norms[:m]
     try:
-        order = curve.order(d, norms[:, None])
+        order = curve.order(d[:m], norms[:m, None])
     except OffCurveError:
         # the first row off the curve raises what its distinct eigenvalues
         # (np.unique: lexicographic, as _cluster_components orders them) do
@@ -570,9 +569,8 @@ def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
             except OffCurveError as err:
                 m, exc = i, err.with_traceback(None)
                 break
-        d, norms = d[:m], norms[:m]
-        order = curve.order(d, norms[:, None])
-    d = np.take_along_axis(d, order, axis=1)
+        order = curve.order(d[:m], norms[:m, None])
+    d = np.take_along_axis(d[:m], order, axis=1)
     if not vectors:
         return d, None, exc
     return d, np.take_along_axis(B[:m], order[:, None, :], axis=2), exc
