@@ -114,7 +114,9 @@ def test_rho_returns_sampled_normal_rows_bit_for_bit(curve, n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-def test_rho_gives_the_bits_of_rho_on_semisimple_rows_of_a_mixed_stack(n):
+def test_rho_takes_the_eig_route_on_semisimple_rows_of_a_mixed_stack(n):
+    # Rho maps the uncertified rows by rho(), whose stacked decomposition
+    # takes the eig route on these rows: the output is rho()'s, bit for bit
     rng = np.random.default_rng(650 + n)
     normal = sample_batch(real_line(), n, MatrixClass.NORMAL, rng, count=30)
     semi = sample_batch(real_line(), n, MatrixClass.SEMISIMPLE, rng, count=30)
