@@ -19,10 +19,15 @@ label.
 Each stage (the equivariance trials, the 2n probes, the frame samples,
 the holdout) builds its inputs first and crosses BlackBoxMap.apply_rows
 once; failures come out in the order of a one-at-a-time loop, though an
-external program may see rows after the one that fails.  The trials'
-output eigenlines are the basis columns of one call of the maps' batch
-route (spectral._batch_eig), and the frame samples and the probe images
-are decomposed in one call of the stacked decomposition.
+external program may see rows after the one that fails.  The numerics
+after each crossing run once over the whole stack, bit for bit as a loop
+over its rows: the trials' output eigenlines are the basis columns of one
+call of the maps' batch route (spectral._batch_eig), the frame samples
+and the probe images are decomposed in one call of the stacked
+decomposition, the frame's eigenflags come from one stacked svd, and the
+holdout's norms from one call of spectral._norms.  Only the draws stay
+one at a time, since each draw's retries decide how much of the rng
+stream the next one sees.
 """
 
 from __future__ import annotations
@@ -48,8 +53,10 @@ from .spectral import (
     _batch_eig,
     _curve_order,
     _decompose_rows,
+    _eigenflags,
+    _norms,
+    _row_orders,
     conditioned,
-    eigenflag,
     matrix_to_json,
     separated,
     spectral_decompose,
@@ -138,14 +145,21 @@ def _simple_draws(domain, rng, count: int, then=lambda: None):
     return draws, failure
 
 
-def _with_swap(draw, curve, j):
-    """The draw and, on its frame, its j-th and (j+1)-th eigenvalues (in
-    curve order) exchanged, as one k = 2 draw: every eigenspace stays."""
-    lam = draw.lam[0, 0]
-    a, b = curve.order(lam)[[j, j + 1]]
+def _with_swaps(draws, curve, js):
+    """Each draw and, on its frame, its j-th and (j+1)-th eigenvalues (in
+    curve order) exchanged, as one k = 2 draw each: every eigenspace stays.
+    One curve order serves every draw; a draw whose spectrum is off the
+    curve raises its own error, the first such draw's."""
+    lam = np.concatenate([d.lam[0] for d in draws])
+    order, exc = _row_orders(curve, lam, np.ones(len(lam)))
+    if exc is not None:
+        raise exc
+    t = np.arange(len(lam))[:, None]
+    ab = order[t, np.stack([js, js + 1], axis=1)]
     swapped = lam.copy()
-    swapped[[a, b]] = lam[[b, a]]
-    return draw._replace(lam=np.array([lam, swapped])[:, None])
+    swapped[t, ab] = lam[t, ab[:, ::-1]]
+    pairs = np.stack([lam, swapped], axis=1)[:, :, None]
+    return [d._replace(lam=p) for d, p in zip(draws, pairs)]
 
 
 def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray):
@@ -174,7 +188,7 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     is a witness conflict.
 
     All trials are drawn first, and each trial's X and X' are assembled
-    from its draw (see _with_swap).  Their 2 * trials inputs X_1, X'_1,
+    from its draw (see _with_swaps).  Their 2 * trials inputs X_1, X'_1,
     X_2, X'_2, ... go to the map in that order through one
     BlackBoxMap.apply_rows, which hands a map with its own apply_batch the
     whole stack, and one call of the batch route (spectral._batch_eig)
@@ -196,7 +210,8 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     draws, failure = _simple_draws(
         bb.domain, rng, trials, lambda: js.append(int(rng.integers(n - 1)))
     )
-    pairs = _assemble(*(_with_swap(d, curve, j) for d, j in zip(draws, js)))
+    js = np.array(js, dtype=int)
+    pairs = _assemble(*_with_swaps(draws, curve, js))
     FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
     if exc is not None:
         failure = exc
@@ -205,7 +220,7 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
         failure = exc
     m = lines.shape[0] // 2
     swapped, fixed = _line_patterns(
-        lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], np.array(js[:m], dtype=int)
+        lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], js[:m]
     )
     if not np.all(swapped != fixed):
         raise MixedWitnessError(
@@ -231,42 +246,52 @@ def _probe_params(window, n: int) -> np.ndarray:
     return lo + (np.arange(1, n + 1) / (n + 1)) * (hi - lo)
 
 
-def _probe_with_first_line(u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Normal matrix with eigenline span(u) for values[0] and the rest of
-    the spectrum on the orthogonal complement."""
+def _probes(lines: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each row u of lines, the normal matrix with eigenline span(u) for
+    values[0] and the rest of the spectrum on the orthogonal complement:
+    one stacked QR and one stacked SVD."""
     n = values.size
-    u = u / np.linalg.norm(u)
-    B = np.eye(n, dtype=complex)
-    B[:, 0] = u
+    u = lines / _norms(lines[:, None, :])[:, None]
+    B = np.broadcast_to(np.eye(n, dtype=complex), (len(u), n, n)).copy()
+    B[:, :, 0] = u
     Q, _ = np.linalg.qr(B)
     # qr may flip the first column's phase; pin it back to u
-    Q[:, 0] = u
-    Q[:, 1:] = orthonormal_columns(
-        Q[:, 1:] - u[:, None] * (u.conj() @ Q[:, 1:])
-    )
-    return (Q * values) @ Q.conj().T
+    Q[:, :, 0] = u
+    # the complement of u in Q's other columns, an orthonormal basis of it:
+    # those n - 1 columns have full rank, so no column is dropped
+    rest = Q[:, :, 1:] - u[:, :, None] * (u.conj()[:, None, :] @ Q[:, :, 1:])
+    Q[:, :, 1:] = np.linalg.svd(rest, full_matrices=False)[0]
+    return (Q * values) @ Q.conj().transpose(0, 2, 1)
 
 
-def _first_line_image(dec, values) -> np.ndarray:
-    """Unit vector spanning the eigenline of values[0] in a probe image, by
-    the image's decomposition dec."""
-    k = int(np.argmin(np.abs(dec.distinct_eigenvalues - values[0])))
-    if dec.multiplicities[k] != 1:
-        raise ReconstructionError("probe image eigenvalue is not simple")
-    P = dec.idempotents[k]
-    j = int(np.argmax(np.linalg.norm(P, axis=0)))
-    v = P[:, j]
-    return v / np.linalg.norm(v)
+def _first_line_images(decs, values):
+    """The unit vector spanning the eigenline of values[0] in each probe
+    image, by the images' stacked decompositions, for the leading rows; and
+    the error that the next row raises, or None."""
+    N, n = decs.d.shape
+    # the first column of the cluster nearest values[0]
+    k = np.argmin(np.abs(decs.d - values[0]), axis=1)
+    m, exc = N, None
+    for i, mults in enumerate(decs.mults):
+        if len(mults) < n and np.repeat(mults, mults)[k[i]] != 1:
+            m, exc = i, ReconstructionError("probe image eigenvalue is not simple")
+            break
+    t, k = np.arange(m), k[:m]
+    # the idempotent of that cluster, formed as SpectralDecomposition does
+    P = decs.B[t, :, k][:, :, None] @ decs.Binv[t, k][:, None, :]
+    v = P[t, :, np.argmax(np.linalg.norm(P, axis=1), axis=1)]
+    return v / _norms(v[:, None, :])[:, None], exc
 
 
 def _holdout_residual(bb: BlackBoxMap, rng, model) -> float:
     """Worst relative deviation ||F(X) - model(X)|| / ||X|| of the map from
-    a candidate model, a map of stacks, over fresh domain samples."""
+    a candidate model, a map of stacks, over fresh domain samples; the max
+    is taken in sample order, as one sample at a time."""
     (Xs,), _ = bb.domain.sample(rng, _VALIDATION_SAMPLES)
     FXs, exc = bb.apply_rows(Xs)
-    residual = 0.0
-    for X, FX, M in zip(Xs, FXs, model(Xs[: len(FXs)])):
-        residual = max(residual, np.linalg.norm(FX - M) / np.linalg.norm(X))
+    Xs = Xs[: len(FXs)]
+    ratios = _norms(FXs - model(Xs)) / _norms(Xs)
+    residual = max([0.0, *ratios.tolist()])
     if exc is not None:
         raise exc
     return float(residual)
@@ -287,17 +312,18 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     values = bb.domain.curve.eval_array(_probe_params(bb.domain.window, n))
     eye = np.eye(n, dtype=complex)
     # first lines: e_i, then (e_0 + e_j) / sqrt(2), then (e_0 + i e_1) / sqrt(2)
-    lines = [*eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n))]
-    lines.append((eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2))
-    probes = np.array([_probe_with_first_line(u, values) for u in lines])
-    FXs, exc = bb.apply_rows(probes)
+    lines = np.array([
+        *eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n)),
+        (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2)])
+    FXs, exc = bb.apply_rows(_probes(lines, values))
     # the decompositions of the leading images, and the next one's error
     decs, bad = _decompose_rows(FXs)
+    images, err = _first_line_images(decs, values)
 
     def image(k):  # called with k = 0, 1, 2, ... in turn
-        if k >= len(decs.d):
-            raise bad or exc
-        return _first_line_image(decs.row(k), values)
+        if k >= len(images):
+            raise err or bad or exc
+        return images[k]
 
     cols = [image(i) for i in range(n)]
     T = np.empty((n, n), dtype=complex)
@@ -357,27 +383,27 @@ class PreserverType:
 
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
-    curve = bb.domain.curve
     draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
     FXs, exc = bb.apply_rows(_assemble(*draws)[0])
     # the decompositions of the leading outputs, and the next one's error
     decs, bad = _decompose_rows(FXs)
-    frame = None
-    for i in range(len(decs.d)):
-        F = eigenflag(decs.row(i), curve)
-        if frame is None:
-            frame = F.copy()
-            ref = F
-        else:
-            # align each column's phase to the first sample before averaging
-            for j in range(F.shape[1]):
-                c = ref[:, j].conj() @ F[:, j]
-                if abs(c) < 1e-12:
-                    raise ReconstructionError("output frames do not share columns")
-                F[:, j] *= c.conjugate() / abs(c)
+    Fs, err = _eigenflags(decs, bb.domain.curve)
+    if len(Fs):
+        # align each column's phase to the first sample before averaging:
+        # c[i, j] is ref[:, j].conj() @ Fs[i + 1][:, j], a contiguous row
+        # by a strided column as in a loop over the columns, since the
+        # strides choose BLAS's dot kernel and so the bits
+        ref = np.ascontiguousarray(Fs[0].conj().T)
+        c = (ref[:, None, :] @ Fs[1:].transpose(0, 2, 1)[..., None])[..., 0, 0]
+        mod = np.hypot(c.real, c.imag)  # abs(c) of each scalar
+        if np.any(mod < 1e-12):
+            raise ReconstructionError("output frames do not share columns")
+        Fs[1:] *= (c.conj() / mod)[:, None, :]
+        frame = Fs[0].copy()
+        for F in Fs[1:]:  # summed in sample order
             frame += F
-    if bad or exc or failure:
-        raise bad or exc or failure
+    if err or bad or exc or failure:
+        raise err or bad or exc or failure
     frame /= np.linalg.norm(frame, axis=0, keepdims=True)
     return frame
 

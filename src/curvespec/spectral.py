@@ -546,7 +546,8 @@ def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
     ok = separated(w, norms[rows])
     fast[rows] = ok
     rest = np.flatnonzero(~fast)
-    dec, exc = _decompose_rows(Xs[rest])
+    dec, exc = (_decompose_rows(Xs[rest]) if rest.size else
+                (_Decompositions(Xs[:0, 0], Xs[:0], Xs[:0], [], norms[:0]), None))
     done = rest[: len(dec.mults)]
     m = N if exc is None else int(rest[len(done)])
     d = np.empty((N, n), dtype=complex)
@@ -766,17 +767,32 @@ def sample(
 # curve-ordered eigenstructure
 
 
+def _closed() -> ClosedCurveError:
+    """The error of ordering eigenvalues along a closed curve."""
+    return ClosedCurveError("eigenvalue ordering requires a non-closed curve")
+
+
 def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     """Cluster indices sorted along the oriented curve, at the scale ||X||."""
     if curve.domain is None:
-        raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
+        raise _closed()
     return curve.order(dec.distinct_eigenvalues, dec.norm)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(v)))
-    piv = v[j]
-    return v * (piv.conjugate() / abs(piv))
+def _row_orders(curve: Curve, zs: np.ndarray, scales: np.ndarray):
+    """curve.order of each row of zs (N, n) at its scale, in one call: the
+    leading rows' orders, and the error that the next row raises on its
+    own (curve.order(zs[i], scales[i])), or None."""
+    try:
+        return curve.order(zs, scales[:, None]), None
+    except OffCurveError:
+        # the stack's error names the worst point of all its rows
+        for i in range(len(zs)):
+            try:
+                curve.order(zs[i], scales[i])
+            except OffCurveError as err:
+                return curve.order(zs[:i], scales[:i, None]), err.with_traceback(None)
+        raise
 
 
 def _not_simple(mults) -> NumericalDomainError:
@@ -785,15 +801,53 @@ def _not_simple(mults) -> NumericalDomainError:
         f"eigenflag requires a simple spectrum; multiplicities are {mults}")
 
 
+def _eigenflags(decs: _Decompositions, curve: Curve):
+    """The eigenflag of each row of a stack of decompositions, as the
+    leading rows' (N, n, n) stack, and the error that the next row raises,
+    or None.  A row raises the error of its multiplicities, then that of
+    its curve order.
+
+    The rank-one idempotents of every row, in curve order, are built as
+    one stack and go through one svd.  The scalar steps of a row at a time
+    are kept bit for bit: a scalar's abs is np.hypot of its parts, where
+    np.abs of an array may round otherwise.
+    """
+    N, n = decs.d.shape
+    m = next((i for i, mults in enumerate(decs.mults) if len(mults) < n), N)
+    exc = _not_simple(decs.mults[m]) if m < N else None
+    if m and curve.domain is None:
+        m, exc = 0, _closed()
+    order, err = _row_orders(curve, decs.d[:m], decs.norms[:m])
+    if err is not None:
+        m, exc = len(order), err
+    B = np.take_along_axis(decs.B[:m], order[:, None, :], axis=2)
+    Binv = np.take_along_axis(decs.Binv[:m], order[:, :, None], axis=1)
+    # P[i, k] = B[i][:, k:k+1] @ Binv[i][k:k+1, :], as the idempotents are
+    # formed; column 0 of its U spans its range
+    P = B.transpose(0, 2, 1)[..., None] @ Binv[:, :, None, :]
+    U = np.linalg.svd(P)[0][..., 0]
+    # each line's largest entry made real and positive
+    piv = np.take_along_axis(U, np.argmax(np.abs(U), axis=2)[..., None], axis=2)
+    U *= piv.conj() / np.hypot(piv.real, piv.imag)
+    # in the memory layout of column_stack, which later dot products keep
+    return np.ascontiguousarray(U.transpose(0, 2, 1)), exc
+
+
 def eigenflag(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     """Eigenlines in curve order for a simple-spectrum decomposition: an
     (n, n) array whose k-th column is a unit vector spanning the line of
-    the k-th eigenvalue, its largest entry made real and positive."""
-    if any(m != 1 for m in dec.multiplicities):
-        raise _not_simple(dec.multiplicities)
-    # column 0 of U spans the range of each rank-one idempotent
-    U = np.linalg.svd(dec.idempotents[_curve_order(dec, curve)])[0]
-    return np.column_stack([_fix_phase(u) for u in U[:, :, 0]])
+    the k-th eigenvalue, its largest entry made real and positive.  This
+    is the one-row case of the stacked eigenflags (_eigenflags)."""
+    decs = _Decompositions(dec.expanded()[None], dec.basis[None],
+                           dec.basis_inv[None], [dec.multiplicities],
+                           np.array([dec.norm]))
+    flags, exc = _eigenflags(decs, curve)
+    if exc is not None:
+        try:
+            raise exc
+        finally:
+            exc = None  # the raised error's traceback holds this frame
+    return flags[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ reference of that decomposition's differential test.
 principal_angles, max_principal_angle, subspace_sum and
 subspace_intersection compare subspaces (orthonormal columns) and build
 their lattice operations, for the tests of the induced subspace map.
+The classifier's per-row numerics before each stage ran as one stack are
+kept verbatim at the end, the references of the stacked routes:
+per_row_eigenflag, the frame loop (recover_fixed_frame), with_swap,
+probe_with_first_line, first_line_image and the holdout loop
+(holdout_residual).
 """
 
 import csv
@@ -24,9 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from curvespec.classify import _FRAME_SAMPLES, _VALIDATION_SAMPLES, _simple_draws
 from curvespec.errors import (
+    ClosedCurveError,
     DefectiveMatrixError,
     NumericalDomainError,
+    ReconstructionError,
 )
 from curvespec.regularity import RegularityProfile
 from curvespec.spectral import (
@@ -35,8 +43,11 @@ from curvespec.spectral import (
     NORMALITY_RTOL,
     RANK_RTOL,
     RECONSTRUCTION_RTOL,
+    _assemble,
     _cluster_components,
     _cluster_means,
+    _decompose_rows,
+    _not_simple,
     _schur,
     as_matrix,
     conditioned,
@@ -300,3 +311,111 @@ def _admitted(values, clusters, B, Binv, X, norm_x):
     if reconstructs(B[None], dec.expanded()[None], Binv[None], X[None], norm_x)[0]:
         return dec
     return None
+
+
+# ---------------------------------------------------------------------------
+# the classifier's numerics one row at a time, verbatim but for the names,
+# before each stage ran as one stack: eigenflag and the loops of the frame
+# recovery, the swapped draws, the probes, the probe images and the holdout
+
+
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    j = int(np.argmax(np.abs(v)))
+    piv = v[j]
+    return v * (piv.conjugate() / abs(piv))
+
+
+def _curve_order(dec, curve) -> np.ndarray:
+    """Cluster indices sorted along the oriented curve, at the scale ||X||."""
+    if curve.domain is None:
+        raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
+    return curve.order(dec.distinct_eigenvalues, dec.norm)
+
+
+def per_row_eigenflag(dec, curve) -> np.ndarray:
+    """Eigenlines in curve order for a simple-spectrum decomposition: an
+    (n, n) array whose k-th column is a unit vector spanning the line of
+    the k-th eigenvalue, its largest entry made real and positive."""
+    if any(m != 1 for m in dec.multiplicities):
+        raise _not_simple(dec.multiplicities)
+    # column 0 of U spans the range of each rank-one idempotent
+    U = np.linalg.svd(dec.idempotents[_curve_order(dec, curve)])[0]
+    return np.column_stack([fix_phase(u) for u in U[:, :, 0]])
+
+
+def recover_fixed_frame(bb, rng):
+    """Average the sorted output eigenvector matrices of a quotient map."""
+    curve = bb.domain.curve
+    draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    FXs, exc = bb.apply_rows(_assemble(*draws)[0])
+    # the decompositions of the leading outputs, and the next one's error
+    decs, bad = _decompose_rows(FXs)
+    frame = None
+    for i in range(len(decs.d)):
+        F = per_row_eigenflag(decs.row(i), curve)
+        if frame is None:
+            frame = F.copy()
+            ref = F
+        else:
+            # align each column's phase to the first sample before averaging
+            for j in range(F.shape[1]):
+                c = ref[:, j].conj() @ F[:, j]
+                if abs(c) < 1e-12:
+                    raise ReconstructionError("output frames do not share columns")
+                F[:, j] *= c.conjugate() / abs(c)
+            frame += F
+    if bad or exc or failure:
+        raise bad or exc or failure
+    frame /= np.linalg.norm(frame, axis=0, keepdims=True)
+    return frame
+
+
+def with_swap(draw, curve, j):
+    """The draw and, on its frame, its j-th and (j+1)-th eigenvalues (in
+    curve order) exchanged, as one k = 2 draw: every eigenspace stays."""
+    lam = draw.lam[0, 0]
+    a, b = curve.order(lam)[[j, j + 1]]
+    swapped = lam.copy()
+    swapped[[a, b]] = lam[[b, a]]
+    return draw._replace(lam=np.array([lam, swapped])[:, None])
+
+
+def probe_with_first_line(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Normal matrix with eigenline span(u) for values[0] and the rest of
+    the spectrum on the orthogonal complement."""
+    n = values.size
+    u = u / np.linalg.norm(u)
+    B = np.eye(n, dtype=complex)
+    B[:, 0] = u
+    Q, _ = np.linalg.qr(B)
+    # qr may flip the first column's phase; pin it back to u
+    Q[:, 0] = u
+    Q[:, 1:] = orthonormal_columns(
+        Q[:, 1:] - u[:, None] * (u.conj() @ Q[:, 1:])
+    )
+    return (Q * values) @ Q.conj().T
+
+
+def first_line_image(dec, values) -> np.ndarray:
+    """Unit vector spanning the eigenline of values[0] in a probe image, by
+    the image's decomposition dec."""
+    k = int(np.argmin(np.abs(dec.distinct_eigenvalues - values[0])))
+    if dec.multiplicities[k] != 1:
+        raise ReconstructionError("probe image eigenvalue is not simple")
+    P = dec.idempotents[k]
+    j = int(np.argmax(np.linalg.norm(P, axis=0)))
+    v = P[:, j]
+    return v / np.linalg.norm(v)
+
+
+def holdout_residual(bb, rng, model) -> float:
+    """Worst relative deviation ||F(X) - model(X)|| / ||X|| of the map from
+    a candidate model, a map of stacks, over fresh domain samples."""
+    (Xs,), _ = bb.domain.sample(rng, _VALIDATION_SAMPLES)
+    FXs, exc = bb.apply_rows(Xs)
+    residual = 0.0
+    for X, FX, M in zip(Xs, FXs, model(Xs[: len(FXs)])):
+        residual = max(residual, np.linalg.norm(FX - M) / np.linalg.norm(X))
+    if exc is not None:
+        raise exc
+    return float(residual)

@@ -1,5 +1,6 @@
 """Preserver classification, conjugator reconstruction, obstruction demo."""
 
+import contextlib
 import itertools
 import json
 import sys
@@ -21,21 +22,22 @@ from curvespec.classify import (
     FACTORS_THROUGH_QUOTIENT,
     EquivarianceVerdict,
     _certified_simple,
-    _first_line_image,
+    _first_line_images,
     _holdout_residual,
     _probe_params,
-    _probe_with_first_line,
+    _probes,
     _recover_fixed_frame,
     _simple_draw,
     _simple_draws,
-    _with_swap,
+    _with_swaps,
     circle_obstruction_demo,
     classify_preserver,
     equivariance_test,
     reconstruct_conjugator,
     subspace_image,
 )
-from curvespec.curves import CornerGraph, real_line, unit_circle_arc
+from curvespec.curves import (
+    CornerGraph, Curve, Interval, RealInterval, real_line, unit_circle_arc)
 from curvespec.errors import (
     ClosedCurveError,
     CoincidentPointsError,
@@ -55,19 +57,26 @@ from curvespec.spectral import (
     MatrixClass,
     _assemble,
     _batch_eig,
+    _decompose_rows,
     _Draw,
+    _eigenflags,
     _skew_frames,
-    eigenflag,
     matrix_to_json,
     random_unitary,
     spectral_decompose,
 )
 from curvespec.subspaces import line_distance
 from oracles import (
+    first_line_image,
+    holdout_residual,
     idempotent_swap,
     max_principal_angle,
+    per_row_eigenflag,
+    probe_with_first_line,
+    recover_fixed_frame,
     subspace_intersection,
     subspace_sum,
+    with_swap,
 )
 
 
@@ -157,8 +166,8 @@ def _reference_witness(bb, X, draw, j, tol):
     curve = bb.domain.curve
     FX = bb.apply(X)
     FtX = bb.apply(_swapped_sample(draw, curve, j))
-    L = eigenflag(spectral_decompose(FX), curve)
-    Lt = eigenflag(spectral_decompose(FtX), curve)
+    L = per_row_eigenflag(spectral_decompose(FX), curve)
+    Lt = per_row_eigenflag(spectral_decompose(FtX), curve)
     n = L.shape[1]
     if not all(line_distance(L[:, i], Lt[:, i]) <= tol
                for i in range(n) if i not in (j, j + 1)):
@@ -379,7 +388,7 @@ def test_batch_eigenlines_are_eigenflags_and_fail_at_the_first_failing_row(bad):
     want = None
     for i, X in enumerate(Xs):
         try:
-            L = eigenflag(spectral_decompose(X), real_line())
+            L = per_row_eigenflag(spectral_decompose(X), real_line())
         except Exception as err:
             want = err
             break
@@ -412,8 +421,10 @@ class TestSwapFromTheDraw:
         draws, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
         assert failure is None
         js = rng.integers(n - 1, size=len(draws))
-        Xs, Xts = _assemble(*(_with_swap(d, curve, j) for d, j in zip(draws, js)))
+        Xs, Xts = _assemble(*_with_swaps(draws, curve, js))
         assert np.array_equal(Xs, _assemble(*draws)[0])
+        want = _assemble(*(with_swap(d, curve, j) for d, j in zip(draws, js)))
+        assert np.array_equal(Xts, want[1])
         for X, Xt, j in zip(Xs, Xts, js):
             assert (np.linalg.norm(Xt - idempotent_swap(X, curve, j))
                     <= 1e-11 * np.linalg.norm(X))
@@ -554,8 +565,8 @@ def _reference_reconstruct(bb, rng):
     eye = np.eye(n, dtype=complex)
 
     def line(u):
-        return _first_line_image(
-            spectral_decompose(bb.apply(_probe_with_first_line(u, values))), values)
+        return first_line_image(
+            spectral_decompose(bb.apply(probe_with_first_line(u, values))), values)
 
     cols = [line(eye[:, i]) for i in range(n)]
     T = np.empty((n, n), dtype=complex)
@@ -589,7 +600,7 @@ def _reference_frame(bb, rng):
     frame = None
     for _ in range(_FRAME_SAMPLES):
         X, _ = _simple_sample(bb, rng)
-        F = eigenflag(spectral_decompose(bb.apply(X)), curve)
+        F = per_row_eigenflag(spectral_decompose(bb.apply(X)), curve)
         if frame is None:
             frame = F.copy()
             ref = F
@@ -725,6 +736,211 @@ class TestStageBatchBoundary:
         want = _reference_holdout(bb, np.random.default_rng(seed), one)
         assert got == want
         assert (want > 0.1) if kind == "planted X+I" else (want < 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# each stage's numerics run once over its stack; the per-row routes they
+# replaced (tests/oracles.py, verbatim) are their bit-for-bit references,
+# rows, errors and the first failing row alike
+
+
+def _rows_outcome(per_row, count):
+    """The bytes of per_row(0), per_row(1), ... up to count rows or up to
+    the first error, and that error as (type, message), or None."""
+    out = []
+    for i in range(count):
+        try:
+            out.append(np.asarray(per_row(i)).tobytes())
+        except Exception as exc:
+            return out, (type(exc), str(exc))
+    return out, None
+
+
+def _stacked_outcome(rows, exc):
+    return [r.tobytes() for r in rows], None if exc is None else (type(exc), str(exc))
+
+
+_FLAG_ROWS = ("repeated", "off the curve", "repeated off the curve")
+_NOT_SIMPLE = np.diag([-0.5, -0.5, 0.5]).astype(complex)
+
+
+class TestStackedNumericsAreThePerRowOnes:
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("bad", [(), *itertools.permutations(_FLAG_ROWS, 2)],
+                             ids=lambda bad: " then ".join(bad) or "none")
+    def test_eigenflags_fail_at_the_first_failing_row(self, bad, n):
+        rows = _line_rows(n)
+        good = ["normal", "skewed", "tiny normal"]
+        names = [*good, *(k for b in bad for k in (b, *good))]
+        decs, exc = _decompose_rows(np.array([rows[k] for k in names]))
+        assert exc is None
+        want = _rows_outcome(
+            lambda i: per_row_eigenflag(decs.row(i), real_line()), len(names))
+        assert _stacked_outcome(*_eigenflags(decs, real_line())) == want
+        assert want[1] is None if not bad else want[1][0] is not None
+
+    @pytest.mark.parametrize("first", ["normal", "repeated"])
+    def test_eigenflags_refuse_a_closed_curve_after_the_multiplicities(self, first):
+        rows = _line_rows()
+        decs, _ = _decompose_rows(np.array([rows[first], rows["normal"]]))
+        want = _rows_outcome(
+            lambda i: per_row_eigenflag(decs.row(i), UnitCircleClosed()), 2)
+        assert _stacked_outcome(*_eigenflags(decs, UnitCircleClosed())) == want
+        assert want[0] == []
+
+    @pytest.mark.parametrize("case", [
+        {"output": {3: np.diag([0.5, 0.5, 0.2])}},
+        {"output": {3: np.diag([0.5, 0.5, 0.2])}, "fail": 7},
+        {"output": {7: np.diag([0.5, 0.5, 0.2])}, "fail": 3},
+        {"output": {5: np.diag([0.1, 0.2 + 0.5j, 0.3]), 9: np.diag([0.5, 0.5, 0.2])}},
+        {"output": {0: np.diag([0.1, 0.2, 0.3]), 4: np.diag([0.2, 0.1, 0.3]),
+                    6: np.diag([0.5, 0.5, 0.2])}},
+        {"output": {19: np.diag([0.5, 0.5, 0.2])}},
+    ])
+    def test_frame_is_the_per_row_loop_with_a_repeated_output(self, case):
+        # a planted map whose k-th frame output has a repeated eigenvalue,
+        # or is off the curve, or shares no line with the first one
+        want = _stage_outcome(recover_fixed_frame, _Scripted(3, order_from=0, **case))
+        assert isinstance(want[0], type)
+        got = _stage_outcome(_recover_fixed_frame, _Scripted(3, order_from=0, **case))
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_frame_is_the_per_row_loop_bit_for_bit(self, n, seed):
+        m = OrderMap(real_line(), _oblique(n, 62))
+        args = (BlackBoxMap(m, _dom(n)), np.random.default_rng(seed))
+        want = recover_fixed_frame(*args[:1], np.random.default_rng(seed))
+        assert _recover_fixed_frame(*args).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("curve", sorted(_SWAP_CURVES))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_probes_are_the_per_row_probes(self, n, curve):
+        curve = _SWAP_CURVES[curve]
+        values = curve.eval_array(_probe_params(DomainSpec(
+            curve, n, MatrixClass.NORMAL).window, n))
+        eye = np.eye(n, dtype=complex)
+        rng = np.random.default_rng(n)
+        lines = np.array([
+            *eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n)),
+            (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2),
+            *(rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))])
+        want = np.array([probe_with_first_line(u, values) for u in lines])
+        assert _probes(lines, values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("at", [None, 0, 2, 3])
+    def test_first_line_images_fail_at_the_first_not_simple_image(self, at, n):
+        # probe images of an oblique conjugation, one of them with a
+        # repeated eigenvalue nearest values[0], and one clustered away
+        # from values[0], which has a first line
+        values = np.linspace(0.1, 0.9, n)
+        eye = np.eye(n, dtype=complex)
+        lines = np.array([*eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2)
+                                    for j in range(1, n))])
+        images = Conj(_oblique(n, 63)).apply_batch(_probes(lines, values))
+        far = values.copy()
+        far[-1] = far[-2]
+        images[1] = np.diag(far)
+        if at is not None:
+            near = values.copy()
+            near[1] = near[0]
+            images[at] = np.diag(near)
+            images[-1] = np.diag(near[::-1])
+        decs, exc = _decompose_rows(images)
+        assert exc is None
+        want = _rows_outcome(lambda i: first_line_image(decs.row(i), values),
+                             len(images))
+        assert _stacked_outcome(*_first_line_images(decs, values)) == want
+        assert len(want[0]) == (len(images) if at is None else at)
+
+    @pytest.mark.parametrize("case", [
+        {"fail": 0}, {"fail": 17}, {"fail": 49}, {"fail": 4, "output": {2: _JORDAN}},
+        {"fail": 2, "output": {4: _JORDAN}},
+        # a probe image whose eigenvalue nearest values[0] = -0.5 is not simple
+        {"output": {3: _NOT_SIMPLE}}, {"output": {1: _NOT_SIMPLE}, "fail": 4},
+        {"output": {4: _NOT_SIMPLE, 2: _JORDAN}},
+        {"output": {4: _NOT_SIMPLE}, "fail": 5}])
+    def test_reconstruction_is_the_per_row_one(self, case):
+        want = _stage_outcome(_reference_reconstruct, _Scripted(3, **case))
+        assert _stage_outcome(reconstruct_conjugator, _Scripted(3, **case)) == want
+
+    @pytest.mark.parametrize("case", [
+        "conj", "order", "planted X+I", "fails at row 17", "model fails at row 5"])
+    def test_holdout_is_the_per_row_loop_bit_for_bit(self, case):
+        # a map that raises partway, and a model that raises partway: an
+        # ordering map along [-1, 0.8], which the spectra of sample 5 leave
+        T = _oblique(3, 64)
+        model = Conj(T).apply_batch
+        if case == "order":
+            model = OrderMap(real_line(), T).apply_batch
+        if case == "model fails at row 5":
+            model = OrderMap(RealInterval(interval=Interval(-1.0, 0.8)), T).apply_batch
+
+        def outcome(holdout):
+            func = {"conj": Conj(T), "order": OrderMap(real_line(), T),
+                    "planted X+I": lambda X: X + np.eye(3),
+                    "fails at row 17": _Scripted(3, fail=17),
+                    "model fails at row 5": Conj(T)}[case]
+            try:
+                got = holdout(BlackBoxMap(func, _dom()), np.random.default_rng(3), model)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return np.float64(got).tobytes()
+
+        want = outcome(holdout_residual)
+        assert outcome(_holdout_residual) == want
+        if case.startswith(("fails", "model")):
+            assert isinstance(want[0], type)
+
+    def test_swaps_raise_the_first_off_curve_draw(self):
+        # the later draw lies farther off the curve: the error of a stack
+        # would name its point, one draw at a time names the first draw's
+        dom = _dom(4)
+        rng = np.random.default_rng(8)
+        draws = [dom.draw(rng, 1) for _ in range(6)]
+        draws[2].lam[0, 0, 1] += 1e-3j
+        draws[4].lam[0, 0, 3] += 1.0j
+        js = np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(OffCurveError) as want:
+            for d, j in zip(draws, js):
+                with_swap(d, real_line(), j)
+        with pytest.raises(OffCurveError) as got:
+            _with_swaps(draws, real_line(), js)
+        assert str(got.value) == str(want.value)
+        assert "distance 1.000e-03" in str(got.value)
+
+
+# LAPACK calls made through np.linalg, and curve orders, of one fixed-seed
+# round trip per label: each stage's numerics are one stacked call, so the
+# counts do not grow with the trials, the probes or the samples.  One row a
+# time (the parent of the stacked stages) made, in the order below,
+# conjugation 9, 10, 1, 0, 1 and 21; transpose conjugation 11, 10, 3, 0, 3
+# and 21; ordering map 23, 3, 3, 4, 3 and 45
+_WORK = {
+    "conjugation": {"svd": 2, "qr": 3, "eig": 1, "eigvals": 0, "inv": 1, "order": 2},
+    "transpose_conjugation": {
+        "svd": 4, "qr": 3, "eig": 3, "eigvals": 0, "inv": 3, "order": 2},
+    "ordering_map": {"svd": 4, "qr": 3, "eig": 3, "eigvals": 4, "inv": 3, "order": 7},
+}
+
+
+@pytest.mark.parametrize("label", list(_WORK))
+def test_round_trip_makes_one_stacked_call_per_stage(label):
+    n = 4
+    U, S = _unitary(n, 70), _oblique(n, 71)
+    m = {"conjugation": Conj(U), "transpose_conjugation": TransposeConj(S),
+         "ordering_map": OrderMap(real_line(), S)}[label]
+    calls = {}
+    with contextlib.ExitStack() as stack:
+        for name in ("svd", "qr", "eig", "eigvals", "inv"):
+            calls[name] = stack.enter_context(mock.patch.object(
+                np.linalg, name, wraps=getattr(np.linalg, name)))
+        calls["order"] = stack.enter_context(mock.patch.object(
+            Curve, "order", autospec=True, side_effect=Curve.order))
+        pt = classify_preserver(BlackBoxMap(m, _dom(n)), np.random.default_rng(5))
+    assert pt.kind == label
+    assert {name: c.call_count for name, c in calls.items()} == _WORK[label]
 
 
 class TestReconstructConjugator:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -268,6 +269,55 @@ def test_rho_relations_hold_within_the_perturbation_bound(curve, mclass, n):
         dI = d * np.eye(n)
         err = np.linalg.norm(rho(Xs + dI) - (rho(Xs) + dI), axis=(1, 2))
         assert np.all(err <= 64 * n * eps * kappa**2 * (scale + np.abs(d[:, 0, 0]) * np.sqrt(n)))
+
+
+@pytest.mark.parametrize("curve", list(_CURVES))
+@pytest.mark.parametrize("mclass", list(MatrixClass))
+@pytest.mark.parametrize("n", [3, 5])
+def test_maps_commute_with_scaling_within_the_rounding_bound(curve, mclass, n):
+    """Map covariance, F(cX) = c F(X) for c = 10^k, k in [-12, 12], on the
+    three curves that X -> cX maps onto themselves, through apply_batch,
+    within a bound of the rounding of each side, with an oblique frame T:
+
+    - Conj and TransposeConj: 4 n eps kappa_F(T) ||cX||_F, with
+      kappa_F(T) = ||T||_F ||T^-1||_F.  Forming cX rounds each entry by
+      eps/2 relatively, and each of the two products of T Y T^-1 errs by
+      at most n eps/2 ||T||_F ||Y||_F (and ||Y||_F ||T^-1||_F), so either
+      side is within (2n + 1/2) eps kappa_F(T) ||cX||_F of c T X T^-1, and
+      the scaling of F(X) adds eps/2 ||cF(X)||_F, at most eps/2
+      kappa_F(T) ||cX||_F: (2n + 1) eps kappa_F(T) ||cX||_F in all.
+    - OrderMap: 16 n^(3/2) eps kappa(T) kappa(B) ||cX||_F, as for the
+      translation below: each side's spectrum is exact for a perturbation
+      of a small multiple of n eps ||cX||_F, which moves each eigenvalue by
+      kappa(B) times that (Bauer-Fike), and T diag(delta) T^-1 is at most
+      kappa(T) ||delta||_2.  Both sides sort alike: each curve is a union
+      of rays from 0, so c > 0 keeps every eigenvalue's place on it.
+    - Rho: 64 n eps kappa(B)^2 ||cX||_F, as for its relations below (a
+      normal row is returned as it is, so there both sides are cX).
+
+    The largest ratios measured over seeds 0..19 of these cells were about
+    0.3 (Conj, TransposeConj), 2.5 (OrderMap, on normal rows) and 2.1 (Rho,
+    on semisimple rows), against the bounds' 4, 16 and 64.
+    """
+    curve_ = _CURVES[curve]
+    rng = np.random.default_rng(2100 + 10 * n + list(_CURVES).index(curve)
+                                + 3 * list(MatrixClass).index(mclass))
+    (Xs,), _ = DomainSpec(curve_, n, mclass).sample(rng, 10)
+    kappa = np.linalg.cond(_decompose_rows(Xs)[0].B)
+    eps = np.finfo(float).eps
+    T = random_unitary(n, rng) * rng.uniform(0.5, 2.0, n) @ random_unitary(n, rng)
+    kappa_F = np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T))
+    bounds = [(Conj(T), 4 * n * eps * kappa_F),
+              (TransposeConj(T), 4 * n * eps * kappa_F),
+              (OrderMap(curve_, T), 16 * n**1.5 * eps * np.linalg.cond(T) * kappa),
+              (Rho(), 64 * n * eps * kappa**2)]
+    scale = np.linalg.norm(Xs, axis=(1, 2))
+    for k in range(-12, 13):
+        c = 10.0**k
+        for m, bound in bounds:
+            err = np.linalg.norm(m.apply_batch(c * Xs) - c * m.apply_batch(Xs),
+                                 axis=(1, 2))
+            assert np.all(err <= bound * c * scale), (type(m).__name__, k)
 
 
 @pytest.mark.parametrize("mclass", list(MatrixClass))
@@ -666,6 +716,26 @@ def test_order_map_batch_is_the_sorted_spectrum_on_every_route(n):
     assert exc is None and w.tobytes() == spectra.tobytes()
     want = np.array([(om.T * w) @ om._Tinv for w in spectra])
     assert om.apply_batch(Xs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_batch_route_skips_the_stacked_decomposition_on_certified_stacks(n):
+    # a stack whose every row the stacked eigensolve serves makes no call
+    # of the stacked decomposition, empty or not, and keeps its bits
+    rng = np.random.default_rng(540 + n)
+    om = OrderMap(real_line(), _random_frame(n, rng, 0.4))
+    Xs = sample_batch(real_line(), n, MatrixClass.NORMAL, rng, count=50)
+    skewed = sample_batch(real_line(), n, MatrixClass.SEMISIMPLE, rng, count=1)
+    assert _certified_normal(Xs).all() and not _certified_normal(skewed).any()
+    with mock.patch("curvespec.spectral._decompose_rows", wraps=_decompose_rows) as dec:
+        got = om.apply_batch(Xs)
+        assert dec.call_count == 0
+        mixed = om.apply_batch(np.concatenate([Xs, skewed]))
+        assert dec.call_count == 1 and len(dec.call_args.args[0]) == 1
+    want = np.array([(om.T * sorted_spectrum(om.curve, X)) @ om._Tinv
+                     for X in np.concatenate([Xs, skewed])])
+    assert got.tobytes() == want[:-1].tobytes()
+    assert mixed.tobytes() == want.tobytes()
 
 
 def test_apply_batch_handles_repeated_eigenvalues():

@@ -43,7 +43,6 @@ from curvespec.spectral import (
     _cluster_means,
     _curve_order,
     _decompose_rows,
-    _fix_phase,
     _haar_frames,
     _matchable,
     _schur,
@@ -71,7 +70,7 @@ from curvespec.spectral import (
 )
 from curvespec.maps import FRAME_COND_LIMIT, Conj
 from curvespec.subspaces import line_distance
-from oracles import is_orthogonal, per_matrix_decompose, validate
+from oracles import fix_phase, is_orthogonal, per_matrix_decompose, validate
 
 
 def test_rotation_matrix_projectors():
@@ -601,7 +600,7 @@ def test_eigenflag_matches_one_svd_per_idempotent(seed, n, cls):
     curve = real_line()
     dec = spectral_decompose(sample(curve, n, cls, np.random.default_rng(seed)))
     # the range of each rank-one idempotent, one full SVD at a time
-    cols = [_fix_phase(np.linalg.svd(dec.idempotents[int(c)])[0][:, :1][:, 0])
+    cols = [fix_phase(np.linalg.svd(dec.idempotents[int(c)])[0][:, :1][:, 0])
             for c in _curve_order(dec, curve)]
     assert eigenflag(dec, curve).tobytes() == np.column_stack(cols).tobytes()
 
