@@ -31,7 +31,6 @@ import scipy.linalg
 
 from curvespec.classify import _FRAME_SAMPLES, _VALIDATION_SAMPLES, _simple_draws
 from curvespec.errors import (
-    ClosedCurveError,
     DefectiveMatrixError,
     NumericalDomainError,
     ReconstructionError,
@@ -46,6 +45,7 @@ from curvespec.spectral import (
     _assemble,
     _cluster_components,
     _cluster_means,
+    _curve_order,
     _decompose_rows,
     _not_simple,
     _schur,
@@ -316,20 +316,15 @@ def _admitted(values, clusters, B, Binv, X, norm_x):
 # ---------------------------------------------------------------------------
 # the classifier's numerics one row at a time, verbatim but for the names,
 # before each stage ran as one stack: eigenflag and the loops of the frame
-# recovery, the swapped draws, the probes, the probe images and the holdout
+# recovery, the swapped draws, the probes, the probe images and the holdout;
+# the helpers they call (_curve_order, _not_simple, orthonormal_columns,
+# _decompose_rows) are the package's own, unchanged
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
     j = int(np.argmax(np.abs(v)))
     piv = v[j]
     return v * (piv.conjugate() / abs(piv))
-
-
-def _curve_order(dec, curve) -> np.ndarray:
-    """Cluster indices sorted along the oriented curve, at the scale ||X||."""
-    if curve.domain is None:
-        raise ClosedCurveError("eigenvalue ordering requires a non-closed curve")
-    return curve.order(dec.distinct_eigenvalues, dec.norm)
 
 
 def per_row_eigenflag(dec, curve) -> np.ndarray:

@@ -913,10 +913,10 @@ class TestStackedNumericsAreThePerRowOnes:
 
 # LAPACK calls made through np.linalg, and curve orders, of one fixed-seed
 # round trip per label: each stage's numerics are one stacked call, so the
-# counts do not grow with the trials, the probes or the samples.  One row a
-# time (the parent of the stacked stages) made, in the order below,
-# conjugation 9, 10, 1, 0, 1 and 21; transpose conjugation 11, 10, 3, 0, 3
-# and 21; ordering map 23, 3, 3, 4, 3 and 45
+# counts do not grow with the trials, the probes or the samples.  The
+# per-row stages (tests/oracles.py) made, in the order below, conjugation
+# 9, 10, 1, 0, 1 and 21; transpose conjugation 11, 10, 3, 0, 3 and 21;
+# ordering map 23, 3, 3, 4, 3 and 45
 _WORK = {
     "conjugation": {"svd": 2, "qr": 3, "eig": 1, "eigvals": 0, "inv": 1, "order": 2},
     "transpose_conjugation": {
