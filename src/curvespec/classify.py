@@ -25,9 +25,13 @@ over its rows: the trials' output eigenlines are the basis columns of one
 call of the maps' batch route (spectral._batch_eig), the frame samples
 and the probe images are decomposed in one call of the stacked
 decomposition, the frame's eigenflags come from one stacked svd, and the
-holdout's norms from one call of spectral._norms.  Only the draws stay
-one at a time, since each draw's retries decide how much of the rng
-stream the next one sees.
+holdout's norms from one call of spectral._norms.  The draws of the
+trials and of the frame samples are made ahead (_simple_draws): every
+attempt's rng calls first, as though each gave its draw, then one curve
+evaluation and one gap test over all of them; a stage's draws go one at
+a time only from the first attempt that the loop would treat otherwise,
+since each draw's retries decide how much of the rng stream the next one
+sees.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ from .errors import (
 )
 from .maps import OrderMap
 from .spectral import (
+    DomainSpec,
     MatrixClass,
     _assemble,
     _batch_eig,
     _curve_order,
     _decompose_rows,
+    _Draw,
+    _draw_params,
     _eigenflags,
     _norms,
     _row_orders,
@@ -129,20 +136,84 @@ def _simple_draw(domain, rng):
     raise NumericalDomainError("could not draw a simple-spectrum sample")
 
 
+def _draws_ahead(domain, rng, count: int, then):
+    """The leading draws of a normal domain's _simple_draws, and their
+    then() values, from the rng calls of every attempt made first; rng is
+    left before the first attempt that the loop would treat otherwise."""
+    n, window = domain.n, domain.window
+    t = np.empty((count, n))
+    re, im = np.empty((2, count, n, n))
+
+    def attempt(i):
+        t[i] = _draw_params(window, n, rng)
+        rng.standard_normal(out=re[i])
+        rng.standard_normal(out=im[i])
+        return then()
+
+    state = rng.bit_generator.state
+    values = [attempt(i) for i in range(count)]
+    with np.errstate(all="ignore"):
+        try:
+            lam = domain.curve.eval_array(t.ravel()).reshape(count, n)
+        except Exception:
+            # a parameter outside the domain: the loop meets its error,
+            # or an earlier deviation, on its own
+            ok = np.zeros(count, dtype=bool)
+        else:
+            # _certified_simple of each row, its norm bit for bit
+            ok = np.isfinite(np.linalg.norm(lam, axis=-1)) & separated(
+                lam, _norms(lam[:, None, :]), _GAP_BAND)
+    m = count if ok.all() else int(np.argmin(ok))
+    if m < count:
+        # the kept attempts' rng calls again, which leave rng before attempt m
+        rng.bit_generator.state = state
+        for i in range(m):
+            attempt(i)
+    G = re[:m] + 1j * im[:m]  # as _ginibre joins its halves
+    return [_Draw(lam[i : i + 1][None], G[i : i + 1], None) for i in range(m)], values[:m]
+
+
 def _simple_draws(domain, rng, count: int, then=lambda: None):
-    """Up to count simple draws, and the exception that ended the drawing
-    early, or None; then() runs after each draw."""
-    draws, failure = [], None
-    for _ in range(count):
+    """Up to count simple draws, the value of then() after each, and the
+    exception that ended the drawing early, or None.
+
+    Seeded outputs rest on this stream contract: the draws, the values and
+    the exception (its type and message) are those of a loop that calls
+    _simple_draw and then then() count times and stops at _simple_draw's
+    first exception, and rng is left in the loop's state, for every numpy
+    bit generator.  then() makes rng calls only.
+
+    A normal domain draws ahead.  The rng calls of all count attempts are
+    made first, in the loop's order and as though each attempt gave its
+    draw: the parameters (as _draw_params draws them), the two Ginibre
+    halves, then() (whose value is kept, not acted on).  The attempts are
+    then judged at once, by one curve.eval_array, one overflow test and
+    one separated.  When every spectrum is certified, as _certified_simple
+    certifies it, these are the loop's draws.  Otherwise the attempts
+    before the first that the loop would treat otherwise (a spectrum that
+    is not certified, which it decomposes, or one whose norm overflows)
+    are kept, rng is put back to its state before the call and makes the
+    kept attempts' calls again, which leaves it before the deviating
+    attempt, and the loop finishes from there.  (Saving the state before
+    every attempt instead costs about 1 us an attempt, more than the
+    replay does.)  A parameter outside the domain sends the whole call to
+    the loop.  Every candidate of a non-normal class is decomposed, and
+    drawing ahead repeats DomainSpec.draw's own calls, so a non-normal
+    domain, or one that is not a DomainSpec, takes the loop from the start.
+    """
+    draws, values, failure = [], [], None
+    if isinstance(domain, DomainSpec) and domain.matrix_class is MatrixClass.NORMAL:
+        draws, values = _draws_ahead(domain, rng, count, then)
+    for _ in range(len(draws), count):
         try:
             draws.append(_simple_draw(domain, rng))
         except Exception as exc:
             failure = exc
             break
-        then()
+        values.append(then())
     if not draws:
         raise failure
-    return draws, failure
+    return draws, values, failure
 
 
 def _with_swaps(draws, curve, js):
@@ -206,9 +277,8 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
         rng = np.random.default_rng(0)
     # each stage works on the rows before the earliest failure so far, so
     # a failure it meets comes first in trial order
-    js = []
-    draws, failure = _simple_draws(
-        bb.domain, rng, trials, lambda: js.append(int(rng.integers(n - 1)))
+    draws, js, failure = _simple_draws(
+        bb.domain, rng, trials, lambda: int(rng.integers(n - 1))
     )
     js = np.array(js, dtype=int)
     pairs = _assemble(*_with_swaps(draws, curve, js))
@@ -383,7 +453,7 @@ class PreserverType:
 
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
-    draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    draws, _, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
     FXs, exc = bb.apply_rows(_assemble(*draws)[0])
     # the decompositions of the leading outputs, and the next one's error
     decs, bad = _decompose_rows(FXs)

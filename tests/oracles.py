@@ -18,7 +18,9 @@ The classifier's per-row numerics before each stage ran as one stack are
 kept verbatim at the end, the references of the stacked routes:
 per_row_eigenflag, the frame loop (recover_fixed_frame), with_swap,
 probe_with_first_line, first_line_image and the holdout loop
-(holdout_residual).
+(holdout_residual); and so is the one-at-a-time draw loop
+(simple_draws, with simple_draw and certified_simple), the reference of
+the classifier's draws ahead and of their stream contract.
 """
 
 import csv
@@ -29,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from curvespec.classify import _FRAME_SAMPLES, _VALIDATION_SAMPLES, _simple_draws
+from curvespec.classify import (
+    _FRAME_SAMPLES,
+    _GAP_BAND,
+    _SAMPLE_ATTEMPTS,
+    _VALIDATION_SAMPLES,
+)
 from curvespec.errors import (
     DefectiveMatrixError,
     NumericalDomainError,
@@ -42,6 +49,7 @@ from curvespec.spectral import (
     NORMALITY_RTOL,
     RANK_RTOL,
     RECONSTRUCTION_RTOL,
+    MatrixClass,
     _assemble,
     _cluster_components,
     _cluster_means,
@@ -52,6 +60,7 @@ from curvespec.spectral import (
     as_matrix,
     conditioned,
     reconstructs,
+    separated,
     spectral_decompose,
 )
 from curvespec.subspaces import orthonormal_columns
@@ -338,10 +347,48 @@ def per_row_eigenflag(dec, curve) -> np.ndarray:
     return np.column_stack([fix_phase(u) for u in U[:, :, 0]])
 
 
+def certified_simple(lam: np.ndarray) -> bool:
+    """Whether the least gap of a normal sample's drawn spectrum clears the
+    merge threshold of spectral_decompose by more than the band, so that it
+    gives len(lam) clusters.  Below that it may also raise."""
+    return bool(separated(lam[None], np.linalg.norm(lam), _GAP_BAND)[0])
+
+
+def simple_draw(domain, rng):
+    """The draw (see DomainSpec.draw) of one sample with n distinct
+    eigenvalues; a candidate the spectrum does not certify, and every
+    candidate of a non-normal class (whose ||X|| may exceed ||lam||, and
+    with it the merge threshold), is assembled and decomposed."""
+    normal = domain.matrix_class is MatrixClass.NORMAL
+    for _ in range(_SAMPLE_ATTEMPTS):
+        draw = domain.draw(rng, 1)
+        if (normal and certified_simple(draw.lam[0, 0])) or (
+            spectral_decompose(_assemble(draw)[0, 0]).num_clusters == domain.n
+        ):
+            return draw
+    raise NumericalDomainError("could not draw a simple-spectrum sample")
+
+
+def simple_draws(domain, rng, count: int, then=lambda: None):
+    """Up to count simple draws, and the exception that ended the drawing
+    early, or None; then() runs after each draw."""
+    draws, failure = [], None
+    for _ in range(count):
+        try:
+            draws.append(simple_draw(domain, rng))
+        except Exception as exc:
+            failure = exc
+            break
+        then()
+    if not draws:
+        raise failure
+    return draws, failure
+
+
 def recover_fixed_frame(bb, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
     curve = bb.domain.curve
-    draws, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    draws, failure = simple_draws(bb.domain, rng, _FRAME_SAMPLES)
     FXs, exc = bb.apply_rows(_assemble(*draws)[0])
     # the decompositions of the leading outputs, and the next one's error
     decs, bad = _decompose_rows(FXs)

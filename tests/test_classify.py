@@ -47,6 +47,7 @@ from curvespec.errors import (
     MixedWitnessError,
     NumericalDomainError,
     OffCurveError,
+    ParameterDomainError,
     ReconstructionError,
 )
 from curvespec.curves import UnitCircleClosed
@@ -61,6 +62,7 @@ from curvespec.spectral import (
     _Draw,
     _eigenflags,
     _skew_frames,
+    default_window,
     matrix_to_json,
     random_unitary,
     spectral_decompose,
@@ -74,6 +76,7 @@ from oracles import (
     per_row_eigenflag,
     probe_with_first_line,
     recover_fixed_frame,
+    simple_draws,
     subspace_intersection,
     subspace_sum,
     with_swap,
@@ -418,7 +421,7 @@ class TestSwapFromTheDraw:
     def test_swap_is_the_idempotent_swap(self, curve, n, mclass):
         curve = _SWAP_CURVES[curve]
         rng = np.random.default_rng(n)
-        draws, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
+        draws, _, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
         assert failure is None
         js = rng.integers(n - 1, size=len(draws))
         Xs, Xts = _assemble(*_with_swaps(draws, curve, js))
@@ -428,6 +431,182 @@ class TestSwapFromTheDraw:
         for X, Xt, j in zip(Xs, Xts, js):
             assert (np.linalg.norm(Xt - idempotent_swap(X, curve, j))
                     <= 1e-11 * np.linalg.norm(X))
+
+
+# ---------------------------------------------------------------------------
+# the draws ahead keep the stream contract of the one-at-a-time loop
+# (oracles.simple_draws): the same draws, then() values, error and final
+# generator state, for every bit generator, whichever attempt deviates
+
+
+_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                   np.random.Philox, np.random.SFC64)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _deviation_windows(curve, n):
+    """Windows named by the deviation they force: attempts that fail
+    certification now and then (about one in ten), an open lower endpoint
+    that the draws hit, in a window so narrow that the attempts run out, a
+    norm that overflows at every attempt or now and then, and, on a curve
+    whose domain ends open, its endpoint hit."""
+    w = default_window(curve)
+    lo, hi = w.lower, w.upper
+    z = curve.eval_array(np.full(n, lo))
+    speed = abs(curve.eval_array([lo + 1e-6])[0] - z[0]) / 1e-6
+    gap = CLUSTER_RTOL * max(1.0, float(np.linalg.norm(z))) / speed
+    out = {
+        "default": w,
+        "open": Interval(lo, hi, False, w.upper_closed),
+        "narrow": Interval(lo, lo + 8 * n * n * gap),
+        "open-hit": Interval(lo, lo + 4 * np.spacing(abs(lo)), lower_closed=False),
+    }
+    if not curve.domain.upper < np.inf:
+        # |z(t)| grows as |z(1)| t, so ||lam||^2 overflows past 1.8e308
+        big = 1.34e154 / abs(curve.eval_array([1.0])[0])
+        out["overflow-first"] = Interval(1e100 * big, 2e100 * big)
+        # ||lam||^2 near 0.9 * 1.8e308 on average
+        out["overflow-later"] = Interval(0.0, np.sqrt(2.7 / n) * big)
+    elif not curve.domain.upper_closed:
+        end = curve.domain.upper
+        out["upper-hit"] = Interval(end - 4 * np.spacing(end), end, upper_closed=False)
+    return out
+
+
+class _EndpointHits:
+    """A generator whose uniform draws land on the lower endpoint at every
+    13th value, as on an open window they may, rarely; no sample of n <= 13
+    has two."""
+
+    def __init__(self, seed):
+        inner = np.random.default_rng(seed)
+        self.inner, self.drawn, self.bit_generator = inner, 0, inner.bit_generator
+        self.standard_normal, self.integers = inner.standard_normal, inner.integers
+
+    def uniform(self, low, high, size):
+        u = self.inner.uniform(low, high, size)
+        k = np.arange(self.drawn, self.drawn + u.size).reshape(u.shape)
+        self.drawn += u.size
+        u[k % 13 == 0] = low
+        return u
+
+
+class _Planted(_EndpointHits):
+    """A generator whose first uniform draws are the given rows."""
+
+    def __init__(self, seed, rows):
+        super().__init__(seed)
+        self.rows = list(rows)
+
+    def uniform(self, low, high, size):
+        u = super().uniform(low, high, size)
+        return np.reshape(self.rows.pop(0), u.shape) if self.rows else u
+
+
+def _spy_ahead(kept):
+    """classify._draws_ahead, recording how many draws each call keeps."""
+    real = classify._draws_ahead
+
+    def spy(*args):
+        out = real(*args)
+        kept.append(len(out[0]))
+        return out
+
+    return mock.patch.object(classify, "_draws_ahead", spy)
+
+
+def _draw_both(domain, make_rng, seed, count, then):
+    """The loop's and the draws ahead's results on equal generators, and
+    how many draws the draws ahead kept before a deviation."""
+    results, kept = [], []
+    for route in ("loop", "ahead"):
+        rng = make_rng(seed)
+        values = []
+        step = (lambda: int(rng.integers(domain.n - 1))) if then else (lambda: None)
+        try:
+            if route == "loop":
+                draws, failure = simple_draws(
+                    domain, rng, count, lambda: values.append(step()))
+            else:
+                with _spy_ahead(kept):
+                    draws, values, failure = _simple_draws(domain, rng, count, step)
+        except Exception as exc:
+            draws, failure = [], exc
+        results.append((
+            [(d.lam.shape, d.lam.tobytes(), d.G.shape, d.G.tobytes(), d.S)
+             for d in draws],
+            values,
+            failure and (type(failure), str(failure)),
+            rng.bit_generator.state,
+        ))
+    return results, kept[0]
+
+
+class TestDrawsAhead:
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS,
+                             ids=lambda b: b.__name__)
+    def test_stream_contract_of_the_loop(self, bit_generator):
+        count, runs = 12, 0
+        kept = {}
+        for (name, curve), n in itertools.product(
+                sorted(_SWAP_CURVES.items()), (3, 4, 5, 8, 12)):
+            for case, window in _deviation_windows(curve, n).items():
+                domain = DomainSpec(curve, n, MatrixClass.NORMAL, window)
+                for then in (True, False) if case == "default" else (True,):
+                    runs += 1
+                    (want, got), m = _draw_both(
+                        domain, lambda s: np.random.Generator(bit_generator(s)),
+                        runs, count, then)
+                    assert got[:3] == want[:3], (name, n, case)
+                    assert _same_state(got[3], want[3]), (name, n, case)
+                    kept.setdefault(case, []).append((m, len(want[0]), want[2]))
+        # the deviations were forced: at the first attempt, mid-call and never
+        assert all(m == count for m, _, _ in kept["default"] + kept["open"])
+        assert any(0 < m < count for m, _, _ in kept["narrow"])
+        assert all(got == count and err is None for _, got, err in kept["narrow"])
+        assert all(m == got == 0 and err == (
+            NumericalDomainError, "could not draw a simple-spectrum sample")
+            for m, got, err in kept["open-hit"])
+        assert all(m == got == 0 and err == (
+            NumericalDomainError, "sample spectrum norm overflows")
+            for m, got, err in kept["overflow-first"])
+        assert any(0 < m == got and err is not None
+                   for m, got, err in kept["overflow-later"])
+        assert all(err[0] is ParameterDomainError for _, _, err in kept["upper-hit"])
+
+    def test_the_loop_takes_over_at_the_first_uncertified_spectrum(self):
+        # spectra (on the real line, their own parameters) whose least gap
+        # lies s bands (_GAP_BAND) from the merge threshold
+        n, gaps = 4, [3.0, 1.05, 2.0, 0.5, 3.0, 0.95]
+        rows = [_spectrum_with_gap(real_line(), n, 0.3, 0.5, s) for s in gaps]
+        assert [_certified_simple(lam) for lam in rows] == [s > 1 for s in gaps]
+        kept = []
+        with _spy_ahead(kept):
+            draws, _, _ = _simple_draws(
+                _dom(n), _Planted(1, [lam.real for lam in rows]), len(gaps))
+        assert kept == [3]
+        assert [d.lam[0, 0].tobytes() for d in draws[:3]] == [
+            lam.tobytes() for lam in rows[:3]]
+
+    @pytest.mark.parametrize("curve", sorted(_SWAP_CURVES))
+    def test_open_lower_endpoint_hit_in_certified_draws(self, curve):
+        # the hits are moved to the window's midpoint, as _draw_params does
+        curve = _SWAP_CURVES[curve]
+        w = default_window(curve)
+        window = Interval(w.lower, w.upper, False, w.upper_closed)
+        for n in (3, 4, 5, 8, 12):
+            domain = DomainSpec(curve, n, MatrixClass.NORMAL, window)
+            (want, got), m = _draw_both(domain, _EndpointHits, n, 12, True)
+            assert m == 12 and got[:3] == want[:3]
+            assert _same_state(got[3], want[3])
+            lam = np.concatenate([np.frombuffer(b, complex) for _, b, *_ in got[0]])
+            mid = curve.eval_array([0.5 * (w.lower + w.upper)])[0]
+            assert np.count_nonzero(lam == mid) == -(-12 * n // 13)
 
 
 # ---------------------------------------------------------------------------
@@ -911,17 +1090,21 @@ class TestStackedNumericsAreThePerRowOnes:
         assert "distance 1.000e-03" in str(got.value)
 
 
-# LAPACK calls made through np.linalg, and curve orders, of one fixed-seed
-# round trip per label: each stage's numerics are one stacked call, so the
-# counts do not grow with the trials, the probes or the samples.  The
-# per-row stages (tests/oracles.py) made, in the order below, conjugation
-# 9, 10, 1, 0, 1 and 21; transpose conjugation 11, 10, 3, 0, 3 and 21;
-# ordering map 23, 3, 3, 4, 3 and 45
+# LAPACK calls made through np.linalg, curve orders and curve evaluations
+# of one fixed-seed round trip per label: each stage's numerics are one
+# stacked call, so the counts do not grow with the trials, the probes or
+# the samples.  The per-row stages (tests/oracles.py) made, in the order
+# below, conjugation 9, 10, 1, 0, 1 and 21; transpose conjugation 11, 10,
+# 3, 0, 3 and 21; ordering map 23, 3, 3, 4, 3 and 45.  Each drawing stage
+# (the trials, the frame samples, the holdout) evaluates its spectra once,
+# and the probes their values once; one draw at a time made 22, 22 and 41
 _WORK = {
-    "conjugation": {"svd": 2, "qr": 3, "eig": 1, "eigvals": 0, "inv": 1, "order": 2},
-    "transpose_conjugation": {
-        "svd": 4, "qr": 3, "eig": 3, "eigvals": 0, "inv": 3, "order": 2},
-    "ordering_map": {"svd": 4, "qr": 3, "eig": 3, "eigvals": 4, "inv": 3, "order": 7},
+    "conjugation": {"svd": 2, "qr": 3, "eig": 1, "eigvals": 0, "inv": 1,
+                    "order": 2, "eval_array": 3},
+    "transpose_conjugation": {"svd": 4, "qr": 3, "eig": 3, "eigvals": 0, "inv": 3,
+                              "order": 2, "eval_array": 3},
+    "ordering_map": {"svd": 4, "qr": 3, "eig": 3, "eigvals": 4, "inv": 3,
+                     "order": 7, "eval_array": 3},
 }
 
 
@@ -936,8 +1119,9 @@ def test_round_trip_makes_one_stacked_call_per_stage(label):
         for name in ("svd", "qr", "eig", "eigvals", "inv"):
             calls[name] = stack.enter_context(mock.patch.object(
                 np.linalg, name, wraps=getattr(np.linalg, name)))
-        calls["order"] = stack.enter_context(mock.patch.object(
-            Curve, "order", autospec=True, side_effect=Curve.order))
+        for name in ("order", "eval_array"):
+            calls[name] = stack.enter_context(mock.patch.object(
+                Curve, name, autospec=True, side_effect=getattr(Curve, name)))
         pt = classify_preserver(BlackBoxMap(m, _dom(n)), np.random.default_rng(5))
     assert pt.kind == label
     assert {name: c.call_count for name, c in calls.items()} == _WORK[label]
