@@ -504,7 +504,7 @@ class _Planted(_EndpointHits):
         self.rows = list(rows)
 
     def uniform(self, low, high, size):
-        u = super().uniform(low, high, size)
+        u = self.inner.uniform(low, high, size)
         return np.reshape(self.rows.pop(0), u.shape) if self.rows else u
 
 
