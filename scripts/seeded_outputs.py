@@ -115,6 +115,12 @@ COMMANDS = [
     # the experiment's bounded side, and a second corner
     *[["rho-continuity", "--curve", curve, *n, "--seed", "{seed}"]
       for curve in ("real-line", "corner-graph:-0.5,2") for n in ((), ("--n", "4"))],
+    # a window so narrow that about half of the classifier's candidates
+    # fail certification from their drawn spectrum and are decomposed
+    *[["classify", "--curve", "real-line", "--n", "3", "--window", "0,1e-6",
+       "--seed", "{seed}", *map_args]
+      for map_args in (("--map", _order_map({"kind": "real_interval"})),
+                       ("--map-cmd", TRANSPOSE))],
 ]
 
 
