@@ -27,11 +27,11 @@ and the probe images are decomposed in one call of the stacked
 decomposition, the frame's eigenflags come from one stacked svd, and the
 holdout's norms from one call of spectral._norms.  The draws of the
 trials and of the frame samples are made ahead (_simple_draws): every
-attempt's rng calls first, as though each gave its draw, then one curve
-evaluation and one gap test over all of them; a stage's draws go one at
-a time only from the first attempt that the loop would treat otherwise,
-since each draw's retries decide how much of the rng stream the next one
-sees.
+attempt's rng calls first, then one curve evaluation and one gap test
+over all of them, and one stacked decomposition of the candidates the
+gap test leaves uncertified; at the first candidate rejected, or an
+error, rng is rewound to just after that attempt and a new round starts,
+since each draw's retries decide the rng stream the next one sees.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from .errors import (
     ConfigError,
     MixedWitnessError,
     NumericalDomainError,
+    ParameterDomainError,
     ReconstructionError,
 )
 from .maps import OrderMap
 from .spectral import (
-    DomainSpec,
     MatrixClass,
     _assemble,
     _batch_eig,
@@ -63,6 +63,8 @@ from .spectral import (
     _eigenflags,
     _norms,
     _row_orders,
+    _samples,
+    _skew_frames,
     conditioned,
     matrix_to_json,
     separated,
@@ -114,114 +116,110 @@ def check_classifiable(domain) -> None:
         raise ClosedCurveError("classification requires a non-closed curve")
 
 
-def _certified_simple(lam: np.ndarray) -> bool:
-    """Whether the least gap of a normal sample's drawn spectrum clears the
-    merge threshold of spectral_decompose by more than the band, so that it
-    gives len(lam) clusters.  Below that it may also raise."""
-    return bool(separated(lam[None], np.linalg.norm(lam), _GAP_BAND)[0])
-
-
-def _simple_draw(domain, rng):
-    """The draw (see DomainSpec.draw) of one sample with n distinct
-    eigenvalues; a candidate the spectrum does not certify, and every
-    candidate of a non-normal class (whose ||X|| may exceed ||lam||, and
-    with it the merge threshold), is assembled and decomposed."""
-    normal = domain.matrix_class is MatrixClass.NORMAL
-    for _ in range(_SAMPLE_ATTEMPTS):
-        draw = domain.draw(rng, 1)
-        if (normal and _certified_simple(draw.lam[0, 0])) or (
-            spectral_decompose(_assemble(draw)[0, 0]).num_clusters == domain.n
-        ):
-            return draw
-    raise NumericalDomainError("could not draw a simple-spectrum sample")
-
-
-def _draws_ahead(domain, rng, count: int, then):
-    """The leading draws of a normal domain's _simple_draws, and their
-    then() values, from the rng calls of every attempt made first; rng is
-    left before the first attempt that the loop would treat otherwise."""
-    n, window = domain.n, domain.window
-    t = np.empty((count, n))
-    re, im = np.empty((2, count, n, n))
-
-    def attempt(i):
-        t[i] = _draw_params(window, n, rng)
-        rng.standard_normal(out=re[i])
-        rng.standard_normal(out=im[i])
-        return then()
-
-    state = rng.bit_generator.state
-    values = [attempt(i) for i in range(count)]
-    with np.errstate(all="ignore"):
-        try:
-            lam = domain.curve.eval_array(t.ravel()).reshape(count, n)
-        except Exception:
-            # a parameter outside the domain: the loop meets its error,
-            # or an earlier deviation, on its own
-            ok = np.zeros(count, dtype=bool)
-        else:
-            # _certified_simple of each row, its norm bit for bit
-            ok = np.isfinite(np.linalg.norm(lam, axis=-1)) & separated(
-                lam, _norms(lam[:, None, :]), _GAP_BAND)
-    m = count if ok.all() else int(np.argmin(ok))
-    if m < count:
-        # the kept attempts' rng calls again, which leave rng before attempt m
-        rng.bit_generator.state = state
-        for i in range(m):
-            attempt(i)
-    G = re[:m] + 1j * im[:m]  # as _ginibre joins its halves
-    return [_Draw(lam[i : i + 1][None], G[i : i + 1], None) for i in range(m)], values[:m]
-
-
 def _simple_draws(domain, rng, count: int, then=lambda: None):
-    """Up to count simple draws, the value of then() after each, and the
-    exception that ended the drawing early, or None.
+    """Up to count simple draws as one _Draw, the value of then() after
+    each, and the exception that ended the drawing early, or None.
 
     Seeded outputs rest on this stream contract: the draws, the values and
-    the exception (its type and message) are those of a loop that calls
-    _simple_draw and then then() count times and stops at _simple_draw's
-    first exception, and rng is left in the loop's state, for every numpy
-    bit generator.  then() makes rng calls only.
+    the exception (type and message) are those of a loop that draws
+    candidates one at a time (DomainSpec.draw(rng, 1)), gives up on a draw
+    after _SAMPLE_ATTEMPTS rejected candidates, calls then() after each
+    kept draw and stops at the first exception, and rng is left in the
+    loop's state, for every numpy bit generator (tests/oracles.py keeps
+    the loop).  then() makes rng calls only.  A normal candidate whose
+    drawn spectrum clears the merge threshold by the band (_GAP_BAND) is
+    kept; any other, as every one of a non-normal class (whose ||X|| may
+    exceed ||lam||), when its decomposition has n clusters.
 
-    A normal domain draws ahead.  The rng calls of all count attempts are
-    made first, in the loop's order and as though each attempt gave its
-    draw: the parameters (as _draw_params draws them), the two Ginibre
-    halves, then() (whose value is kept, not acted on).  The attempts are
-    then judged at once, by one curve.eval_array, one overflow test and
-    one separated.  When every spectrum is certified, as _certified_simple
-    certifies it, these are the loop's draws.  Otherwise the attempts
-    before the first that the loop would treat otherwise (a spectrum that
-    is not certified, which it decomposes, or one whose norm overflows)
-    are kept, rng is put back to its state before the call and makes the
-    kept attempts' calls again, which leaves it before the deviating
-    attempt, and the loop finishes from there.  (Saving the state before
-    every attempt instead costs about 1 us an attempt, more than the
-    replay does.)  A parameter outside the domain sends the whole call to
-    the loop.  Every candidate of a non-normal class is decomposed, and
-    drawing ahead repeats DomainSpec.draw's own calls, so a non-normal
-    domain, or one that is not a DomainSpec, takes the loop from the start.
+    Each round makes the rng calls of its attempts first, in the loop's
+    order and as though each gave its draw: the parameters, the Ginibre
+    halves, the skew frame of a non-normal class, then() (its value kept,
+    not acted on).  It judges them at once, in the loop's order: one
+    curve.eval_array (the parameter domain), one overflow test, one
+    separated, and one assembly and one stacked decomposition of the
+    candidates left uncertified.  At the first attempt that the loop would
+    not keep, a rejected candidate or an error, rng is put back to its
+    state before the round and makes the kept attempts' calls again, then
+    that attempt's own (its parameters alone when its spectrum fails).  A
+    round takes every attempt still needed, or 2s + 1 after one that kept
+    s, so that the attempts drawn past a rejection stay in proportion to
+    those kept.  (A state saved per attempt costs more than the replay.)
     """
-    draws, values, failure = [], [], None
-    if isinstance(domain, DomainSpec) and domain.matrix_class is MatrixClass.NORMAL:
-        draws, values = _draws_ahead(domain, rng, count, then)
-    for _ in range(len(draws), count):
-        try:
-            draws.append(_simple_draw(domain, rng))
-        except Exception as exc:
-            failure = exc
-            break
-        values.append(then())
-    if not draws:
+    n, curve, window = domain.n, domain.curve, domain.window
+    normal = domain.matrix_class is MatrixClass.NORMAL
+    t, lam = np.empty((count, n)), np.empty((count, n), dtype=complex)
+    halves = np.empty((count, 2, n, n))  # of each Ginibre matrix, in draw order
+    S = None if normal else np.empty((count, n, n), dtype=complex)
+    values, kept, rejected, failure, size = [None] * count, 0, 0, None, count
+
+    def attempt(i, whole=True):
+        t[i] = _draw_params(window, n, rng)
+        if whole:
+            rng.standard_normal(out=halves[i])
+            if S is not None:
+                S[i] = _skew_frames(n, 1, rng)[0]
+
+    while failure is None and kept < count:
+        end = min(count, kept + size)
+        state = rng.bit_generator.state
+        for i in range(kept, end):
+            attempt(i)
+            values[i] = then()
+        # stop: the first attempt the loop would not keep (whole: all its calls)
+        ts = t[kept:end]
+        stop, whole = len(ts), True
+        with np.errstate(all="ignore"):
+            try:
+                z = curve.eval_array(ts.ravel()).reshape(ts.shape)
+            except ParameterDomainError as exc:
+                # the stack's error names the first attempt's first outside
+                # parameter, as that attempt's own does
+                stop = int(np.argmin(curve.domain.contains(ts).all(axis=1)))
+                failure, whole = exc, False
+                z = curve.eval_array(ts[:stop].ravel()).reshape(stop, n)
+            finite = np.isfinite(np.linalg.norm(z, axis=-1))
+        if not finite.all():
+            stop, whole = int(np.argmin(finite)), False
+            failure = NumericalDomainError("sample spectrum norm overflows")
+        lam[kept : kept + stop] = z = z[:stop]
+        rows = np.flatnonzero(
+            (not normal) | ~separated(z, _norms(z[:, None, :]), _GAP_BAND))
+        if rows.size:
+            k = kept + rows
+            X, fits = _samples(_Draw(z[rows][None], halves[k, 0] + 1j * halves[k, 1],
+                                     None if S is None else S[k]))
+            f = int(np.argmin(fits[0])) if not fits.all() else rows.size
+            decs, exc = _decompose_rows(X[0, :f])
+            m = len(decs.mults)
+            r = next((i for i in range(m) if len(decs.mults[i]) != n), m)
+            if r < rows.size:
+                stop, whole = int(rows[r]), True
+                failure = None if r < m else exc if r < f else (
+                    NumericalDomainError("sample norm overflows"))
+        if stop < len(ts):
+            rng.bit_generator.state = state
+            for i in range(kept, kept + stop):
+                attempt(i)
+                then()
+            attempt(kept + stop, whole)
+        # the rejections since the last kept draw
+        rejected = (0 if stop else rejected) + (stop < len(ts))
+        if failure is None and rejected == _SAMPLE_ATTEMPTS:
+            failure = NumericalDomainError("could not draw a simple-spectrum sample")
+        kept, size = kept + stop, 2 * stop + 1
+    if not kept:
         raise failure
-    return draws, values, failure
+    G = halves[:kept, 0] + 1j * halves[:kept, 1]  # as _ginibre joins them
+    draw = _Draw(lam[None, :kept], G, None if S is None else S[:kept])
+    return draw, values[:kept], failure
 
 
-def _with_swaps(draws, curve, js):
-    """Each draw and, on its frame, its j-th and (j+1)-th eigenvalues (in
-    curve order) exchanged, as one k = 2 draw each: every eigenspace stays.
-    One curve order serves every draw; a draw whose spectrum is off the
-    curve raises its own error, the first such draw's."""
-    lam = np.concatenate([d.lam[0] for d in draws])
+def _with_swaps(draw, curve, js):
+    """The draws of a stack and, on each one's frame, its j-th and (j+1)-th
+    eigenvalues (in curve order) exchanged, as one k = 2 draw: every
+    eigenspace stays.  One curve order serves every draw; a draw whose
+    spectrum is off the curve raises its own error, the first such draw's."""
+    lam = draw.lam[0]
     order, exc = _row_orders(curve, lam, np.ones(len(lam)))
     if exc is not None:
         raise exc
@@ -229,8 +227,7 @@ def _with_swaps(draws, curve, js):
     ab = order[t, np.stack([js, js + 1], axis=1)]
     swapped = lam.copy()
     swapped[t, ab] = lam[t, ab[:, ::-1]]
-    pairs = np.stack([lam, swapped], axis=1)[:, :, None]
-    return [d._replace(lam=p) for d, p in zip(draws, pairs)]
+    return draw._replace(lam=np.stack([lam, swapped]))
 
 
 def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray):
@@ -277,11 +274,11 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
         rng = np.random.default_rng(0)
     # each stage works on the rows before the earliest failure so far, so
     # a failure it meets comes first in trial order
-    draws, js, failure = _simple_draws(
+    draw, js, failure = _simple_draws(
         bb.domain, rng, trials, lambda: int(rng.integers(n - 1))
     )
     js = np.array(js, dtype=int)
-    pairs = _assemble(*_with_swaps(draws, curve, js))
+    pairs = _assemble(_with_swaps(draw, curve, js))
     FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
     if exc is not None:
         failure = exc
@@ -453,8 +450,8 @@ class PreserverType:
 
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
-    draws, _, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
-    FXs, exc = bb.apply_rows(_assemble(*draws)[0])
+    draw, _, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    FXs, exc = bb.apply_rows(_assemble(draw)[0])
     # the decompositions of the leading outputs, and the next one's error
     decs, bad = _decompose_rows(FXs)
     Fs, err = _eigenflags(decs, bb.domain.curve)

@@ -694,19 +694,22 @@ def _draw(
     return _Draw(lam, G, S)
 
 
-def _assemble(*draws: _Draw) -> np.ndarray:
-    """The k sample stacks X (k, count, n, n) of the draws, in order, whose
-    i-th samples share one eigenframe (so they commute); overflow as in _draw."""
-    lam, G, S = zip(*draws)
-    lam, G = np.concatenate(lam, axis=1), np.concatenate(G)
-    S = None if S[0] is None else np.concatenate(S)
+def _samples(draw: _Draw):
+    """The k sample stacks X (k, count, n, n) of a draw, whose i-th samples
+    share one eigenframe (so they commute), and which norms are finite."""
+    lam, G, S = draw
     Q = _haar_frames(G)
     with np.errstate(all="ignore"):
         X = (Q * lam[:, :, None, :]) @ Q.conj().transpose(0, 2, 1)
         if S is not None:
             X = S @ X @ np.linalg.inv(S)
-        finite = np.isfinite(np.linalg.norm(X, axis=(-2, -1))).all()
-    if not finite:
+        return X, np.isfinite(np.linalg.norm(X, axis=(-2, -1)))
+
+
+def _assemble(draw: _Draw) -> np.ndarray:
+    """The sample stacks of a draw (_samples), refusing overflow as _draw does."""
+    X, finite = _samples(draw)
+    if not finite.all():
         raise NumericalDomainError("sample norm overflows")
     return X
 

@@ -20,7 +20,9 @@ per_row_eigenflag, the frame loop (recover_fixed_frame), with_swap,
 probe_with_first_line, first_line_image and the holdout loop
 (holdout_residual); and so is the one-at-a-time draw loop
 (simple_draws, with simple_draw and certified_simple), the reference of
-the classifier's draws ahead and of their stream contract.
+the classifier's draws ahead and of their stream contract.  joined puts a
+list of draws into one stack, as _assemble joined them before it took
+one draw.
 """
 
 import csv
@@ -51,6 +53,7 @@ from curvespec.spectral import (
     RECONSTRUCTION_RTOL,
     MatrixClass,
     _assemble,
+    _Draw,
     _cluster_components,
     _cluster_means,
     _curve_order,
@@ -385,11 +388,19 @@ def simple_draws(domain, rng, count: int, then=lambda: None):
     return draws, failure
 
 
+def joined(draws):
+    """The draws of a list as one _Draw, in order: each stack of samples
+    the concatenation of theirs."""
+    lam, G, S = zip(*draws)
+    S = None if S[0] is None else np.concatenate(S)
+    return _Draw(np.concatenate(lam, axis=1), np.concatenate(G), S)
+
+
 def recover_fixed_frame(bb, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
     curve = bb.domain.curve
     draws, failure = simple_draws(bb.domain, rng, _FRAME_SAMPLES)
-    FXs, exc = bb.apply_rows(_assemble(*draws)[0])
+    FXs, exc = bb.apply_rows(_assemble(joined(draws))[0])
     # the decompositions of the leading outputs, and the next one's error
     decs, bad = _decompose_rows(FXs)
     frame = None

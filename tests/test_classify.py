@@ -21,13 +21,11 @@ from curvespec.classify import (
     EQUIVARIANT,
     FACTORS_THROUGH_QUOTIENT,
     EquivarianceVerdict,
-    _certified_simple,
     _first_line_images,
     _holdout_residual,
     _probe_params,
     _probes,
     _recover_fixed_frame,
-    _simple_draw,
     _simple_draws,
     _with_swaps,
     circle_obstruction_demo,
@@ -61,7 +59,6 @@ from curvespec.spectral import (
     _decompose_rows,
     _Draw,
     _eigenflags,
-    _skew_frames,
     default_window,
     matrix_to_json,
     random_unitary,
@@ -69,9 +66,11 @@ from curvespec.spectral import (
 )
 from curvespec.subspaces import line_distance
 from oracles import (
+    certified_simple,
     first_line_image,
     holdout_residual,
     idempotent_swap,
+    joined,
     max_principal_angle,
     per_row_eigenflag,
     probe_with_first_line,
@@ -205,10 +204,10 @@ def _reference_equivariance(bb, trials, rng, tol=1e-6):
 
 def _outcome(run, case, seed, trials=20):
     """(kind, witnesses) of a verdict, or (exception type, message)."""
-    n, make_func, *make_dom = case
-    bb = BlackBoxMap(make_func(), make_dom[0]() if make_dom else _dom(n))
+    n, make_func, *make_rng = case
+    rng = make_rng[0](seed) if make_rng else np.random.default_rng(seed)
     try:
-        got = run(bb, trials, np.random.default_rng(seed))
+        got = run(BlackBoxMap(make_func(), _dom(n)), trials, rng)
     except Exception as exc:
         return type(exc), str(exc)
     return getattr(got, "kind", got), trials
@@ -241,28 +240,45 @@ class _Scripted:
         return X
 
 
-class _DryingDomain:
-    """The normal domain of _dom, except that every sample from draw
-    `dry_from` on has one repeated eigenvalue, on both routes: the samples
-    of sample and the spectra of draw."""
+class _RngDouble:
+    """A generator over default_rng(seed) whose uniform draws a subclass
+    changes, at a position (at) that it counts.  It is its own bit
+    generator, whose state holds the inner state and the position, so that
+    a rewind (bit_generator.state = state) restores both."""
 
-    def __init__(self, n, dry_from):
-        self.inner, self.n, self.dry_from, self.drawn = _dom(n), n, dry_from, 0
-        self.curve, self.matrix_class = self.inner.curve, self.inner.matrix_class
+    def __init__(self, seed):
+        self.inner, self.at, self.bit_generator = np.random.default_rng(seed), 0, self
 
-    def sample(self, rng, count, k=1):
-        Xs, lam = self.inner.sample(rng, count, k)
-        self.drawn += count
-        if self.drawn > self.dry_from:
-            Xs[:] = 0.5 * np.eye(self.n)
-        return Xs, lam
+    def standard_normal(self, *args, **kwargs):
+        return self.inner.standard_normal(*args, **kwargs)
 
-    def draw(self, rng, count, k=1):
-        draw = self.inner.draw(rng, count, k)
-        self.drawn += count
-        if self.drawn > self.dry_from:
-            draw.lam[:] = 0.5
-        return draw
+    def integers(self, *args, **kwargs):
+        return self.inner.integers(*args, **kwargs)
+
+    @property
+    def state(self):
+        return {"inner": self.inner.bit_generator.state, "at": self.at}
+
+    @state.setter
+    def state(self, state):
+        self.inner.bit_generator.state, self.at = state["inner"], state["at"]
+
+
+class _Drying(_RngDouble):
+    """A generator whose uniform draws, from call `dry_from` on (counting
+    from 0), repeat their first value: every candidate from the one of draw
+    `dry_from` on has one repeated eigenvalue."""
+
+    def __init__(self, seed, dry_from):
+        super().__init__(seed)
+        self.dry_from = dry_from
+
+    def uniform(self, low, high, size):
+        u = self.inner.uniform(low, high, size)
+        if self.at >= self.dry_from:
+            u[...] = u.flat[0]
+        self.at += 1
+        return u
 
 
 _JORDAN = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -299,9 +315,9 @@ _ORACLE_CASES = {
     "defective at call 6, mixed at trial 4": (
         3, lambda: _Scripted(3, (9,), output={6: _JORDAN})),
     "no simple sample from trial 3": (
-        3, lambda: _Scripted(3), lambda: _DryingDomain(3, 3)),
+        3, lambda: _Scripted(3), lambda seed: _Drying(seed, 3)),
     "no simple sample from trial 3, mixed at trial 1": (
-        3, lambda: _Scripted(3, (3,)), lambda: _DryingDomain(3, 3)),
+        3, lambda: _Scripted(3, (3,)), lambda seed: _Drying(seed, 3)),
     "contradictory": (3, lambda: _Scripted(3, order_from=24)),
     "contradictory, fails on call 37": (
         3, lambda: _Scripted(3, fail=37, order_from=24)),
@@ -421,12 +437,15 @@ class TestSwapFromTheDraw:
     def test_swap_is_the_idempotent_swap(self, curve, n, mclass):
         curve = _SWAP_CURVES[curve]
         rng = np.random.default_rng(n)
-        draws, _, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
+        draw, _, failure = _simple_draws(DomainSpec(curve, n, mclass), rng, 300)
         assert failure is None
-        js = rng.integers(n - 1, size=len(draws))
-        Xs, Xts = _assemble(*_with_swaps(draws, curve, js))
-        assert np.array_equal(Xs, _assemble(*draws)[0])
-        want = _assemble(*(with_swap(d, curve, j) for d, j in zip(draws, js)))
+        js = rng.integers(n - 1, size=300)
+        Xs, Xts = _assemble(_with_swaps(draw, curve, js))
+        assert np.array_equal(Xs, _assemble(draw)[0])
+        S = [None] * 300 if draw.S is None else draw.S[:, None]
+        want = _assemble(joined([
+            with_swap(_Draw(lam[None, None], G[None], s), curve, j)
+            for lam, G, s, j in zip(draw.lam[0], draw.G, S, js)]))
         assert np.array_equal(Xts, want[1])
         for X, Xt, j in zip(Xs, Xts, js):
             assert (np.linalg.norm(Xt - idempotent_swap(X, curve, j))
@@ -436,7 +455,8 @@ class TestSwapFromTheDraw:
 # ---------------------------------------------------------------------------
 # the draws ahead keep the stream contract of the one-at-a-time loop
 # (oracles.simple_draws): the same draws, then() values, error and final
-# generator state, for every bit generator, whichever attempt deviates
+# generator state, for every bit generator and both matrix classes,
+# whichever attempt the loop rejects or fails at
 
 
 _BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
@@ -451,10 +471,11 @@ def _same_state(a, b) -> bool:
 
 def _deviation_windows(curve, n):
     """Windows named by the deviation they force: attempts that fail
-    certification now and then (about one in ten), an open lower endpoint
-    that the draws hit, in a window so narrow that the attempts run out, a
-    norm that overflows at every attempt or now and then, and, on a curve
-    whose domain ends open, its endpoint hit."""
+    certification now and then (about one in ten), a window 3e-6 wide at
+    the lower end, where many do, an open lower endpoint that the draws
+    hit, in a window so narrow that the attempts run out, a norm that
+    overflows at every attempt or now and then, and, on a curve whose
+    domain ends open, its endpoint hit."""
     w = default_window(curve)
     lo, hi = w.lower, w.upper
     z = curve.eval_array(np.full(n, lo))
@@ -464,6 +485,7 @@ def _deviation_windows(curve, n):
         "default": w,
         "open": Interval(lo, hi, False, w.upper_closed),
         "narrow": Interval(lo, lo + 8 * n * n * gap),
+        "3e-6": Interval(lo, lo + 3e-6),
         "open-hit": Interval(lo, lo + 4 * np.spacing(abs(lo)), lower_closed=False),
     }
     if not curve.domain.upper < np.inf:
@@ -478,53 +500,55 @@ def _deviation_windows(curve, n):
     return out
 
 
-class _EndpointHits:
+class _EndpointHits(_RngDouble):
     """A generator whose uniform draws land on the lower endpoint at every
     13th value, as on an open window they may, rarely; no sample of n <= 13
     has two."""
 
-    def __init__(self, seed):
-        inner = np.random.default_rng(seed)
-        self.inner, self.drawn, self.bit_generator = inner, 0, inner.bit_generator
-        self.standard_normal, self.integers = inner.standard_normal, inner.integers
-
     def uniform(self, low, high, size):
         u = self.inner.uniform(low, high, size)
-        k = np.arange(self.drawn, self.drawn + u.size).reshape(u.shape)
-        self.drawn += u.size
+        k = np.arange(self.at, self.at + u.size).reshape(u.shape)
+        self.at += u.size
         u[k % 13 == 0] = low
         return u
 
 
-class _Planted(_EndpointHits):
+class _Planted(_RngDouble):
     """A generator whose first uniform draws are the given rows."""
 
     def __init__(self, seed, rows):
         super().__init__(seed)
-        self.rows = list(rows)
+        self.rows = rows
 
     def uniform(self, low, high, size):
         u = self.inner.uniform(low, high, size)
-        return np.reshape(self.rows.pop(0), u.shape) if self.rows else u
+        self.at += 1
+        return np.reshape(self.rows[self.at - 1], u.shape) if self.at <= len(self.rows) else u
 
 
-def _spy_ahead(kept):
-    """classify._draws_ahead, recording how many draws each call keeps."""
-    real = classify._draws_ahead
+@contextlib.contextmanager
+def _draw_work():
+    """Mocks of Curve.eval_array and classify._decompose_rows that count
+    the rounds of _simple_draws (one curve evaluation each, two at a
+    parameter outside the domain) and its stacked decompositions."""
+    with mock.patch.object(Curve, "eval_array", autospec=True,
+                           side_effect=Curve.eval_array) as evals, \
+            mock.patch.object(classify, "_decompose_rows",
+                              wraps=_decompose_rows) as decs:
+        yield evals, decs
 
-    def spy(*args):
-        out = real(*args)
-        kept.append(len(out[0]))
-        return out
 
-    return mock.patch.object(classify, "_draws_ahead", spy)
+def _stacked(draw):
+    """The shape and bytes of each part of a draw."""
+    return tuple(None if a is None else (a.shape, a.tobytes()) for a in draw)
 
 
 def _draw_both(domain, make_rng, seed, count, then):
-    """The loop's and the draws ahead's results on equal generators, and
-    how many draws the draws ahead kept before a deviation."""
-    results, kept = [], []
-    for route in ("loop", "ahead"):
+    """The loop's and the rounds' results on equal generators, and the
+    rounds' work: their curve evaluations, and the rows of each stacked
+    decomposition."""
+    results = []
+    for route in ("loop", "rounds"):
         rng = make_rng(seed)
         values = []
         step = (lambda: int(rng.integers(domain.n - 1))) if then else (lambda: None)
@@ -532,19 +556,19 @@ def _draw_both(domain, make_rng, seed, count, then):
             if route == "loop":
                 draws, failure = simple_draws(
                     domain, rng, count, lambda: values.append(step()))
+                draw = joined(draws)
             else:
-                with _spy_ahead(kept):
-                    draws, values, failure = _simple_draws(domain, rng, count, step)
+                with _draw_work() as (evals, decs):
+                    draw, values, failure = _simple_draws(domain, rng, count, step)
         except Exception as exc:
-            draws, failure = [], exc
+            draw, failure = None, exc
         results.append((
-            [(d.lam.shape, d.lam.tobytes(), d.G.shape, d.G.tobytes(), d.S)
-             for d in draws],
+            draw and _stacked(draw),
             values,
             failure and (type(failure), str(failure)),
             rng.bit_generator.state,
         ))
-    return results, kept[0]
+    return results, (evals.call_count, [len(c.args[0]) for c in decs.call_args_list])
 
 
 class TestDrawsAhead:
@@ -552,46 +576,66 @@ class TestDrawsAhead:
                              ids=lambda b: b.__name__)
     def test_stream_contract_of_the_loop(self, bit_generator):
         count, runs = 12, 0
-        kept = {}
-        for (name, curve), n in itertools.product(
-                sorted(_SWAP_CURVES.items()), (3, 4, 5, 8, 12)):
+        seen = {}
+        for (name, curve), n, mclass in itertools.product(
+                sorted(_SWAP_CURVES.items()), (3, 4, 5, 8, 12), MatrixClass):
             for case, window in _deviation_windows(curve, n).items():
-                domain = DomainSpec(curve, n, MatrixClass.NORMAL, window)
+                domain = DomainSpec(curve, n, mclass, window)
                 for then in (True, False) if case == "default" else (True,):
                     runs += 1
-                    (want, got), m = _draw_both(
+                    (want, got), (rounds, rows) = _draw_both(
                         domain, lambda s: np.random.Generator(bit_generator(s)),
                         runs, count, then)
-                    assert got[:3] == want[:3], (name, n, case)
-                    assert _same_state(got[3], want[3]), (name, n, case)
-                    kept.setdefault(case, []).append((m, len(want[0]), want[2]))
-        # the deviations were forced: at the first attempt, mid-call and never
-        assert all(m == count for m, _, _ in kept["default"] + kept["open"])
-        assert any(0 < m < count for m, _, _ in kept["narrow"])
-        assert all(got == count and err is None for _, got, err in kept["narrow"])
-        assert all(m == got == 0 and err == (
+                    assert got[:3] == want[:3], (name, n, mclass, case)
+                    assert _same_state(got[3], want[3]), (name, n, mclass, case)
+                    drawn = want[0][0][0][1] if want[0] else 0
+                    seen.setdefault(case, []).append(
+                        (mclass, rounds, sum(rows), drawn, want[2]))
+        # each path was taken: one round, in which every candidate of the
+        # semisimple class is decomposed; rounds that a rejected candidate
+        # ends mid-call; uncertified candidates decomposed; the attempts
+        # running out, one round each; and each error
+        assert all(r == 1 and m == count and d == (0 if c is MatrixClass.NORMAL else m)
+                   for c, r, d, m, _ in seen["default"] + seen["open"])
+        assert any(r > 1 for _, r, _, _, _ in seen["narrow"])
+        assert all(m == count and err is None
+                   for _, _, _, m, err in seen["narrow"] + seen["3e-6"])
+        assert any(d > 0 for _, _, d, _, _ in seen["3e-6"])
+        assert all(r == _SAMPLE_ATTEMPTS and m == 0 and err == (
             NumericalDomainError, "could not draw a simple-spectrum sample")
-            for m, got, err in kept["open-hit"])
-        assert all(m == got == 0 and err == (
+            for _, r, _, m, err in seen["open-hit"])
+        assert all(r == 1 and m == 0 and err == (
             NumericalDomainError, "sample spectrum norm overflows")
-            for m, got, err in kept["overflow-first"])
-        assert any(0 < m == got and err is not None
-                   for m, got, err in kept["overflow-later"])
-        assert all(err[0] is ParameterDomainError for _, _, err in kept["upper-hit"])
+            for _, r, _, m, err in seen["overflow-first"])
+        assert any(0 < m and err is not None for *_, m, err in seen["overflow-later"])
+        assert all(err[0] is ParameterDomainError for *_, err in seen["upper-hit"])
 
-    def test_the_loop_takes_over_at_the_first_uncertified_spectrum(self):
+    def test_rejected_candidate_rewinds_into_the_planted_rows(self):
         # spectra (on the real line, their own parameters) whose least gap
-        # lies s bands (_GAP_BAND) from the merge threshold
-        n, gaps = 4, [3.0, 1.05, 2.0, 0.5, 3.0, 0.95]
-        rows = [_spectrum_with_gap(real_line(), n, 0.3, 0.5, s) for s in gaps]
-        assert [_certified_simple(lam) for lam in rows] == [s > 1 for s in gaps]
-        kept = []
-        with _spy_ahead(kept):
-            draws, _, _ = _simple_draws(
-                _dom(n), _Planted(1, [lam.real for lam in rows]), len(gaps))
-        assert kept == [3]
-        assert [d.lam[0, 0].tobytes() for d in draws[:3]] == [
-            lam.tobytes() for lam in rows[:3]]
+        # lies s bands (_GAP_BAND) from the merge threshold: those at 0.5,
+        # -5 and 0.95 are decomposed, and the one at -5, merged, is
+        # rejected, so the first round rewinds there and replays the
+        # planted rows before it
+        n, gaps = 4, [3.0, 1.05, 0.5, -5.0, 2.0, 0.95, 3.0]
+        rows = [_params_with_gap(real_line(), n, 0.3, 0.5, s) for s in gaps]
+        assert [certified_simple(t + 0j) for t in rows] == [s > 1 for s in gaps]
+        (want, got), work = _draw_both(
+            _dom(n), lambda seed: _Planted(seed, rows), 1, len(gaps) - 1, True)
+        assert got[:3] == want[:3] and _same_state(got[3], want[3])
+        assert work == (2, [3, 1])
+        kept = np.array(rows)[[0, 1, 2, 4, 5, 6]] + 0j
+        assert got[0][0] == ((1, 6, n), kept.tobytes())
+
+    @pytest.mark.parametrize("mclass", list(MatrixClass))
+    def test_attempts_run_out_after_the_kept_draws(self, mclass):
+        # draws 0, 1 and 2 are kept in the first round; every candidate of
+        # draw 3 has a repeated eigenvalue and is rejected, one round each
+        domain = DomainSpec(real_line(), 3, mclass)
+        (want, got), (rounds, _) = _draw_both(
+            domain, lambda seed: _Drying(seed, 3), 1, 12, True)
+        assert got[:3] == want[:3] and _same_state(got[3], want[3])
+        assert got[0][0][0] == (1, 3, 3) and rounds == _SAMPLE_ATTEMPTS
+        assert got[2] == (NumericalDomainError, "could not draw a simple-spectrum sample")
 
     @pytest.mark.parametrize("curve", sorted(_SWAP_CURVES))
     def test_open_lower_endpoint_hit_in_certified_draws(self, curve):
@@ -601,12 +645,35 @@ class TestDrawsAhead:
         window = Interval(w.lower, w.upper, False, w.upper_closed)
         for n in (3, 4, 5, 8, 12):
             domain = DomainSpec(curve, n, MatrixClass.NORMAL, window)
-            (want, got), m = _draw_both(domain, _EndpointHits, n, 12, True)
-            assert m == 12 and got[:3] == want[:3]
+            (want, got), work = _draw_both(domain, _EndpointHits, n, 12, True)
+            assert work == (1, []) and got[:3] == want[:3]
             assert _same_state(got[3], want[3])
-            lam = np.concatenate([np.frombuffer(b, complex) for _, b, *_ in got[0]])
+            lam = np.frombuffer(got[0][0][1], complex)
             mid = curve.eval_array([0.5 * (w.lower + w.upper)])[0]
             assert np.count_nonzero(lam == mid) == -(-12 * n // 13)
+
+    def test_rounds_after_a_rejection_stay_short(self):
+        # on (-1, -1 + 3e-6) about half of the candidates are rejected; a
+        # round of every attempt still needed would decompose about ten
+        # times as many candidates as the loop tries
+        domain = DomainSpec(real_line(), 4, MatrixClass.NORMAL, Interval(-1.0, -1.0 + 3e-6))
+        (want, got), (_, rows) = _draw_both(domain, np.random.default_rng, 1, 60, False)
+        assert got[:3] == want[:3] and _same_state(got[3], want[3])
+        with _draw_work() as (evals, _):
+            simple_draws(domain, np.random.default_rng(1), 60)
+        assert sum(rows) < 1.5 * evals.call_count
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_small_spectra_are_decomposed_as_one_stack(self, seed):
+        # on (0, 3e-6) about a third of the candidates fail certification;
+        # their spectra are small, so the decomposition keeps each of them
+        # (merging would move X past the reconstruction tolerance), and the
+        # call is one round: one curve evaluation and one decomposition
+        domain = DomainSpec(real_line(), 4, MatrixClass.NORMAL, Interval(0.0, 3e-6))
+        (want, got), (rounds, rows) = _draw_both(
+            domain, np.random.default_rng, seed, 20, True)
+        assert got[:3] == want[:3] and _same_state(got[3], want[3])
+        assert got[2] is None and rounds == 1 and len(rows) == 1 and rows[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +687,10 @@ _GAP_CURVES = {
 }
 
 
-def _spectrum_with_gap(curve, n, t0, u, s):
-    """n points on the curve whose least gap, between the first two, lies s
-    bands (_GAP_BAND) from the merge threshold; t0 and u in [0, 1) place
-    the first point and the n - 2 far ones."""
+def _params_with_gap(curve, n, t0, u, s):
+    """The parameters of n points on the curve whose least gap, between the
+    first two, lies s bands (_GAP_BAND) from the merge threshold; t0 and u
+    in [0, 1) place the first point and the n - 2 far ones."""
     w = DomainSpec(curve, n, MatrixClass.NORMAL).window
     lo, span = w.lower, w.upper - w.lower
     rest = lo + span * (0.5 + 0.45 * (np.arange(n - 2) + u) / (n - 2))
@@ -633,17 +700,41 @@ def _spectrum_with_gap(curve, n, t0, u, s):
         lam = curve.eval_array(np.array([t0, t0 + dt, *rest]))
         scale = max(1.0, float(np.linalg.norm(lam)))
         dt *= (CLUSTER_RTOL + s * _GAP_BAND) * scale / abs(lam[1] - lam[0])
-    return curve.eval_array(np.array([t0, t0 + dt, *rest]))
+    return np.array([t0, t0 + dt, *rest])
 
 
-class _FixedDomain:
-    """A domain whose every draw is the same one."""
+class _Fixed(_RngDouble):
+    """A generator whose every candidate is the same one: each uniform draw
+    is the parameters t and puts the inner generator back to its seed,
+    whose normal draws give the Ginibre halves and the skew frame."""
 
-    def __init__(self, n, draw, matrix_class=MatrixClass.NORMAL):
-        self.n, self.fixed, self.matrix_class = n, draw, matrix_class
+    def __init__(self, seed, t):
+        super().__init__(seed)
+        self.t, self.seeded = t, self.inner.bit_generator.state
 
-    def draw(self, rng, count, k=1):
-        return self.fixed
+    def uniform(self, low, high, size):
+        self.inner.bit_generator.state = self.seeded
+        return np.reshape(self.t, size).copy()
+
+
+def _fixed_outcomes(domain, t, seed):
+    """Today's test of the fixed candidate (n clusters, too few, or the
+    decomposition's error), what _simple_draws makes of it (the candidate
+    kept, False when the attempts run out, or the error), and the rows of
+    each stacked decomposition that _simple_draws runs."""
+    draw = domain.draw(_Fixed(seed, t), 1)
+    try:
+        want = spectral_decompose(_assemble(draw)[0, 0]).num_clusters == domain.n
+    except Exception as exc:
+        want = type(exc), str(exc)
+    with _draw_work() as (_, decs):
+        try:
+            got = _stacked(_simple_draws(domain, _Fixed(seed, t), 1)[0]) == _stacked(draw)
+        except Exception as exc:
+            got = type(exc), str(exc)
+            if got == (NumericalDomainError, "could not draw a simple-spectrum sample"):
+                got = False
+    return want, got, [len(c.args[0]) for c in decs.call_args_list]
 
 
 class TestCertifiedClusterCount:
@@ -657,36 +748,21 @@ class TestCertifiedClusterCount:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_spectrum_rule_agrees_with_the_decomposition(self, curve, n, t0, u, s, seed):
-        lam = _spectrum_with_gap(_GAP_CURVES[curve], n, t0, u, s)
-        rng = np.random.default_rng(seed)
-        G = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n))
-        draw = _Draw(lam[None, None], G, None)
-        # today's test: n clusters, too few, or the decomposition's error
-        try:
-            want = spectral_decompose(_assemble(draw)[0, 0]).num_clusters == n
-        except Exception as exc:
-            want = type(exc), str(exc)
-        certified = _certified_simple(lam)
+        curve = _GAP_CURVES[curve]
+        t = _params_with_gap(curve, n, t0, u, s)
+        domain = DomainSpec(curve, n, MatrixClass.NORMAL)
+        want, got, rows = _fixed_outcomes(domain, t, seed)
+        certified = certified_simple(curve.eval_array(t))
         if s >= 1.05:
             assert certified and want is True
         elif s <= 0.95:
             assert not certified
-        # a candidate the spectrum does not certify is decomposed
-        with mock.patch.object(
-            classify, "spectral_decompose", wraps=spectral_decompose
-        ) as dec:
-            try:
-                got = _simple_draw(_FixedDomain(n, draw), None) is draw
-            except Exception as exc:
-                got = type(exc), str(exc)
-                if got == (NumericalDomainError,
-                           "could not draw a simple-spectrum sample"):
-                    got = False
+        # a candidate the spectrum does not certify is decomposed, once a round
         assert got == want
         if certified:
-            assert dec.call_count == 0
+            assert rows == []
         else:
-            assert dec.call_count == (_SAMPLE_ATTEMPTS if want is False else 1)
+            assert rows == [1] * (_SAMPLE_ATTEMPTS if want is False else 1)
 
     def test_semisimple_candidates_are_always_decomposed(self):
         # S X S^-1 may have ||X|| well above ||lam||, and so a merge
@@ -694,32 +770,14 @@ class TestCertifiedClusterCount:
         exposed = 0
         for curve in _GAP_CURVES.values():
             for n in range(3, 7):
-                lam = _spectrum_with_gap(curve, n, 0.3, 0.5, 2.0)
-                assert _certified_simple(lam)
+                t = _params_with_gap(curve, n, 0.3, 0.5, 2.0)
+                assert certified_simple(curve.eval_array(t))
+                domain = DomainSpec(curve, n, MatrixClass.SEMISIMPLE)
                 for seed in range(5):
-                    rng = np.random.default_rng(seed)
-                    G = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal(
-                        (1, n, n))
-                    draw = _Draw(lam[None, None], G, _skew_frames(n, 1, rng))
-                    try:
-                        want = spectral_decompose(
-                            _assemble(draw)[0, 0]).num_clusters == n
-                    except Exception as exc:
-                        want = type(exc), str(exc)
+                    want, got, rows = _fixed_outcomes(domain, t, seed)
                     exposed += want is not True
-                    domain = _FixedDomain(n, draw, MatrixClass.SEMISIMPLE)
-                    with mock.patch.object(
-                        classify, "spectral_decompose", wraps=spectral_decompose
-                    ) as dec:
-                        try:
-                            got = _simple_draw(domain, None) is draw
-                        except Exception as exc:
-                            got = type(exc), str(exc)
-                            if got == (NumericalDomainError,
-                                       "could not draw a simple-spectrum sample"):
-                                got = False
                     assert got == want
-                    assert dec.call_count == (_SAMPLE_ATTEMPTS if want is False else 1)
+                    assert rows == [1] * (_SAMPLE_ATTEMPTS if want is False else 1)
         assert exposed
 
 
@@ -1085,7 +1143,7 @@ class TestStackedNumericsAreThePerRowOnes:
             for d, j in zip(draws, js):
                 with_swap(d, real_line(), j)
         with pytest.raises(OffCurveError) as got:
-            _with_swaps(draws, real_line(), js)
+            _with_swaps(joined(draws), real_line(), js)
         assert str(got.value) == str(want.value)
         assert "distance 1.000e-03" in str(got.value)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from curvespec.classify import _GAP_BAND, _certified_simple
+from curvespec.classify import _GAP_BAND
 from curvespec.curves import (
     TAU,
     CornerGraph,
@@ -45,6 +45,7 @@ from curvespec.spectral import (
     _decompose_rows,
     _haar_frames,
     _matchable,
+    _norms,
     _schur,
     _skew_frames,
     DomainSpec,
@@ -70,7 +71,7 @@ from curvespec.spectral import (
 )
 from curvespec.maps import FRAME_COND_LIMIT, Conj
 from curvespec.subspaces import line_distance
-from oracles import fix_phase, is_orthogonal, per_matrix_decompose, validate
+from oracles import fix_phase, is_orthogonal, joined, per_matrix_decompose, validate
 
 
 def test_rotation_matrix_projectors():
@@ -689,7 +690,7 @@ class TestSamplerRecord:
             rng, dom = np.random.default_rng(n), DomainSpec(curve, n, cls)
             for k in (1, 2, 5, 20):
                 draws = [dom.draw(rng, 1, 2) for _ in range(k)]
-                X = _assemble(*draws)
+                X = _assemble(joined(draws))
                 alone = [_assemble(d) for d in draws]
                 assert X.tobytes() == np.concatenate(alone, axis=1).tobytes()
 
@@ -967,7 +968,9 @@ class TestAdmissionTests:
         norms_jordan = np.geomspace(1e-2, 1e8, len(w_jordan))
         assert np.array_equal(_strict(separated, w_jordan, norms_jordan),
                               _parent(_parent_batch_gap, w_jordan, norms_jordan))
-        simple = [_strict(_certified_simple, lam) for lam in lams]
+        # the classifier's certificate of a drawn spectrum (_simple_draws)
+        lams = np.array(lams)
+        simple = _strict(separated, lams, _norms(lams[:, None, :]), _GAP_BAND).tolist()
         assert 0 < sum(simple) < len(lams)
         assert simple == [_parent(_parent_certified_simple, lam) for lam in lams]
 
