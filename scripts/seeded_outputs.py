@@ -43,6 +43,11 @@ FRAME = {"n": 3, "entries": [[[1, 0], [1, 0], [0, 0]],
 MATRIX = {"n": 3, "entries": [[[2, 0], [1, 0], [0, 0]],
                               [[0, 0], [0.5, 0], [1, 0]],
                               [[0, 0], [0, 0], [1, 0]]]}
+# diag(3+1j, 1+1j, 0): two points at distance 1 from the real line, which
+# eigvals returns in the other order than np.unique
+OFF_REAL = {"n": 3, "entries": [[[3, 1], [0, 0], [0, 0]],
+                                [[0, 0], [1, 1], [0, 0]],
+                                [[0, 0], [0, 0], [0, 0]]]}
 
 
 def _order_map(curve: dict) -> str:
@@ -97,6 +102,8 @@ COMMANDS = [
      "--map", json.dumps({"variant": "conj", "T": FRAME})],
     ["check", "--curve", "circle-arc:0.5", "--n", "3", "--seed", "{seed}",
      "--map", _order_map({"kind": "real_interval"})],
+    ["apply", "--map", _order_map({"kind": "real_interval"}),
+     "--matrix", json.dumps(OFF_REAL)],
     # planted non-preservers: a spectrum and a commutativity counterexample,
     # and the classifier's unknown from a failed holdout and from a witness
     *[[cmd, "--curve", "real-line", "--n", "3", "--seed", "{seed}",
