@@ -36,6 +36,7 @@ RHO = '{"variant": "rho"}'
 TRANSPOSE = "{python} tests/transpose_map.py"
 SHIFT, FLIP = ("{python} tests/planted_map.py " + mode for mode in ("shift", "flip"))
 POLYLINE = {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}
+LINE = {"kind": "line", "point": [0.5, -0.25], "direction": [0.7, 0.3]}
 FRAME = {"n": 3, "entries": [[[1, 0], [1, 0], [0, 0]],
                              [[0, 0], [1, 0], [0, 1]],
                              [[0.5, 0], [0, 0], [1, 0]]]}
@@ -128,6 +129,10 @@ COMMANDS = [
        "--seed", "{seed}", *map_args]
       for map_args in (("--map", _order_map({"kind": "real_interval"})),
                        ("--map-cmd", TRANSPOSE))],
+    # spectra of norm about 1e8, whose roundoff exceeds the curve's absolute
+    # tolerance unless they are ordered at their own scale
+    ["classify", "--curve", json.dumps(LINE), "--n", "3", "--window", "1e8,2e8",
+     "--seed", "{seed}", "--map", _order_map(LINE)],
 ]
 
 

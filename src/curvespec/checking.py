@@ -37,6 +37,7 @@ from .spectral import (
     DomainSpec,
     _batch_greedy_match_max,
     _bottleneck,
+    _first,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -126,10 +127,7 @@ class BlackBoxMap:
         return out, None
 
     def apply_batch(self, Xs: np.ndarray) -> np.ndarray:
-        out, exc = self.apply_rows(Xs)
-        if exc is not None:
-            raise exc
-        return out
+        return _first(*self.apply_rows(Xs))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
@@ -179,10 +177,7 @@ class ExternalProgramMap:
             self._stderr_bytes = (self._stderr_bytes + chunk)[-4 * _STDERR_TAIL_CHARS:]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        replies, exc = self.apply_rows(np.asarray(X)[None])
-        if exc is not None:
-            raise exc
-        return replies[0]
+        return _first(*self.apply_rows(np.asarray(X)[None]))[0]
 
     def apply_rows(self, Xs):
         """The program's replies to the rows of the stack Xs up to the first
@@ -214,7 +209,10 @@ class ExternalProgramMap:
                         try:
                             replies.append(_reply(buf[start:end]))
                         except MapProtocolError as exc:
-                            failure = exc
+                            # without its traceback and its context's, which
+                            # hold this frame and so its callers
+                            exc.__context__ = None
+                            failure = exc.with_traceback(None)
                     start = end + 1
                 del buf[:start]
                 if count == len(Xs):

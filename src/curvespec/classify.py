@@ -61,6 +61,7 @@ from .spectral import (
     _Draw,
     _draw_params,
     _eigenflags,
+    _first,
     _norms,
     _row_orders,
     _samples,
@@ -216,13 +217,12 @@ def _simple_draws(domain, rng, count: int, then=lambda: None):
 
 def _with_swaps(draw, curve, js):
     """The draws of a stack and, on each one's frame, its j-th and (j+1)-th
-    eigenvalues (in curve order) exchanged, as one k = 2 draw: every
-    eigenspace stays.  One curve order serves every draw; a draw whose
-    spectrum is off the curve raises its own error, the first such draw's."""
+    eigenvalues (in curve order at the scale ||lam||, as the maps order at
+    ||FX||) exchanged, as one k = 2 draw: every eigenspace stays.  One curve
+    order serves every draw; a draw off the curve raises its own error, the
+    first such draw's, which names its distinct values (_row_orders)."""
     lam = draw.lam[0]
-    order, exc = _row_orders(curve, lam, np.ones(len(lam)))
-    if exc is not None:
-        raise exc
+    order = _first(*_row_orders(curve, lam, _norms(lam[:, None, :])))
     t = np.arange(len(lam))[:, None]
     ab = order[t, np.stack([js, js + 1], axis=1)]
     swapped = lam.copy()
@@ -282,7 +282,7 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
     if exc is not None:
         failure = exc
-    _, lines, exc = _batch_eig(FXs[: FXs.shape[0] // 2 * 2], curve)
+    (_, lines), exc = _batch_eig(FXs[: FXs.shape[0] // 2 * 2], curve)
     if exc is not None:
         failure = exc
     m = lines.shape[0] // 2

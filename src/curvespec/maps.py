@@ -28,6 +28,7 @@ from .spectral import (
     _batch_eig,
     _certified_normal,
     _decompose_rows,
+    _first,
     as_matrix,
     conditioned,
     matrix_from_json,
@@ -65,12 +66,7 @@ def rho(X) -> np.ndarray:
     if one or len(Xs):
         # a stack's rows all have row 0's shape, and row 0's errors come first
         as_matrix(Xs if one else Xs[0])
-    dec, exc = _decompose_rows(Xs[None] if one else Xs)
-    if exc is not None:
-        try:
-            raise exc
-        finally:
-            exc = None  # the raised error's traceback holds this frame
+    dec = _first(*_decompose_rows(Xs[None] if one else Xs))
     # (B diag(conj d) Binv)^* with the diagonal's adjoint undoing the conjugation
     BinvH, BH = (M.conj().transpose(0, 2, 1) for M in (dec.Binv, dec.B))
     out = (BinvH * dec.d[:, None, :]) @ BH
@@ -167,12 +163,7 @@ class OrderMap(_Framed):
         super().__post_init__()
 
     def apply_batch(self, Xs):
-        w, _, exc = _batch_eig(self._stack(Xs), self.curve, vectors=False)
-        if exc is not None:
-            try:
-                raise exc
-            finally:
-                exc = None  # the raised error's traceback holds this frame
+        w, _ = _first(*_batch_eig(self._stack(Xs), self.curve, vectors=False))
         return (self.T * w[:, None, :]) @ self._Tinv
 
 

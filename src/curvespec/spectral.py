@@ -13,6 +13,14 @@ the rows where it is the Schur route this routine would take (rows that
 Henrici's bound certifies normal, with a simple spectrum), and sends
 every other row to _decompose_rows in one call.
 
+Every stacked route returns a pair: the leading rows' results, bit for
+bit as one row at a time, and the error that the next row raises alone
+(None when every row goes through), without its traceback.  _first is the
+one exit from the pair, and callers pass the pair straight through, as in
+_first(*_decompose_rows(Xs)): the traceback of the error raised holds each
+frame that it passes, so a frame that held the error would live on, and
+with it every caller, until the cyclic GC runs.
+
 The decomposition, the map frames, the sampler's skew frames and the
 classifier admit a matrix by three tests, pass masks over stacks that a
 per-matrix route calls on its one row: conditioned (singular-value ratio),
@@ -177,6 +185,16 @@ def _certified_normal(Xs: np.ndarray) -> np.ndarray:
         np.sqrt((n**3 - n) / 12) * comm <= RECONSTRUCTION_RTOL**2)
 
 
+def _first(result, exc):
+    """A stacked route's result, or its error raised (see the module docstring)."""
+    if exc is None:
+        return result
+    try:
+        raise exc
+    finally:
+        exc = None  # the raised error's traceback holds this frame
+
+
 # ---------------------------------------------------------------------------
 # admission tests: pass masks over stacks, each the one comparison of its
 # threshold
@@ -296,13 +314,7 @@ def spectral_decompose(X) -> SpectralDecomposition:
     is when no adequately conditioned diagonalization exists.  This is the
     one-row case of the stacked decomposition, _decompose_rows.
     """
-    decs, exc = _decompose_rows(as_matrix(X)[None])
-    if exc is not None:
-        try:
-            raise exc
-        finally:
-            exc = None  # the raised error's traceback holds this frame
-    return decs.row(0)
+    return _first(*_decompose_rows(as_matrix(X)[None])).row(0)
 
 
 class _Decompositions(NamedTuple):
@@ -353,15 +365,12 @@ def _decompose_rows(Xs: np.ndarray):
     Binv = np.empty_like(B)
     if rows.size:
         d[rows], B[rows], Binv[rows] = w, V, Vinv
-    per_row = np.ones(N, dtype=bool)
-    per_row[rows] = False
-    for i in np.flatnonzero(per_row).tolist():
+    for i in np.setdiff1d(np.arange(N), rows).tolist():
         try:
-            dec = _decompose_row(Xs[i], norms[i], normal[i])
+            d[i], mults[i], B[i], Binv[i] = _decompose_row(Xs[i], norms[i], normal[i])
         except (CurvespecError, np.linalg.LinAlgError) as exc:
-            return _Decompositions(d[:i], B[:i], Binv[:i], mults[:i], norms[:i]), exc
-        d[i], B[i], Binv[i] = dec.expanded(), dec.basis, dec.basis_inv
-        mults[i] = dec.multiplicities
+            return (_Decompositions(d[:i], B[:i], Binv[:i], mults[:i], norms[:i]),
+                    exc.with_traceback(None))
     return _Decompositions(d, B, Binv, mults, norms), None
 
 
@@ -397,15 +406,17 @@ def _simple_rows(Xs: np.ndarray, norms: np.ndarray, rows: np.ndarray):
     return rows, w, V, Vinv
 
 
-def _decompose_row(X: np.ndarray, norm_x: float, normal: bool) -> SpectralDecomposition:
+def _decompose_row(X: np.ndarray, norm_x: float, normal: bool):
     """The per-row route of spectral_decompose: the retry ladder over
-    _decompose, given X's norm and normality."""
+    _decompose, given X's norm and normality.  Returns the row that
+    _decompose_rows stores: the eigenvalues repeated by their
+    multiplicities, the multiplicities, the basis and its inverse."""
     if not np.isfinite(norm_x):
         as_matrix(X)  # a non-finite entry is a config error
         # every relative tolerance below would be infinite or NaN
         raise NumericalDomainError("matrix norm overflows")
     tol = CLUSTER_RTOL * max(1.0, norm_x)
-    first = None
+    errors = []
     # each distinct threshold once, in this order
     for t in dict.fromkeys((tol, min(tol, RECONSTRUCTION_RTOL * norm_x), 0.0)):
         try:
@@ -413,24 +424,21 @@ def _decompose_row(X: np.ndarray, norm_x: float, normal: bool) -> SpectralDecomp
         except DefectiveMatrixError as exc:
             # kept without its traceback, whose frames (this one, and so
             # its callers) would otherwise live until the cyclic GC runs
-            first = first or exc.with_traceback(None)
-    try:
-        raise first
-    finally:
-        first = None  # the raised error's traceback holds this frame
+            errors.append(exc.with_traceback(None))
+    # the first threshold's error, popped so that no local here holds it
+    return _first(None, errors.pop(0))
 
 
-def _decompose(X: np.ndarray, tol: float, norm_x: float,
-               normal: bool) -> SpectralDecomposition:
-    """spectral_decompose(X) with eigenvalues merged at tol."""
+def _decompose(X: np.ndarray, tol: float, norm_x: float, normal: bool):
+    """The row (_decompose_row) of spectral_decompose(X) merged at tol."""
     if normal:
         T, Z = _schur(X)
         d = np.diag(T)
         clusters = _cluster_components(d, tol)
         B = Z[:, np.concatenate(clusters)]
-        dec = _admitted(d, clusters, B, B.conj().T, X, norm_x)
-        if dec is not None:
-            return dec
+        row = _admitted(d, clusters, B, B.conj().T, X, norm_x)
+        if row is not None:
+            return row
         # fall through: the Schur route can lose the reconstruction guard
         # for inputs sitting right on the normality threshold
 
@@ -453,22 +461,21 @@ def _decompose(X: np.ndarray, tol: float, norm_x: float,
         raise DefectiveMatrixError(
             f"eigenvector basis condition number exceeds {BASIS_COND_LIMIT:.0e}"
         )
-    dec = _admitted(w, clusters, B, np.linalg.inv(B), X, norm_x)
-    if dec is None:
+    row = _admitted(w, clusters, B, np.linalg.inv(B), X, norm_x)
+    if row is None:
         raise DefectiveMatrixError(
             "diagonalization fails to reconstruct the input at tolerance"
         )
-    return dec
+    return row
 
 
 def _admitted(values, clusters, B, Binv, X, norm_x):
-    """The decomposition of X by the basis B (each cluster's columns
-    contiguous) and its inverse, or None when it does not reconstruct X."""
+    """The row (_decompose_row) of X by the basis B, each cluster's columns
+    contiguous, and its inverse; or None when it does not reconstruct X."""
     mults = tuple(int(c.size) for c in clusters)
-    dec = SpectralDecomposition(
-        _cluster_means(values, clusters), mults, B, Binv, norm_x)
-    if reconstructs(B[None], dec.expanded()[None], Binv[None], X[None], norm_x)[0]:
-        return dec
+    d = np.repeat(_cluster_means(values, clusters), mults)
+    if reconstructs(B[None], d[None], Binv[None], X[None], norm_x)[0]:
+        return d, mults, B, Binv
     return None
 
 
@@ -522,8 +529,8 @@ def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
     """The batch route of the spectral maps over a (N, n, n) stack: the
     leading rows' eigenvalues, as spectral_decompose gives them and each
     repeated by its multiplicity, in curve order (Curve.order at the scale
-    ||X||), and with vectors their unit eigenvectors in that order; and
-    the error that the next row raises, or None.
+    ||X||) and their unit eigenvectors in that order (None without vectors)
+    as a pair; and the error that the next row raises, or None.
 
     A row that _certified_normal certifies and whose eigenvalues are
     separated at the first threshold is exactly a row on which
@@ -559,22 +566,12 @@ def _batch_eig(Xs: np.ndarray, curve: Curve, vectors: bool = True):
             if len(mults) < n:
                 m, exc = i, _not_simple(mults)
                 break
-    try:
-        order = curve.order(d[:m], norms[:m, None])
-    except OffCurveError:
-        # the first row off the curve raises what its distinct eigenvalues
-        # (np.unique: lexicographic, as _cluster_components orders them) do
-        for i in range(m):
-            try:
-                curve.order(np.unique(d[i]), norms[i])
-            except OffCurveError as err:
-                m, exc = i, err.with_traceback(None)
-                break
-        order = curve.order(d[:m], norms[:m, None])
-    d = np.take_along_axis(d[:m], order, axis=1)
-    if not vectors:
-        return d, None, exc
-    return d, np.take_along_axis(B[:m], order[:, None, :], axis=2), exc
+    order, err = _row_orders(curve, d[:m], norms[:m])
+    if err is not None:
+        m, exc = len(order), err
+    if vectors:
+        V = np.take_along_axis(B[:m], order[:, None, :], axis=2)
+    return (np.take_along_axis(d[:m], order, axis=1), V), exc
 
 
 # ---------------------------------------------------------------------------
@@ -670,30 +667,6 @@ class _Draw(NamedTuple):
     S: np.ndarray | None
 
 
-def _draw(
-    curve: Curve,
-    n: int,
-    matrix_class: MatrixClass,
-    rng: np.random.Generator,
-    window: Interval,
-    count: int,
-    k: int = 1,
-) -> _Draw:
-    """Every rng call of count samples in k stacks, from a dimension and a
-    window that DomainSpec has checked."""
-    ts = [_draw_params(window, (count, n), rng) for _ in range(k)]
-    # refuse a sample whose norm, and so every relative tolerance, would
-    # overflow, before anything downstream warns
-    with np.errstate(all="ignore"):
-        lam = np.array([curve.eval_array(t.ravel()).reshape(count, n) for t in ts])
-        finite = np.isfinite(np.linalg.norm(lam, axis=-1)).all()
-    if not finite:
-        raise NumericalDomainError("sample spectrum norm overflows")
-    G = _ginibre(n, count, rng)
-    S = None if matrix_class is MatrixClass.NORMAL else _skew_frames(n, count, rng)
-    return _Draw(lam, G, S)
-
-
 def _samples(draw: _Draw):
     """The k sample stacks X (k, count, n, n) of a draw, whose i-th samples
     share one eigenframe (so they commute), and which norms are finite."""
@@ -707,7 +680,8 @@ def _samples(draw: _Draw):
 
 
 def _assemble(draw: _Draw) -> np.ndarray:
-    """The sample stacks of a draw (_samples), refusing overflow as _draw does."""
+    """The sample stacks of a draw (_samples), refusing overflow as
+    DomainSpec.draw does."""
     X, finite = _samples(draw)
     if not finite.all():
         raise NumericalDomainError("sample norm overflows")
@@ -733,8 +707,20 @@ class DomainSpec:
         object.__setattr__(self, "window", _resolve_window(self.curve, self.window))
 
     def draw(self, rng: np.random.Generator, count: int, k: int = 1) -> _Draw:
-        """Every rng call of count samples in k stacks, nothing assembled."""
-        return _draw(self.curve, self.n, self.matrix_class, rng, self.window, count, k)
+        """Every rng call of count samples in k stacks, nothing assembled:
+        each stack's parameters, the Ginibre stack, then the skew frames."""
+        shape = (count, self.n)
+        ts = [_draw_params(self.window, shape, rng) for _ in range(k)]
+        # refuse a sample whose norm, and so every relative tolerance, would
+        # overflow, before anything downstream warns
+        with np.errstate(all="ignore"):
+            lam = np.array([self.curve.eval_array(t.ravel()).reshape(shape) for t in ts])
+            finite = np.isfinite(np.linalg.norm(lam, axis=-1)).all()
+        if not finite:
+            raise NumericalDomainError("sample spectrum norm overflows")
+        G = _ginibre(self.n, count, rng)
+        normal = self.matrix_class is MatrixClass.NORMAL
+        return _Draw(lam, G, None if normal else _skew_frames(self.n, count, rng))
 
     def sample(self, rng: np.random.Generator, count: int, k: int = 1):
         """The k stacks X (k, count, n, n) of count samples, whose i-th
@@ -785,15 +771,19 @@ def _curve_order(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
 def _row_orders(curve: Curve, zs: np.ndarray, scales: np.ndarray):
     """curve.order of each row of zs (N, n) at its scale, in one call: the
     leading rows' orders, and the error that the next row raises on its
-    own (curve.order(zs[i], scales[i])), or None."""
+    own, or None.  A replay names the row's distinct values (np.unique, in
+    the lexicographic order of _cluster_components's clusters)."""
     try:
         return curve.order(zs, scales[:, None]), None
     except OffCurveError:
         # the stack's error names the worst point of all its rows
         for i in range(len(zs)):
             try:
-                curve.order(zs[i], scales[i])
+                curve.order(np.unique(zs[i]), scales[i])
             except OffCurveError as err:
+                # without its context, the stack's error, whose traceback
+                # holds this frame and so the caller's
+                err.__context__ = None
                 return curve.order(zs[:i], scales[:i, None]), err.with_traceback(None)
         raise
 
@@ -844,13 +834,7 @@ def eigenflag(dec: SpectralDecomposition, curve: Curve) -> np.ndarray:
     decs = _Decompositions(dec.expanded()[None], dec.basis[None],
                            dec.basis_inv[None], [dec.multiplicities],
                            np.array([dec.norm]))
-    flags, exc = _eigenflags(decs, curve)
-    if exc is not None:
-        try:
-            raise exc
-        finally:
-            exc = None  # the raised error's traceback holds this frame
-    return flags[0]
+    return _first(*_eigenflags(decs, curve))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from curvespec.classify import (
     subspace_image,
 )
 from curvespec.curves import (
-    CornerGraph, Curve, Interval, RealInterval, real_line, unit_circle_arc)
+    CircleArc, CornerGraph, Curve, Interval, Line, RealInterval, real_line,
+    unit_circle_arc)
 from curvespec.errors import (
     ClosedCurveError,
     CoincidentPointsError,
@@ -403,7 +404,7 @@ def test_batch_eigenlines_are_eigenflags_and_fail_at_the_first_failing_row(bad):
     good = ["normal", "skewed", "tiny normal"]
     names = [*good, *(k for b in bad for k in (b, *good))]
     Xs = np.array([rows[k] for k in names], dtype=complex)
-    _, lines, exc = _batch_eig(Xs, real_line())
+    (_, lines), exc = _batch_eig(Xs, real_line())
     want = None
     for i, X in enumerate(Xs):
         try:
@@ -1326,6 +1327,22 @@ class TestClassifyPreserver:
         semi = DomainSpec(real_line(), 3, MatrixClass.SEMISIMPLE)
         with pytest.raises(ConfigError):
             classify_preserver(BlackBoxMap(lambda X: X, semi))
+
+    # spectra of norm about 1e8, whose roundoff exceeds the curves' absolute
+    # tolerance 1e-9: the trials order each drawn spectrum at its own scale,
+    # as the maps order their outputs at ||FX||
+    @pytest.mark.parametrize("curve,window", [
+        (Line(0.5 - 0.25j, 0.7 + 0.3j), Interval(1e8, 2e8)),
+        (CircleArc(radius=1e8, angles=Interval(0.0, 3.0)), None),
+    ], ids=["line", "arc"])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_large_spectra_are_labelled(self, curve, window, seed):
+        T = np.array([[1, 1, 0], [0, 1, 1j], [0.5, 0, 1]])
+        dom = DomainSpec(curve, 3, MatrixClass.NORMAL, window)
+        for m, kind in ((OrderMap(curve, T), "ordering_map"), (Conj(T), "conjugation")):
+            pt = classify_preserver(BlackBoxMap(m, dom), np.random.default_rng(seed))
+            assert (pt.kind, pt.reason) == (kind, None)
+            assert pt.residual <= 1e-6
 
     def test_report_json_shape(self):
         pt = classify_preserver(BlackBoxMap(Conj(_unitary(3, 23)), _dom()),

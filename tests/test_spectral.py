@@ -3,6 +3,7 @@ import collections
 import gc
 import itertools
 import json
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from curvespec.classify import _GAP_BAND
+from curvespec.checking import BlackBoxMap, ExternalProgramMap
+from curvespec.classify import _GAP_BAND, _with_swaps
 from curvespec.curves import (
     TAU,
     CornerGraph,
@@ -27,7 +29,9 @@ from curvespec.curves import (
 from curvespec.errors import (
     ConfigError,
     DefectiveMatrixError,
+    MapProtocolError,
     NumericalDomainError,
+    OffCurveError,
 )
 from curvespec import spectral
 from curvespec.spectral import (
@@ -69,7 +73,7 @@ from curvespec.spectral import (
     spectral_bottleneck_distance,
     spectral_decompose,
 )
-from curvespec.maps import FRAME_COND_LIMIT, Conj
+from curvespec.maps import FRAME_COND_LIMIT, Conj, OrderMap, rho
 from curvespec.subspaces import line_distance
 from oracles import fix_phase, is_orthogonal, joined, per_matrix_decompose, validate
 
@@ -162,29 +166,89 @@ def test_large_normal_matrix_takes_the_schur_route(k):
     assert np.array_equal(dec.basis_inv, dec.basis.conj().T)
 
 
+def _raises_and_frees_its_caller(call):
+    """The type of the error that call() raises (None when it returns), and
+    whether a local of the frame that catches it dies with that frame while
+    the cyclic GC is off: whether no reference cycle through the error, its
+    traceback or its context holds the frame and so its locals."""
+    class Local:
+        pass
+
+    raised = [None]
+
+    def caller():
+        local = Local()
+        try:
+            call()
+        except Exception as exc:
+            raised[0] = type(exc)
+        return weakref.ref(local)
+
+    gc.collect()
+    gc.disable()
+    try:
+        freed = caller()() is None
+    finally:
+        gc.enable()
+    return raised[0], freed
+
+
 @pytest.mark.parametrize("X", [np.diag([1e-8, 2e-8, 3e-8]), _JORDAN],
                          ids=["retried", "refused"])
 def test_retry_leaves_no_reference_to_its_caller(X):
     # a retried threshold's error is kept without the traceback that would
     # hold the retry's frame, and so its caller's frame and locals, until
     # the cyclic GC runs; the Jordan block fails every threshold and raises
-    class Local:
-        pass
+    error = None if X is not _JORDAN else DefectiveMatrixError
+    assert _raises_and_frees_its_caller(lambda: spectral_decompose(X)) == (error, True)
 
-    def caller():
-        local = Local()
-        try:
-            spectral_decompose(X)
-        except DefectiveMatrixError:
-            pass
-        return weakref.ref(local)
 
-    gc.collect()
-    gc.disable()
-    try:
-        assert caller()() is None
-    finally:
-        gc.enable()
+# diag(3+1j, 1+1j, 0): off the real line, certified normal, so served by
+# the stacked eigensolve
+_OFF_REAL = np.diag([3 + 1j, 1 + 1j, 0])
+
+
+def _raise_malformed_reply():
+    argv = [sys.executable, str(Path(__file__).parent / "misbehaving_map.py"), "bool"]
+    with ExternalProgramMap(argv) as ext:
+        ext(np.eye(3))
+
+
+def _swaps_off_the_curve():
+    draw = DomainSpec(real_line(), 3, MatrixClass.NORMAL).draw(np.random.default_rng(1), 2)
+    draw.lam[0, 1, 1] += 1j
+    _with_swaps(draw, real_line(), np.array([0, 1]))
+
+
+def _fails(X):
+    raise ValueError("no")
+
+
+# every exit of a stacked route (spectral._first and the routes feeding it)
+_ROUTE_EXITS = {
+    "spectral_decompose": (lambda: spectral_decompose(_JORDAN), DefectiveMatrixError),
+    "eigenflag, not simple": (lambda: eigenflag(
+        spectral_decompose(np.diag([2.0, 2.0, 5.0])), real_line()), NumericalDomainError),
+    "eigenflag, off the curve": (lambda: eigenflag(
+        spectral_decompose(np.diag([1j, 2.0, 3.0])), real_line()), OffCurveError),
+    "rho": (lambda: rho(np.stack([np.eye(3), _JORDAN])), DefectiveMatrixError),
+    "OrderMap, defective": (lambda: OrderMap(real_line(), np.eye(3)).apply_batch(
+        np.stack([np.eye(3), _JORDAN])), DefectiveMatrixError),
+    "OrderMap, off the curve": (lambda: OrderMap(real_line(), np.eye(3)).apply_batch(
+        np.stack([np.eye(3), _OFF_REAL])), OffCurveError),
+    "BlackBoxMap, a callable": (lambda: BlackBoxMap(_fails, None).apply_batch(
+        _OFF_REAL[None]), ValueError),
+    "BlackBoxMap, a replayed batch": (lambda: BlackBoxMap(
+        OrderMap(real_line(), np.eye(3)), None).apply_batch(_OFF_REAL[None]), OffCurveError),
+    "ExternalProgramMap": (_raise_malformed_reply, MapProtocolError),
+    "_with_swaps": (_swaps_off_the_curve, OffCurveError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTE_EXITS))
+def test_no_stacked_route_error_keeps_its_caller_alive(case):
+    call, error = _ROUTE_EXITS[case]
+    assert _raises_and_frees_its_caller(call) == (error, True)
 
 
 @pytest.mark.parametrize("n", range(MIN_DIM, MAX_DIM + 1))
@@ -1032,6 +1096,31 @@ def test_each_threshold_is_compared_in_one_function():
         "FRAME_COND_LIMIT": {"_Framed.__post_init__": 1},
         "_SAMPLE_COND_LIMIT": {"_skew_frames": 1},
     }
+
+
+def _raise_and_clear_functions(src=Path(__file__).resolve().parents[1] / "src"):
+    """The functions of the package with a try whose body raises a name and
+    whose finally sets that name to None."""
+    found = []
+    for path in sorted((src / "curvespec").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Try):
+                    continue
+                raised = {s.exc.id for s in node.body
+                          if isinstance(s, ast.Raise) and isinstance(s.exc, ast.Name)}
+                cleared = {t.id for s in node.finalbody if isinstance(s, ast.Assign)
+                           and isinstance(s.value, ast.Constant) and s.value.value is None
+                           for t in s.targets if isinstance(t, ast.Name)}
+                if raised & cleared:
+                    found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_a_stacked_route_error_is_raised_in_one_function():
+    assert _raise_and_clear_functions() == ["spectral._first"]
 
 
 # ---------------------------------------------------------------------------
