@@ -365,7 +365,9 @@ def _decompose_rows(Xs: np.ndarray):
     Binv = np.empty_like(B)
     if rows.size:
         d[rows], B[rows], Binv[rows] = w, V, Vinv
-    for i in np.setdiff1d(np.arange(N), rows).tolist():
+    per_row = np.ones(N, dtype=bool)
+    per_row[rows] = False
+    for i in np.flatnonzero(per_row).tolist():
         try:
             d[i], mults[i], B[i], Binv[i] = _decompose_row(Xs[i], norms[i], normal[i])
         except (CurvespecError, np.linalg.LinAlgError) as exc:
@@ -425,8 +427,7 @@ def _decompose_row(X: np.ndarray, norm_x: float, normal: bool):
             # kept without its traceback, whose frames (this one, and so
             # its callers) would otherwise live until the cyclic GC runs
             errors.append(exc.with_traceback(None))
-    # the first threshold's error, popped so that no local here holds it
-    return _first(None, errors.pop(0))
+    return _first(None, errors.pop(0))  # popped: no local here holds it
 
 
 def _decompose(X: np.ndarray, tol: float, norm_x: float, normal: bool):
@@ -781,8 +782,7 @@ def _row_orders(curve: Curve, zs: np.ndarray, scales: np.ndarray):
             try:
                 curve.order(np.unique(zs[i]), scales[i])
             except OffCurveError as err:
-                # without its context, the stack's error, whose traceback
-                # holds this frame and so the caller's
+                # its context, the stack's error, has a traceback holding this frame
                 err.__context__ = None
                 return curve.order(zs[:i], scales[:i, None]), err.with_traceback(None)
         raise
