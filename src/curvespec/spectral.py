@@ -13,8 +13,8 @@ the rows where it is the Schur route this routine would take (rows that
 Henrici's bound certifies normal, with a simple spectrum), and sends
 every other row to _decompose_rows in one call.
 
-Every stacked route returns a pair: the leading rows' results, bit for
-bit as one row at a time, and the error that the next row raises alone
+Each stacked route here returns a pair: the leading rows' results, bit
+for bit as one row at a time, and the error that the next row raises alone
 (None when every row goes through), without its traceback.  _first is the
 one exit from the pair, and callers pass the pair straight through, as in
 _first(*_decompose_rows(Xs)): the traceback of the error raised holds each
