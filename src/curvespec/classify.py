@@ -246,6 +246,18 @@ def _line_patterns(L: np.ndarray, Lt: np.ndarray, js: np.ndarray):
     return others & swapped, others & fixed
 
 
+def _latest(errors: list):
+    """The last error in a list of a stage's errors, one per route in the
+    order they ran (None for a route that went through), or None; the list
+    is emptied.  Each route works on the rows before the earliest failure
+    so far, so the latest error comes first in row order.  Passed straight
+    to spectral._first, it is then held by no local of the frame that its
+    traceback holds."""
+    exc = next((e for e in reversed(errors) if e is not None), None)
+    errors.clear()
+    return exc
+
+
 def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> EquivarianceVerdict:
     """Decide whether the map tracks eigenspaces or ignores them.
 
@@ -272,19 +284,14 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
     n, curve = bb.domain.n, bb.domain.curve
     if rng is None:
         rng = np.random.default_rng(0)
-    # each stage works on the rows before the earliest failure so far, so
-    # a failure it meets comes first in trial order
-    draw, js, failure = _simple_draws(
+    errors = [None] * 3  # of the draws, the map and the output eigenlines
+    draw, js, errors[0] = _simple_draws(
         bb.domain, rng, trials, lambda: int(rng.integers(n - 1))
     )
     js = np.array(js, dtype=int)
     pairs = _assemble(_with_swaps(draw, curve, js))
-    FXs, exc = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
-    if exc is not None:
-        failure = exc
-    (_, lines), exc = _batch_eig(FXs[: FXs.shape[0] // 2 * 2], curve)
-    if exc is not None:
-        failure = exc
+    FXs, errors[1] = bb.apply_rows(pairs.transpose(1, 0, 2, 3).reshape(-1, n, n))
+    (_, lines), errors[2] = _batch_eig(FXs[: FXs.shape[0] // 2 * 2], curve)
     m = lines.shape[0] // 2
     swapped, fixed = _line_patterns(
         lines[0 : 2 * m : 2], lines[1 : 2 * m : 2], js[:m]
@@ -293,8 +300,7 @@ def equivariance_test(bb: BlackBoxMap, trials: int = 20, rng=None) -> Equivarian
         raise MixedWitnessError(
             "witness matched neither the swapped nor the fixed line pattern"
         )
-    if failure is not None:
-        raise failure
+    _first(None, _latest(errors))
     swaps = int(np.count_nonzero(swapped))
     if swaps and swaps < trials:
         raise MixedWitnessError(
@@ -355,13 +361,12 @@ def _holdout_residual(bb: BlackBoxMap, rng, model) -> float:
     a candidate model, a map of stacks, over fresh domain samples; the max
     is taken in sample order, as one sample at a time."""
     (Xs,), _ = bb.domain.sample(rng, _VALIDATION_SAMPLES)
-    FXs, exc = bb.apply_rows(Xs)
+    errors = [None]
+    FXs, errors[0] = bb.apply_rows(Xs)
     Xs = Xs[: len(FXs)]
     ratios = _norms(FXs - model(Xs)) / _norms(Xs)
     residual = max([0.0, *ratios.tolist()])
-    if exc is not None:
-        raise exc
-    return float(residual)
+    return _first(float(residual), _latest(errors))
 
 
 def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
@@ -382,14 +387,15 @@ def reconstruct_conjugator(bb: BlackBoxMap, rng=None):
     lines = np.array([
         *eye.T, *((eye[:, 0] + eye[:, j]) / np.sqrt(2) for j in range(1, n)),
         (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2)])
-    FXs, exc = bb.apply_rows(_probes(lines, values))
+    errors = [None] * 3  # of the map, the decompositions and the lines
+    FXs, errors[0] = bb.apply_rows(_probes(lines, values))
     # the decompositions of the leading images, and the next one's error
-    decs, bad = _decompose_rows(FXs)
-    images, err = _first_line_images(decs, values)
+    decs, errors[1] = _decompose_rows(FXs)
+    images, errors[2] = _first_line_images(decs, values)
 
     def image(k):  # called with k = 0, 1, 2, ... in turn
         if k >= len(images):
-            raise err or bad or exc
+            _first(None, _latest(errors))
         return images[k]
 
     cols = [image(i) for i in range(n)]
@@ -450,11 +456,12 @@ class PreserverType:
 
 def _recover_fixed_frame(bb: BlackBoxMap, rng):
     """Average the sorted output eigenvector matrices of a quotient map."""
-    draw, _, failure = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
-    FXs, exc = bb.apply_rows(_assemble(draw)[0])
+    errors = [None] * 4  # of the draws, the map, the decompositions, the flags
+    draw, _, errors[0] = _simple_draws(bb.domain, rng, _FRAME_SAMPLES)
+    FXs, errors[1] = bb.apply_rows(_assemble(draw)[0])
     # the decompositions of the leading outputs, and the next one's error
-    decs, bad = _decompose_rows(FXs)
-    Fs, err = _eigenflags(decs, bb.domain.curve)
+    decs, errors[2] = _decompose_rows(FXs)
+    Fs, errors[3] = _eigenflags(decs, bb.domain.curve)
     if len(Fs):
         # align each column's phase to the first sample before averaging:
         # c[i, j] is ref[:, j].conj() @ Fs[i + 1][:, j], a contiguous row
@@ -469,8 +476,7 @@ def _recover_fixed_frame(bb: BlackBoxMap, rng):
         frame = Fs[0].copy()
         for F in Fs[1:]:  # summed in sample order
             frame += F
-    if err or bad or exc or failure:
-        raise err or bad or exc or failure
+    _first(None, _latest(errors))
     frame /= np.linalg.norm(frame, axis=0, keepdims=True)
     return frame
 

@@ -355,6 +355,13 @@ def run(argv) -> int:
         print(json.dumps({"error": "numerical-domain", "message": str(exc)}),
               file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a size past memory is a count the user asked for (--trials,
+        # --samples or --order; n is capped at 12)
+        print(json.dumps({"error": "config",
+                          "message": f"requested size too large: {exc}"}),
+              file=sys.stderr)
+        return 2
     except Exception as exc:  # a fault of the program, never of its input
         import traceback
         where = traceback.extract_tb(exc.__traceback__)[-1]

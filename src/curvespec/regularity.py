@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -115,23 +116,30 @@ def _quotient_table_err(fvals: np.ndarray, pts: np.ndarray):
     first quotient times the displacement, and every later level divides
     the accumulated uncertainty by a point span.  A measured quotient at
     or below this bound is indistinguishable from zero.
+
+    The recursion runs on fresh C-ordered (k, m) copies, so that each
+    level's slices are contiguous rows of m entries, not strided columns
+    of rows only k long; every entry sees the same operations in the same
+    order as along the rows, and a max is exact in any order, so the bits
+    are those of the row-wise recursion.  The copies also keep the q
+    returned from aliasing fvals.
     """
     em = float(np.finfo(float).eps)
     k = pts.shape[1]
-    pt_err = 4.0 * em * np.abs(pts).max(axis=1, keepdims=True)
-    first = (fvals[:, 1:] - fvals[:, :-1]) / (pts[:, 1:] - pts[:, :-1])
-    lip = np.abs(first).max(axis=1, keepdims=True, initial=0.0)
-    err = em * np.abs(fvals) + lip * pt_err
-    table = fvals.copy()
+    pts, table = np.array(pts.T, order="C"), np.array(fvals.T, order="C")
+    pt_err = 4.0 * em * np.abs(pts).max(axis=0)
+    first = (table[1:] - table[:-1]) / (pts[1:] - pts[:-1])
+    lip = np.abs(first).max(axis=0, initial=0.0)
+    err = em * np.abs(table) + lip * pt_err
     for level in range(1, k):
-        num = table[:, 1 : k - level + 1] - table[:, : k - level]
-        den = pts[:, level:] - pts[:, : k - level]
+        num = table[1 : k - level + 1] - table[: k - level]
+        den = pts[level:] - pts[: k - level]
         aden = np.abs(den)
         table = num / den
-        err = (err[:, 1 : k - level + 1] + err[:, : k - level]
+        err = (err[1 : k - level + 1] + err[: k - level]
                + em * np.abs(num)) / aden
         err += np.abs(table) * (em + 2.0 * pt_err / aden)
-    return table[:, 0], err[:, 0]
+    return table[0], err[0]
 
 
 def divided_difference(f, points, curve: Curve | None = None) -> complex:
@@ -189,20 +197,29 @@ def _stratum_plan(samples: int) -> list:
 def _acceptable(u: np.ndarray, stratum: str, sep: float) -> np.ndarray:
     """Mask of the rows of u that lie in the stratum (straddle: min < -sep/4
     and max > sep/4; left: max < 0; right: min > 0) and whose sorted entries
-    are at least sep apart."""
+    are at least sep apart.
+
+    The least gap between sorted entries is the least |u_i - u_j| over all
+    pairs of entries, bit for bit: for a <= b <= c, c - a >= b - a holds
+    exactly and rounding is monotone, so no pair's rounded distance falls
+    below that of the adjacent pair inside it, and fl(a - b) = -fl(b - a).
+    """
     # reducing over the k column views is cheap where an axis=1 reduction
-    # along short rows is not; sort only rows in the stratum
+    # or a sort along short rows is not; pair only rows in the stratum
+    cols = u.T
     if stratum == "straddle":
-        ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
-              & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
+        ok = ((functools.reduce(np.minimum, cols) < -0.25 * sep)
+              & (functools.reduce(np.maximum, cols) > 0.25 * sep))
     elif stratum == "left":
-        ok = functools.reduce(np.maximum, u.T) < 0.0
+        ok = functools.reduce(np.maximum, cols) < 0.0
     else:
-        ok = functools.reduce(np.minimum, u.T) > 0.0
+        ok = functools.reduce(np.minimum, cols) > 0.0
     rows = np.flatnonzero(ok)
     if rows.size:
-        st = np.sort(u[rows], axis=1).T
-        ok[rows] = functools.reduce(np.minimum, st[1:] - st[:-1]) >= sep
+        cols = cols.take(rows, axis=1)  # C-ordered: contiguous columns
+        ok[rows] = functools.reduce(np.minimum, (
+            np.abs(cols[i] - cols[j])
+            for i, j in itertools.combinations(range(len(cols)), 2))) >= sep
     return ok
 
 
@@ -232,8 +249,11 @@ def _sample_offsets(
     The rounds run as a scan over blocks of the same stream: uniform draws
     element by element whatever the shape, so the rounds are consecutive
     runs of rows.  Each block holds 4 * count rows, the loop's largest
-    draw, and is judged at once; the rounds are then replayed on integers,
-    and a halving re-judges the block's unconsumed rows.  A round may span
+    draw, and is judged at once, column by column: the separation test
+    takes the least |u_i - u_j| over the k(k-1)/2 column pairs, which is
+    the least gap of the sorted row bit for bit (see _acceptable), so no
+    row is sorted.  The rounds are then replayed on integers, and a
+    halving re-judges the block's unconsumed rows.  A round may span
     two blocks.  When the last block is only partly used, rng is put back
     to the state before its draw and redraws the rows used, which leaves
     every numpy bit generator where the round loop leaves it.

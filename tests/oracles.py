@@ -23,9 +23,14 @@ probe_with_first_line, first_line_image and the holdout loop
 the classifier's draws ahead and of their stream contract.  joined puts a
 list of draws into one stack, as _assemble joined them before it took
 one draw.
+The regularity probes' row-wise kernels are kept verbatim too, the
+references of their column-wise ones: quotient_table_err_rows (the
+difference-quotient table and its roundoff bound along rows) and
+sorted_gap_acceptable (the sampler's mask by sorting each row).
 """
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -472,3 +477,49 @@ def holdout_residual(bb, rng, model) -> float:
     if exc is not None:
         raise exc
     return float(residual)
+
+
+# ---------------------------------------------------------------------------
+# the regularity probes' kernels along rows, verbatim but for the names,
+# before they ran on columns
+
+
+def quotient_table_err_rows(fvals: np.ndarray, pts: np.ndarray):
+    """Triangular recursion over rows of (m, k) stacks, plus a per-row
+    forward roundoff bound."""
+    em = float(np.finfo(float).eps)
+    k = pts.shape[1]
+    pt_err = 4.0 * em * np.abs(pts).max(axis=1, keepdims=True)
+    first = (fvals[:, 1:] - fvals[:, :-1]) / (pts[:, 1:] - pts[:, :-1])
+    lip = np.abs(first).max(axis=1, keepdims=True, initial=0.0)
+    err = em * np.abs(fvals) + lip * pt_err
+    table = fvals.copy()
+    for level in range(1, k):
+        num = table[:, 1 : k - level + 1] - table[:, : k - level]
+        den = pts[:, level:] - pts[:, : k - level]
+        aden = np.abs(den)
+        table = num / den
+        err = (err[:, 1 : k - level + 1] + err[:, : k - level]
+               + em * np.abs(num)) / aden
+        err += np.abs(table) * (em + 2.0 * pt_err / aden)
+    return table[:, 0], err[:, 0]
+
+
+def sorted_gap_acceptable(u: np.ndarray, stratum: str, sep: float) -> np.ndarray:
+    """Mask of the rows of u that lie in the stratum (straddle: min < -sep/4
+    and max > sep/4; left: max < 0; right: min > 0) and whose sorted entries
+    are at least sep apart."""
+    # reducing over the k column views is cheap where an axis=1 reduction
+    # along short rows is not; sort only rows in the stratum
+    if stratum == "straddle":
+        ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
+              & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
+    elif stratum == "left":
+        ok = functools.reduce(np.maximum, u.T) < 0.0
+    else:
+        ok = functools.reduce(np.minimum, u.T) > 0.0
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        st = np.sort(u[rows], axis=1).T
+        ok[rows] = functools.reduce(np.minimum, st[1:] - st[:-1]) >= sep
+    return ok

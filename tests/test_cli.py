@@ -153,6 +153,12 @@ class TestParseCurve:
     # a corner so steep that projecting onto it overflows
     ["regularity", "--curve", "corner-graph:1e308,-1e308", "--center", "1e308",
      "--order", "2", "--seed", "1"],
+    # counts whose first array is past any memory, refused as it is allocated
+    ["classify", "--curve", "real-line", "--n", "3", "--trials", "1000000000000",
+     "--seed", "1", "--map", json.dumps({"variant": "conj",
+                                         "T": matrix_to_json(np.eye(3))})],
+    ["regularity", "--curve", "real-line", "--center", "0", "--order", "3",
+     "--samples", "1000000000000", "--seed", "1"],
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

@@ -18,13 +18,15 @@ from curvespec.errors import (
 )
 from curvespec.regularity import (
     ConfigurationTuple,
+    _acceptable,
+    _quotient_table_err,
     _sample_offsets,
     db_profile,
     dc_probe,
     divided_difference,
     write_profile_csv,
 )
-from oracles import read_profile_csv
+from oracles import quotient_table_err_rows, read_profile_csv, sorted_gap_acceptable
 
 
 def test_real_pair_is_identity_quotient():
@@ -269,6 +271,90 @@ def test_probe_interval_boundary_center():
     p = db_profile(seg, np.conj, 2, 0.0, rng=np.random.default_rng(21))
     assert p.verdict_db == "bounded"
     assert all(abs(s - 1.0) <= 1e-9 for s in p.sup_values)
+
+
+# ---------------------------------------------------------------------------
+# the probes' column-wise kernels against their row-wise references
+
+
+def _hostile_stack(seed, m, k):
+    """(m, k) points and values at row scales from 1e-300 to 1e300, with
+    coincident points, infinite and NaN entries and -0.0 parts."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, size=(m, 1))
+    pts = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * scale
+    with np.errstate(over="ignore"):
+        fv = np.conj(pts) * 10.0 ** rng.uniform(-20.0, 20.0, size=(m, 1))
+    rows = rng.permutation(m)
+    if k > 1:
+        pts[rows[:8], 1] = pts[rows[:8], 0]  # coincident
+    pts[rows[8:12], -1] = complex(np.inf, 1.0)
+    pts[rows[12:16], 0] = complex(np.nan, 0.0)
+    fv[rows[16:20], 0] = complex(-np.inf, np.inf)
+    fv[rows[20:24], -1] = np.nan
+    pts[rows[24:40]] = pts[rows[24:40]].real - 0.0j  # imaginary parts -0.0
+    pts[rows[40:48]] = -0.0 + 1j * pts[rows[40:48]].imag  # real parts -0.0
+    fv[rows[48:56]] = -0.0 - 0.0j
+    return pts, fv
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("m", [1, 400])
+def test_quotient_table_is_the_row_wise_table_bit_for_bit(m, k):
+    pts, fv = _hostile_stack(50 * m + k, max(m, 56), k)
+    pts, fv = pts[:m], fv[:m]
+    # C-ordered stacks, as the probes and divided_difference pass them,
+    # Fortran-ordered ones and reversed ones; the reference takes the last
+    # as contiguous copies, since numpy's complex abs runs another loop on
+    # negative strides, which rounds some moduli the other way
+    for P, F in ((pts, fv), (np.asfortranarray(pts), np.asfortranarray(fv)),
+                 (pts[::-1, ::-1], fv[::-1, ::-1])):
+        with np.errstate(all="ignore"):
+            q, qerr = _quotient_table_err(F, P)
+            want_q, want_err = quotient_table_err_rows(
+                np.ascontiguousarray(F), np.ascontiguousarray(P))
+        assert q.tobytes() == want_q.tobytes()
+        assert qerr.tobytes() == want_err.tobytes()
+        # the probe zeroes entries of q in place: it owns them
+        assert not np.shares_memory(q, F) and not np.shares_memory(q, P)
+    if m == 400:
+        assert not np.all(np.isfinite(q)) and np.any(q == 0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_divided_difference_is_the_row_wise_quotient(k):
+    rng = np.random.default_rng(k)
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+        points = scale * np.sort(rng.uniform(-1.0, 1.0, k)) + 0j
+        # the roundoff bound, which divided_difference drops, overflows at
+        # the smallest scales
+        with np.errstate(all="ignore"):
+            want = quotient_table_err_rows(np.conj(points)[None], points[None])[0]
+            got = np.array([divided_difference(np.conj, points)])
+        assert got.tobytes() == want.tobytes()
+
+
+def _gap_rows(seed, k, block=3000):
+    """Uniform rows, rows on a grid of pitch 0.05 (whose gaps round to either
+    side of sep), rows with repeated entries and rows of tiny and -0.0
+    entries."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(block, k))
+    u[::4] = rng.integers(-20, 21, size=(len(u[::4]), k)) * 0.05
+    u[1::8, -1] = u[1::8, 0]
+    u[3::8] = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 0.05, -0.05, 0.1],
+                         size=(len(u[3::8]), k))
+    return u
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("stratum", ["straddle", "left", "right"])
+def test_pairwise_gap_mask_is_the_sorted_gap_mask(stratum, k):
+    u = _gap_rows(k, k)
+    for sep in (0.05, 0.025, 0.1, 1e-3, 0.0):
+        ok = _acceptable(u, stratum, sep)
+        want = sorted_gap_acceptable(u, stratum, sep)
+        assert ok.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

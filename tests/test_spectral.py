@@ -15,7 +15,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from curvespec.checking import BlackBoxMap, ExternalProgramMap
-from curvespec.classify import _GAP_BAND, _with_swaps
+from curvespec.classify import (
+    _GAP_BAND,
+    _holdout_residual,
+    _recover_fixed_frame,
+    _with_swaps,
+    equivariance_test,
+    reconstruct_conjugator,
+)
 from curvespec.curves import (
     TAU,
     CornerGraph,
@@ -224,6 +231,10 @@ def _fails(X):
     raise ValueError("no")
 
 
+def _failing_map():
+    return BlackBoxMap(_fails, DomainSpec(real_line(), 3, MatrixClass.NORMAL))
+
+
 # every other exit of a stacked route (spectral._first and the routes
 # feeding it); spectral_decompose's is the retry test's "refused" case
 _ROUTE_EXITS = {
@@ -242,6 +253,13 @@ _ROUTE_EXITS = {
         OrderMap(real_line(), np.eye(3)), None).apply_batch(_OFF_REAL[None]), OffCurveError),
     "ExternalProgramMap": (_raise_malformed_reply, MapProtocolError),
     "_with_swaps": (_swaps_off_the_curve, OffCurveError),
+    # the classifier's stages, whose exits merge the errors of their routes
+    "equivariance_test": (lambda: equivariance_test(_failing_map(), 3), ValueError),
+    "reconstruct_conjugator": (lambda: reconstruct_conjugator(_failing_map()), ValueError),
+    "_holdout_residual": (lambda: _holdout_residual(
+        _failing_map(), np.random.default_rng(1), lambda Xs: Xs), ValueError),
+    "_recover_fixed_frame": (lambda: _recover_fixed_frame(
+        _failing_map(), np.random.default_rng(1)), ValueError),
 }
 
 
