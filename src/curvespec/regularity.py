@@ -121,8 +121,8 @@ def _quotient_table_err(fvals: np.ndarray, pts: np.ndarray):
     level's slices are contiguous rows of m entries, not strided columns
     of rows only k long; every entry sees the same operations in the same
     order as along the rows, and a max is exact in any order, so the bits
-    are those of the row-wise recursion.  The copies also keep the q
-    returned from aliasing fvals.
+    are those of the row-wise recursion on C-ordered stacks.  The copies
+    also keep the q returned from aliasing fvals.
     """
     em = float(np.finfo(float).eps)
     k = pts.shape[1]
@@ -206,17 +206,16 @@ def _acceptable(u: np.ndarray, stratum: str, sep: float) -> np.ndarray:
     """
     # reducing over the k column views is cheap where an axis=1 reduction
     # or a sort along short rows is not; pair only rows in the stratum
-    cols = u.T
     if stratum == "straddle":
-        ok = ((functools.reduce(np.minimum, cols) < -0.25 * sep)
-              & (functools.reduce(np.maximum, cols) > 0.25 * sep))
+        ok = ((functools.reduce(np.minimum, u.T) < -0.25 * sep)
+              & (functools.reduce(np.maximum, u.T) > 0.25 * sep))
     elif stratum == "left":
-        ok = functools.reduce(np.maximum, cols) < 0.0
+        ok = functools.reduce(np.maximum, u.T) < 0.0
     else:
-        ok = functools.reduce(np.minimum, cols) > 0.0
+        ok = functools.reduce(np.minimum, u.T) > 0.0
     rows = np.flatnonzero(ok)
     if rows.size:
-        cols = cols.take(rows, axis=1)  # C-ordered: contiguous columns
+        cols = u.T.take(rows, axis=1)  # C-ordered: contiguous columns
         ok[rows] = functools.reduce(np.minimum, (
             np.abs(cols[i] - cols[j])
             for i, j in itertools.combinations(range(len(cols)), 2))) >= sep

@@ -292,9 +292,9 @@ def _hostile_stack(seed, m, k):
     pts[rows[12:16], 0] = complex(np.nan, 0.0)
     fv[rows[16:20], 0] = complex(-np.inf, np.inf)
     fv[rows[20:24], -1] = np.nan
-    pts[rows[24:40]] = pts[rows[24:40]].real - 0.0j  # imaginary parts -0.0
-    pts[rows[40:48]] = -0.0 + 1j * pts[rows[40:48]].imag  # real parts -0.0
-    fv[rows[48:56]] = -0.0 - 0.0j
+    pts.imag[rows[24:40]] = -0.0
+    pts.real[rows[40:48]] = -0.0
+    fv[rows[48:56]] = complex(-0.0, -0.0)
     return pts, fv
 
 
@@ -318,6 +318,8 @@ def test_quotient_table_is_the_row_wise_table_bit_for_bit(m, k):
         # the probe zeroes entries of q in place: it owns them
         assert not np.shares_memory(q, F) and not np.shares_memory(q, P)
     if m == 400:
+        assert all(np.any(np.signbit(x) & (x == 0))
+                   for x in (pts.real, pts.imag, fv.real, fv.imag))
         assert not np.all(np.isfinite(q)) and np.any(q == 0)
 
 
